@@ -15,6 +15,7 @@ from .errors import (
     DriftAlignError,
     InsufficientData,
     NoConvergence,
+    NonFiniteData,
     NumericalHealthError,
     ParseError,
     RankDeficient,
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel, quadrature_kernel
 from .pipeline import (
+    VARIANT_ALIASES,
     VARIANT_FLAGS,
     AccuracyTrace,
     BatchDiagnostics,
@@ -75,6 +77,7 @@ __all__ = [
     "MeanSubspaceState",
     "MiniBatch",
     "NoConvergence",
+    "NonFiniteData",
     "NumericalHealthError",
     "ParseError",
     "PipelineConfig",
@@ -87,6 +90,7 @@ __all__ = [
     "Subspace",
     "SvmParams",
     "TransformKernel",
+    "VARIANT_ALIASES",
     "VARIANT_FLAGS",
     "apply_transform",
     "complement",

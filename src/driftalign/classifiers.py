@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData, SchemaMismatch
+from .errors import DimensionMismatch, InsufficientData, NonFiniteData, SchemaMismatch
 
 Array = np.ndarray
 
@@ -35,7 +35,7 @@ class LabeledSet:
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise DimensionMismatch(f"x must be a nonempty 2-d array, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
-            raise ValueError("x has non-finite entries")
+            raise NonFiniteData("x has non-finite entries")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise DimensionMismatch(f"y must have one label per row, got {y.shape} for {x.shape[0]} rows")
         if not np.issubdtype(y.dtype, np.integer):
@@ -110,7 +110,7 @@ def train(data: LabeledSet, kind: str, params: KnnParams | SvmParams | None = No
             n_neighbors=int(params.n_neighbors),
             n_classes=data.n_classes,
         )
-    if kind in ("svm", "linear_svm"):
+    if kind == "svm":
         params = params if params is not None else SvmParams()
         counts = np.bincount(data.y, minlength=data.n_classes)
         if counts.min() < 2:

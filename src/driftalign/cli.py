@@ -20,20 +20,14 @@ from .errors import (
     DimensionViolation,
     DomainError,
     InsufficientData,
+    NonFiniteData,
     ParseError,
     RankDeficient,
     SchemaMismatch,
 )
-from .pipeline import VARIANT_FLAGS, AccuracyTrace, run_stream, variant_config
+from .pipeline import VARIANT_ALIASES, VARIANT_FLAGS, AccuracyTrace, run_stream, variant_config
 from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
 from .verify import run_all
-
-# Short spellings accepted on the command line for the longer ladder names.
-VARIANT_ALIASES = {
-    "fb": "gfk_fb",
-    "gmean": "gfk_gmean",
-    "gmean_fb": "gfk_gmean_fb",
-}
 
 
 class UsageError(Exception):
@@ -251,7 +245,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ParseError, SchemaMismatch, InsufficientData, RankDeficient, FileNotFoundError) as exc:
+    except (
+        ParseError,
+        SchemaMismatch,
+        InsufficientData,
+        RankDeficient,
+        NonFiniteData,
+        FileNotFoundError,
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (ConfigError, DimensionViolation, DomainError, ValueError) as exc:

@@ -52,5 +52,13 @@ class SchemaMismatch(DriftAlignError):
     """CSV structure contradicts the declared schema or label contract."""
 
 
+class NonFiniteData(DriftAlignError, ValueError):
+    """Input rows contain NaN or infinity.
+
+    Also a ValueError, so callers that caught the bare ValueError it replaced
+    keep working.
+    """
+
+
 class ConfigError(DriftAlignError):
     """Invalid or inconsistent configuration value."""

@@ -13,12 +13,21 @@ rule below exists only to verify it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionViolation
-from .subspaces import Array, GeodesicFlow, Subspace, evaluate, principal_system
+from .subspaces import (
+    ORTHONORMALITY_TOL,
+    Array,
+    GeodesicFlow,
+    Subspace,
+    _flow_bases,
+    _flow_frame,
+    principal_system,
+)
 
 # Angles below this use the analytic limits of the integral weights.
 SMALL_ANGLE = 1e-8
@@ -26,6 +35,10 @@ SMALL_ANGLE = 1e-8
 SYMMETRY_TOL = 1e-12
 # Allowed spectrum overshoot outside [0, 1].
 SPECTRUM_TOL = 1e-9
+# Flow evaluations per broadcast chunk in quadrature_kernel. Even, so chunks
+# start on even nodes; small, so a chunk's d x m x k arrays stay below the
+# memory the rest of the verify path already holds at its peak.
+QUADRATURE_CHUNK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +120,11 @@ def quadrature_kernel(
     """Composite Simpson approximation of the projection integral.
 
     ``nodes`` is the (even) number of subintervals; error falls as nodes^-4.
-    Slow by construction: it evaluates the flow at every node.
+    The flow is evaluated at every node, QUADRATURE_CHUNK nodes at a time:
+    each chunk's bases come from one broadcast call, are checked orthonormal
+    and finite as a Subspace would be, and are accumulated with one weighted
+    matmul. It shares the flow formula with ``evaluate`` and nothing with the
+    closed form's 2k x 2k assembly, so an assembly fault cannot hide.
     """
     nodes = int(nodes)
     if nodes < 2 or nodes % 2 != 0:
@@ -117,21 +134,36 @@ def quadrature_kernel(
         base_complement=source_complement,
         system=principal_system(source, target, source_complement),
     )
-    d = source.ambient_dim
+    head, tail = _flow_frame(flow)
+    d, k = head.shape
     acc = np.zeros((d, d))
     h = 1.0 / nodes
-    for j in range(nodes + 1):
-        if j == 0 or j == nodes:
-            w = 1.0
-        elif j % 2 == 1:
-            w = 4.0
-        else:
-            w = 2.0
-        phi = evaluate(flow, j * h).basis
-        acc += w * (phi @ phi.T)
+    # Simpson weights run 1, 4, 2, 4, ..., 2, 4, 1. The chunk size is even, so
+    # every chunk starts on an even node and follows the 2, 4, 2, ... pattern.
+    interior = np.tile((2.0, 4.0), QUADRATURE_CHUNK // 2)
+    for start in range(0, nodes + 1, QUADRATURE_CHUNK):
+        j = np.arange(start, min(start + QUADRATURE_CHUNK, nodes + 1))
+        w = interior[: j.size]
+        if start == 0 or j[-1] == nodes:
+            w = np.where((j == 0) | (j == nodes), 1.0, w)
+        bases = _flow_bases(head, tail, flow.system.angles, j * h)
+        _check_bases(bases)
+        acc += (bases * w[:, None]).reshape(d, -1) @ bases.reshape(d, -1).T
     g = acc * (h / 3.0)
     g = 0.5 * (g + g.T)
-    return TransformKernel(g=g, source_sub_dim=source.sub_dim)
+    return TransformKernel(g=g, source_sub_dim=k)
+
+
+def _check_bases(bases: Array) -> None:
+    # The checks Subspace applies, for every basis of a d x m x k stack. A
+    # non-finite entry makes its column's squared norm, and so dev, non-finite.
+    k = bases.shape[2]
+    grams = np.matmul(bases.transpose(1, 2, 0), bases.transpose(1, 0, 2))
+    dev = float(np.abs(grams - np.eye(k)).max())
+    if not math.isfinite(dev):
+        raise ValueError("basis has non-finite entries")
+    if dev >= ORTHONORMALITY_TOL:
+        raise ValueError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
 
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:

@@ -27,7 +27,7 @@ from .classifiers import (
     predict,
     train,
 )
-from .errors import ConfigError, DimensionMismatch, RankDeficient
+from .errors import ConfigError, DimensionMismatch, NonFiniteData, RankDeficient
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
 from .subspaces import Array, Subspace, complement, pca_subspace, principal_angles
@@ -39,6 +39,13 @@ VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
     "gfk_fb": (True, False, True),
     "gfk_gmean": (True, True, False),
     "gfk_gmean_fb": (True, True, True),
+}
+
+# Short spellings accepted for the longer ladder names.
+VARIANT_ALIASES: dict[str, str] = {
+    "fb": "gfk_fb",
+    "gmean": "gfk_gmean",
+    "gmean_fb": "gfk_gmean_fb",
 }
 
 # Batches whose largest source-target angle exceeds this are flagged in
@@ -78,10 +85,13 @@ def variant_config(
     svm_params: SvmParams = SvmParams(),
     diagnostics: bool = False,
 ) -> PipelineConfig:
-    """Config for a named ablation variant."""
-    if name not in VARIANT_FLAGS:
-        raise ConfigError(f"unknown variant {name!r}; expected one of {list(VARIANT_FLAGS)}")
-    use_gfk, use_gmean, use_feedback = VARIANT_FLAGS[name]
+    """Config for a named ablation variant or one of its VARIANT_ALIASES."""
+    canonical = VARIANT_ALIASES.get(name, name)
+    if canonical not in VARIANT_FLAGS:
+        raise ConfigError(
+            f"unknown variant {name!r}; expected one of {list(VARIANT_FLAGS)} or an alias {list(VARIANT_ALIASES)}"
+        )
+    use_gfk, use_gmean, use_feedback = VARIANT_FLAGS[canonical]
     return PipelineConfig(
         sub_dim=sub_dim,
         use_gfk=use_gfk,
@@ -106,7 +116,7 @@ class MiniBatch:
         if x.ndim != 2 or x.shape[0] < 2:
             raise DimensionMismatch(f"batch needs at least 2 rows, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
-            raise ValueError("batch has non-finite entries")
+            raise NonFiniteData("batch has non-finite entries")
         out = np.array(x)
         out.setflags(write=False)
         object.__setattr__(self, "x", out)

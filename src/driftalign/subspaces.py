@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     DimensionViolation,
     DomainError,
+    NonFiniteData,
     NumericalHealthError,
     RankDeficient,
     SharedFactorFailure,
@@ -133,7 +134,7 @@ def _as_matrix(m: object, what: str) -> Array:
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionViolation(f"{what} must be a nonempty 2-d array, got shape {getattr(a, 'shape', None)}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} has non-finite entries")
+        raise NonFiniteData(f"{what} has non-finite entries")
     return a
 
 
@@ -296,11 +297,27 @@ def evaluate(flow: GeodesicFlow, t: float) -> Subspace:
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"flow parameter must lie in [0, 1], got {t}")
-    th = flow.system.angles
+    head, tail = _flow_frame(flow)
+    return Subspace(_flow_bases(head, tail, flow.system.angles, np.array([t]))[:, 0, :])
+
+
+def _flow_frame(flow: GeodesicFlow) -> tuple[Array, Array]:
+    """Principal vectors at the base (head) and the directions they open into (tail)."""
     k = flow.base.sub_dim
     head = flow.base.basis @ flow.system.a_rot
     tail = flow.base_complement.basis @ flow.system.complement_rot[:, :k]
-    return Subspace(head * np.cos(t * th) - tail * np.sin(t * th))
+    return head, tail
+
+
+def _flow_bases(head: Array, tail: Array, angles: Array, ts: Array) -> Array:
+    """Unvalidated flow bases head cos(t angles) - tail sin(t angles) for every t in ts.
+
+    Returns a d x m x k array whose [:, j, :] slice is the basis at ts[j].
+    """
+    phase = ts[:, None] * angles
+    bases = head[:, None, :] * np.cos(phase)
+    bases -= tail[:, None, :] * np.sin(phase)
+    return bases
 
 
 def pca_subspace(x: object, k: int) -> Subspace:

@@ -137,6 +137,11 @@ class TestLinearSvm:
         with pytest.raises(InsufficientData):
             train(data, "knn")
 
+    def test_only_the_documented_kinds_are_accepted(self):
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match="unknown classifier kind"):
+            train(blobs(rng, 10, 2, 4.0), "linear_svm")
+
     def test_class_with_one_row_rejected_for_svm(self):
         x = np.vstack([np.eye(3), [[5.0, 5.0, 5.0]]])
         y = np.array([0, 0, 0, 1])

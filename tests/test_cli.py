@@ -1,14 +1,49 @@
 """Command line interface: exit codes, report schema, reproducible bytes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from driftalign.cli import main
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def readme_commands():
+    """(argv, expected exit code) for every `driftalign` line of README's sh blocks.
+
+    A trailing comment of the form `exits N` documents a nonzero exit code.
+    """
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, comment = line.partition("#")
+            if not command.startswith("driftalign "):
+                continue
+            documented = re.search(r"exits (\d)", comment)
+            commands.append((shlex.split(command)[1:], int(documented.group(1)) if documented else 0))
+    return commands
+
+
+def two_class_csv(path, nan_row=None):
+    rng = np.random.default_rng(0)
+    lines = []
+    for i in range(120):
+        feats = rng.standard_normal(4) + (3.0 if i % 2 else -3.0)
+        cells = [f"{v:.6f}" for v in feats]
+        if i == nan_row:
+            cells[1] = "nan"
+        lines.append(",".join(cells) + f",{i % 2}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def rotating_args(out, *extra):
@@ -52,6 +87,17 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "row 2, column 2" in err
+
+    @pytest.mark.parametrize("nan_row", [5, 60], ids=["source", "stream"])
+    def test_non_finite_csv_cell_returns_two(self, tmp_path, capsys, nan_row):
+        data = two_class_csv(tmp_path / "nan.csv", nan_row=nan_row)
+        code = run_cli(
+            "run", "--csv", str(data), "--source-frac", "0.3", "--batch", "20",
+            "--k", "1", "--variant", "gfk", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "non-finite" in err
 
     def test_oversized_subspace_returns_three_citing_the_rule(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -122,15 +168,7 @@ class TestTraceSchema:
             assert abs(variant["running"][i] - sum(scored) / len(scored)) < 1e-12
 
     def test_csv_input_round_trips_through_the_pipeline(self, tmp_path):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        rows = []
-        for i in range(120):
-            feats = rng.standard_normal(4) + (3.0 if i % 2 else -3.0)
-            rows.append(",".join(f"{v:.6f}" for v in feats) + f",{i % 2}")
-        data = tmp_path / "data.csv"
-        data.write_text("\n".join(rows) + "\n")
+        data = two_class_csv(tmp_path / "data.csv")
         out = tmp_path / "csv_trace.json"
         code = run_cli(
             "run", "--csv", str(data), "--source-frac", "0.3", "--batch", "20",
@@ -162,3 +200,16 @@ class TestDeterminism:
         vb = json.loads(b.read_text())["variants"][0]
         assert va["per_batch"] == vb["per_batch"]
         assert va["running"] == vb["running"]
+
+
+class TestReadmeCommands:
+    def test_readme_documents_every_subcommand(self):
+        documented = {argv[0] for argv, _ in readme_commands()}
+        assert documented == {"run", "ablate", "verify"}
+
+    @pytest.mark.parametrize(
+        "argv,expected", readme_commands(), ids=lambda v: " ".join(v) if isinstance(v, list) else None
+    )
+    def test_readme_command_exits_as_documented(self, tmp_path, monkeypatch, argv, expected):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == expected

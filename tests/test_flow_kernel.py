@@ -1,5 +1,6 @@
 """Closed-form transform kernel against its quadrature oracle."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,15 +8,25 @@ import pytest
 
 from driftalign import (
     DimensionMismatch,
+    DomainError,
+    GeodesicFlow,
     Subspace,
     TransformKernel,
     apply_transform,
     complement,
+    evaluate,
     flow_kernel,
+    geodesic,
     orthonormalize,
+    principal_system,
     quadrature_kernel,
     random_subspace,
 )
+from driftalign.flow_kernel import QUADRATURE_CHUNK
+from driftalign.verify import run_all
+
+# The package re-exports the function flow_kernel under the module's name.
+flow_kernel_module = importlib.import_module("driftalign.flow_kernel")
 
 
 def kernel_pair(d, k, seed):
@@ -23,6 +34,32 @@ def kernel_pair(d, k, seed):
     source = random_subspace(d, k, rng)
     target = random_subspace(d, k, rng)
     return source, complement(source), target
+
+
+def per_node_quadrature(source, source_comp, target, nodes):
+    """Composite Simpson rule with one validated evaluate() call per node."""
+    flow = GeodesicFlow(
+        base=source,
+        base_complement=source_comp,
+        system=principal_system(source, target, source_comp),
+    )
+    acc = np.zeros((source.ambient_dim, source.ambient_dim))
+    h = 1.0 / nodes
+    for j in range(nodes + 1):
+        w = 1.0 if j in (0, nodes) else (4.0 if j % 2 else 2.0)
+        phi = evaluate(flow, j * h).basis
+        acc += w * (phi @ phi.T)
+    g = acc * (h / 3.0)
+    return 0.5 * (g + g.T)
+
+
+def flow_formula(flow, t):
+    """The flow point as evaluate() computed it before the batched evaluator."""
+    th = flow.system.angles
+    k = flow.base.sub_dim
+    head = flow.base.basis @ flow.system.a_rot
+    tail = flow.base_complement.basis @ flow.system.complement_rot[:, :k]
+    return head * np.cos(t * th) - tail * np.sin(t * th)
 
 
 class TestCanonicalValues:
@@ -71,12 +108,54 @@ class TestOracleAgreement:
             with pytest.raises(ValueError):
                 quadrature_kernel(source, source_comp, target, nodes=nodes)
 
+    @pytest.mark.parametrize(
+        "nodes", [2, QUADRATURE_CHUNK - 2, QUADRATURE_CHUNK, QUADRATURE_CHUNK + 2, 10_000]
+    )
+    def test_chunked_oracle_matches_per_node_loop(self, nodes):
+        for d, k, seed in ((10, 1, 15), (12, 3, 16)):
+            source, source_comp, target = kernel_pair(d, k, seed)
+            chunked = quadrature_kernel(source, source_comp, target, nodes=nodes).g
+            reference = per_node_quadrature(source, source_comp, target, nodes)
+            assert np.abs(chunked - reference).max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [(lambda b: 1.001 * b, "not orthonormal"), (lambda b: b * np.nan, "non-finite")],
+        ids=["scaled", "nan"],
+    )
+    def test_every_chunk_basis_is_validated(self, monkeypatch, corrupt, message):
+        original = flow_kernel_module._flow_bases
+        monkeypatch.setattr(flow_kernel_module, "_flow_bases", lambda *a: corrupt(original(*a)))
+        source, source_comp, target = kernel_pair(8, 2, 17)
+        with pytest.raises(ValueError, match=message):
+            quadrature_kernel(source, source_comp, target, nodes=100)
+
+    def test_injected_cross_sign_fault_is_caught_by_the_suite(self):
+        checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}
+        assert not checks["kernel_matches_quadrature"].passed
+
     def test_wrong_cross_sign_breaks_agreement(self):
         # the same check the fault-injection path relies on
         source, source_comp, target = kernel_pair(10, 3, 7)
         wrong = flow_kernel(source, source_comp, target, cross_sign=1.0).g
         numeric = quadrature_kernel(source, source_comp, target, nodes=10_000).g
         assert np.abs(wrong - numeric).max() > 1e-8
+
+
+class TestFlowEvaluation:
+    @pytest.mark.parametrize("d,k,seed", [(6, 1, 18), (10, 3, 19), (30, 5, 20), (40, 2, 21)])
+    def test_evaluate_is_bit_identical_to_the_flow_formula(self, d, k, seed):
+        rng = np.random.default_rng(seed)
+        flow = geodesic(random_subspace(d, k, rng), random_subspace(d, k, rng))
+        for t in (0.0, 1e-9, 0.1, 1.0 / 3.0, 0.5, 0.77, 1.0):
+            assert np.array_equal(evaluate(flow, t).basis, flow_formula(flow, t))
+
+    def test_parameter_outside_the_unit_interval_rejected(self):
+        source, _, target = kernel_pair(8, 2, 22)
+        flow = geodesic(source, target)
+        for t in (1.5, -0.1):
+            with pytest.raises(DomainError):
+                evaluate(flow, t)
 
 
 class TestKernelProperties:

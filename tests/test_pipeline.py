@@ -10,7 +10,9 @@ from driftalign import (
     MiniBatch,
     PipelineConfig,
     PipelineState,
+    NonFiniteData,
     StreamSpec,
+    VARIANT_ALIASES,
     VARIANT_FLAGS,
     gen_rotating_drift,
     init_pipeline,
@@ -34,6 +36,14 @@ class TestConfig:
         assert VARIANT_FLAGS["pca"] == (False, False, False)
         assert VARIANT_FLAGS["gfk_gmean_fb"] == (True, True, True)
 
+    @pytest.mark.parametrize("alias", sorted(VARIANT_ALIASES))
+    def test_alias_yields_the_flags_of_its_canonical_name(self, alias):
+        canonical = variant_config(VARIANT_ALIASES[alias], sub_dim=3)
+        assert variant_config(alias, sub_dim=3) == canonical
+        assert VARIANT_FLAGS[VARIANT_ALIASES[alias]] == (
+            canonical.use_gfk, canonical.use_gmean, canonical.use_feedback
+        )
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             variant_config("pca_gfk", sub_dim=3)
@@ -55,6 +65,12 @@ class TestConfig:
         bad = np.ones((3, 5))
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
+            MiniBatch(x=bad)
+
+    def test_non_finite_batch_is_a_data_error(self):
+        bad = np.ones((3, 5))
+        bad[1, 2] = np.nan
+        with pytest.raises(NonFiniteData):
             MiniBatch(x=bad)
 
 
