@@ -49,7 +49,6 @@ from .subspaces import (
     GeodesicFlow,
     PrincipalSystem,
     Subspace,
-    complement,
     evaluate,
     geodesic,
     geodesic_distance,
@@ -93,7 +92,6 @@ __all__ = [
     "VARIANT_ALIASES",
     "VARIANT_FLAGS",
     "apply_transform",
-    "complement",
     "evaluate",
     "exp_tangent",
     "flow_kernel",

@@ -123,6 +123,8 @@ def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
     lam = float(params.regularization)
     if lam <= 0.0:
         raise ValueError(f"regularization must be positive, got {lam}")
+    if params.epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {params.epochs}")
     rng = np.random.default_rng(params.seed)
     n, d = data.x.shape
     c = data.n_classes

@@ -4,11 +4,14 @@ For the flow Psi(t) from a source subspace to a target subspace, the kernel is
 
     G = integral over t in [0, 1] of Psi(t) Psi(t)^T dt,
 
-a d x d symmetric matrix with spectrum in [0, 1]. Features multiplied by G are
-re-weighted toward directions that stay aligned along the whole path, which is
-what makes a source-trained classifier usable on drifted data. The integral
-has a closed form in the principal system of the pair; the composite Simpson
-rule below exists only to verify it.
+a symmetric matrix of rank <= 2k with spectrum in [0, 1]. Features multiplied
+by G are re-weighted toward directions that stay aligned along the whole path,
+which is what makes a source-trained classifier usable on drifted data. The
+integral has a closed form in the principal system of the pair: G = S W S^T,
+with S = [head, tail] the d x 2k flow frame and W a 2k x 2k weight matrix, and
+the kernel is stored in that factored form. The composite Simpson rule below
+exists only to verify it; it and the ``g`` property, kept for checks, are the
+only places a dense d x d G is built.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from .errors import DimensionMismatch, DimensionViolation
 from .subspaces import (
     ORTHONORMALITY_TOL,
     Array,
-    GeodesicFlow,
     Subspace,
     _flow_bases,
     _flow_frame,
-    principal_system,
+    _read_only,
+    geodesic,
 )
 
 # Angles below this use the analytic limits of the integral weights.
@@ -43,29 +46,44 @@ QUADRATURE_CHUNK = 16
 
 @dataclass(frozen=True, eq=False)
 class TransformKernel:
-    """Symmetric d x d kernel with eigenvalues in [0, 1]."""
+    """Kernel G = frame @ weights @ frame.T with eigenvalues in [0, 1].
 
-    g: Array
-    source_sub_dim: int
+    ``frame`` is d x 2k with orthonormal columns and ``weights`` is a
+    symmetric 2k x 2k matrix, so G has the spectrum of ``weights`` plus zeros
+    and checking ``weights`` checks G exactly.
+    """
+
+    frame: Array
+    weights: Array
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.g, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionViolation(f"kernel must be square, got shape {m.shape}")
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"kernel asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs[0] < -SPECTRUM_TOL or eigs[-1] > 1.0 + SPECTRUM_TOL:
-            raise ValueError(f"kernel spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0, 1]")
-        out = np.array(m)
-        out.setflags(write=False)
-        object.__setattr__(self, "g", out)
-        object.__setattr__(self, "source_sub_dim", int(self.source_sub_dim))
+        s, w = _read_only(self.frame), _read_only(self.weights)
+        if s.ndim != 2 or w.shape != (s.shape[1], s.shape[1]):
+            raise DimensionViolation(f"need a d x m frame and m x m weights, got {s.shape} and {w.shape}")
+        dev = float(np.max(np.abs(s.T @ s - np.eye(s.shape[1]))))
+        if dev >= ORTHONORMALITY_TOL:
+            raise ValueError(f"kernel frame is not orthonormal (max Gram deviation {dev:.3e})")
+        _check_unit_spectrum(w, "kernel weights")
+        object.__setattr__(self, "frame", s)
+        object.__setattr__(self, "weights", w)
 
     @property
     def ambient_dim(self) -> int:
-        return int(self.g.shape[0])
+        return int(self.frame.shape[0])
+
+    @property
+    def g(self) -> Array:
+        """The dense d x d kernel matrix, for checks; the stream path never forms it."""
+        return (self.frame @ self.weights) @ self.frame.T
+
+
+def _check_unit_spectrum(m: Array, what: str) -> None:
+    asym = float(np.max(np.abs(m - m.T)))
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"{what} asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
+    eigs = np.linalg.eigvalsh(m)
+    if eigs[0] < -SPECTRUM_TOL or eigs[-1] > 1.0 + SPECTRUM_TOL:
+        raise ValueError(f"{what} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0, 1]")
 
 
 def _integral_weights(angles: Array, cross_sign: float) -> tuple[Array, Array, Array]:
@@ -83,7 +101,6 @@ def _integral_weights(angles: Array, cross_sign: float) -> tuple[Array, Array, A
 
 def flow_kernel(
     source: Subspace,
-    source_complement: Subspace,
     target: Subspace,
     *,
     cross_sign: float = -1.0,
@@ -94,48 +111,29 @@ def flow_kernel(
     correct value and the parameter exists only so the verification suite can
     inject a controlled fault.
     """
-    system = principal_system(source, target, source_complement)
-    k = source.sub_dim
-    w_cos, w_cross, w_sin = _integral_weights(system.angles, cross_sign)
-    head = source.basis @ system.a_rot
-    tail = source_complement.basis @ system.complement_rot[:, :k]
-    stacked = np.hstack([head, tail])
-    weights = np.zeros((2 * k, 2 * k))
-    idx = np.arange(k)
-    weights[idx, idx] = w_cos
-    weights[idx, k + idx] = w_cross
-    weights[k + idx, idx] = w_cross
-    weights[k + idx, k + idx] = w_sin
-    g = stacked @ weights @ stacked.T
-    g = 0.5 * (g + g.T)
-    return TransformKernel(g=g, source_sub_dim=k)
+    flow = geodesic(source, target)
+    w_cos, w_cross, w_sin = map(np.diag, _integral_weights(flow.system.angles, cross_sign))
+    weights = np.block([[w_cos, w_cross], [w_cross, w_sin]])
+    return TransformKernel(frame=np.hstack(_flow_frame(flow)), weights=weights)
 
 
-def quadrature_kernel(
-    source: Subspace,
-    source_complement: Subspace,
-    target: Subspace,
-    nodes: int,
-) -> TransformKernel:
-    """Composite Simpson approximation of the projection integral.
+def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
+    """Composite Simpson approximation of the projection integral, as a dense d x d array.
 
     ``nodes`` is the (even) number of subintervals; error falls as nodes^-4.
     The flow is evaluated at every node, QUADRATURE_CHUNK nodes at a time:
     each chunk's bases come from one broadcast call, are checked orthonormal
     and finite as a Subspace would be, and are accumulated with one weighted
     matmul. It shares the flow formula with ``evaluate`` and nothing with the
-    closed form's 2k x 2k assembly, so an assembly fault cannot hide.
+    closed form's 2k x 2k assembly, so an assembly fault cannot hide. The
+    symmetrized result is checked for symmetry and a spectrum in [0, 1].
     """
     nodes = int(nodes)
     if nodes < 2 or nodes % 2 != 0:
         raise ValueError(f"nodes must be an even count >= 2, got {nodes}")
-    flow = GeodesicFlow(
-        base=source,
-        base_complement=source_complement,
-        system=principal_system(source, target, source_complement),
-    )
+    flow = geodesic(source, target)
     head, tail = _flow_frame(flow)
-    d, k = head.shape
+    d = head.shape[0]
     acc = np.zeros((d, d))
     h = 1.0 / nodes
     # Simpson weights run 1, 4, 2, 4, ..., 2, 4, 1. The chunk size is even, so
@@ -151,7 +149,8 @@ def quadrature_kernel(
         acc += (bases * w[:, None]).reshape(d, -1) @ bases.reshape(d, -1).T
     g = acc * (h / 3.0)
     g = 0.5 * (g + g.T)
-    return TransformKernel(g=g, source_sub_dim=k)
+    _check_unit_spectrum(g, "quadrature kernel")
+    return g
 
 
 def _check_bases(bases: Array) -> None:
@@ -167,10 +166,10 @@ def _check_bases(bases: Array) -> None:
 
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:
-    """Right-multiply row-data x (N x d) by the kernel."""
+    """Right-multiply row-data x (N x d) by the kernel, through its d x 2k frame."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != kernel.ambient_dim:
         raise DimensionMismatch(
             f"data has {a.shape[1] if a.ndim == 2 else '?'} columns, kernel expects {kernel.ambient_dim}"
         )
-    return a @ kernel.g
+    return ((a @ kernel.frame) @ kernel.weights) @ kernel.frame.T

@@ -30,7 +30,7 @@ from .classifiers import (
 from .errors import ConfigError, DimensionMismatch, NonFiniteData, RankDeficient
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
-from .subspaces import Array, Subspace, complement, pca_subspace, principal_angles
+from .subspaces import Array, Subspace, pca_subspace, principal_angles
 
 # Variant name -> (use_gfk, use_gmean, use_feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -138,7 +138,6 @@ class PipelineState:
 
     config: PipelineConfig
     source_subspace: Subspace
-    source_complement: Subspace
     model: KnnModel | LinearSvmModel
     mean_state: MeanSubspaceState | None
     last_kernel: TransformKernel | None
@@ -158,13 +157,11 @@ class BatchDiagnostics:
 def init_pipeline(source: LabeledSet, config: PipelineConfig) -> PipelineState:
     """Fit the source subspace and classifier; no stream data is touched."""
     source_subspace = pca_subspace(source.x, config.sub_dim)
-    source_comp = complement(source_subspace)
     params = config.knn_params if config.classifier == "knn" else config.svm_params
     model = train(source, config.classifier, params)
     return PipelineState(
         config=config,
         source_subspace=source_subspace,
-        source_complement=source_comp,
         model=model,
         mean_state=None,
         last_kernel=None,
@@ -213,7 +210,7 @@ def process_batch(
     kernel = state.last_kernel
     x_adapted = x_pre
     if cfg.use_gfk:
-        kernel = flow_kernel(state.source_subspace, state.source_complement, target)
+        kernel = flow_kernel(state.source_subspace, target)
         x_adapted = apply_transform(x_pre, kernel)
     timings["gfk"] = time.perf_counter() - t0
 

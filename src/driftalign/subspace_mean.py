@@ -17,7 +17,6 @@ from .errors import DimensionMismatch, NoConvergence
 from .subspaces import (
     Array,
     Subspace,
-    complement,
     evaluate,
     geodesic,
     principal_system,
@@ -60,12 +59,10 @@ def update_mean(state: MeanSubspaceState, new: Subspace) -> MeanSubspaceState:
     return MeanSubspaceState(mean=evaluate(flow, 1.0 / new_count), count=new_count)
 
 
-def log_tangent(base: Subspace, base_complement: Subspace, target: Subspace) -> Array:
+def log_tangent(base: Subspace, target: Subspace) -> Array:
     """Tangent d x k matrix at ``base`` whose geodesic reaches ``target`` at t=1."""
-    system = principal_system(base, target, base_complement)
-    k = base.sub_dim
-    direction = base_complement.basis @ system.complement_rot[:, :k]
-    return -(direction * system.angles) @ system.a_rot.T
+    system = principal_system(base, target)
+    return -(system.tail * system.angles) @ system.a_rot.T
 
 
 def exp_tangent(base: Subspace, tangent: Array) -> Subspace:
@@ -110,8 +107,7 @@ def karcher_mean(
             raise DimensionMismatch("subspaces must share ambient and subspace dimensions")
     est = subspaces[0]
     for _ in range(max_iter):
-        comp = complement(est)
-        mean_tangent = sum(log_tangent(est, comp, s) for s in subspaces) / len(subspaces)
+        mean_tangent = sum(log_tangent(est, s) for s in subspaces) / len(subspaces)
         if float(np.linalg.norm(mean_tangent)) < tol:
             return est
         est = exp_tangent(est, mean_tangent)

@@ -6,9 +6,10 @@ radians, stored ascending (descending cosines). Everything is float64 and
 deterministic; tolerances are module constants so the contracts stay testable.
 
 The central construction is :func:`principal_system`, a paired decomposition
-of A^T B and R^T B (R a complement of A) sharing one right factor. It is what
-makes geodesics between subspaces and the flow kernel built on them cheap and
-closed-form.
+of A^T B and of the residual B - A A^T B sharing one right factor. It yields
+the k directions orthogonal to A that the pair opens into, which is all that
+geodesics between subspaces and the flow kernel built on them need; no basis
+of A's full d x (d - k) complement is ever formed.
 """
 
 from __future__ import annotations
@@ -84,35 +85,38 @@ class Subspace:
 class PrincipalSystem:
     """Aligned factors of a subspace pair.
 
-    For a pair (A, B) with A-complement R, the factors satisfy
+    For a pair (A, B) the factors satisfy
 
-        A^T B = a_rot @ diag(cos(angles)) @ b_rot.T
-        R^T B = -(complement_rot[:, :k] * sin(angles)) @ b_rot.T
+        A^T B         =  a_rot @ diag(cos(angles)) @ b_rot.T
+        B - A A^T B   = -(tail * sin(angles)) @ b_rot.T
 
     so the columns of A @ a_rot and B @ b_rot are the principal vectors and
-    complement_rot holds the directions the pair opens into.
+    the d x k orthonormal ``tail``, orthogonal to A, holds the directions the
+    pair opens into.
     """
 
-    a_rot: Array           # k x k
-    complement_rot: Array  # (d-k) x (d-k)
-    b_rot: Array           # k x k
-    angles: Array          # k, ascending, in [0, pi/2]
+    a_rot: Array   # k x k
+    tail: Array    # d x k
+    b_rot: Array   # k x k
+    angles: Array  # k, ascending, in [0, pi/2]
 
     def __post_init__(self) -> None:
-        for name in ("a_rot", "complement_rot", "b_rot"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DimensionViolation(f"{name} must be square, got shape {m.shape}")
-            dev = float(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))))
-            if dev >= ORTHONORMALITY_TOL:
-                raise ValueError(f"{name} is not orthonormal (max Gram deviation {dev:.3e})")
-            object.__setattr__(self, name, _read_only(m))
         th = np.asarray(self.angles, dtype=np.float64)
-        if th.ndim != 1 or th.shape[0] != self.a_rot.shape[0]:
+        if th.ndim != 1:
             raise DimensionViolation("angles must be a length-k vector")
         if np.any(th < 0.0) or np.any(th > np.pi / 2):
             raise DomainError("principal angles must lie in [0, pi/2]")
         object.__setattr__(self, "angles", _read_only(th))
+        k = th.shape[0]
+        for name in ("a_rot", "tail", "b_rot"):
+            m = _read_only(getattr(self, name))
+            rows = m.shape[0] if name == "tail" and m.ndim == 2 else k
+            if m.shape != (rows, k):
+                raise DimensionViolation(f"{name} must be {rows} x {k}, got shape {m.shape}")
+            dev = float(np.max(np.abs(m.T @ m - np.eye(k))))
+            if dev >= ORTHONORMALITY_TOL:
+                raise ValueError(f"{name} is not orthonormal (max Gram deviation {dev:.3e})")
+            object.__setattr__(self, name, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,13 +124,12 @@ class GeodesicFlow:
     """Constant-speed geodesic through a subspace pair, parameterized on [0, 1]."""
 
     base: Subspace
-    base_complement: Subspace
     system: PrincipalSystem
 
     def __post_init__(self) -> None:
-        cross = float(np.max(np.abs(self.base_complement.basis.T @ self.base.basis)))
+        cross = float(np.max(np.abs(self.system.tail.T @ self.base.basis)))
         if cross >= ORTHONORMALITY_TOL:
-            raise ValueError(f"base_complement is not orthogonal to base (max {cross:.3e})")
+            raise ValueError(f"tail is not orthogonal to base (max {cross:.3e})")
 
 
 def _as_matrix(m: object, what: str) -> Array:
@@ -139,7 +142,8 @@ def _as_matrix(m: object, what: str) -> Array:
 
 
 def _check_half_dim(d: int, k: int) -> None:
-    # Strict k < d/2 keeps a complement large enough to carry every angle.
+    # The k directions a flow opens into must fit orthogonal to the base,
+    # which needs k <= d - k; the documented contract keeps the bound strict.
     if 2 * k >= d:
         raise DimensionViolation(f"subspace dimension must satisfy k < d/2, got d={d}, k={k}")
 
@@ -155,12 +159,6 @@ def orthonormalize(m: object) -> Subspace:
     q, r = np.linalg.qr(a)
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return Subspace(q * signs)
-
-
-def complement(s: Subspace) -> Subspace:
-    """Orthonormal basis of the orthogonal complement, shape d x (d - k)."""
-    q = np.linalg.qr(s.basis, mode="complete")[0]
-    return Subspace(q[:, s.sub_dim:])
 
 
 def _check_pair(a: Subspace, b: Subspace) -> None:
@@ -184,30 +182,40 @@ def geodesic_distance(a: Subspace, b: Subspace) -> float:
     return float(np.linalg.norm(principal_angles(a, b)))
 
 
-def _orthonormal_extension(cols: Array, n: int) -> Array:
-    """Orthonormal basis of the orthogonal complement of span(cols) in R^n."""
-    if cols.shape[1] == 0:
-        return np.eye(n)
-    q = np.linalg.qr(cols, mode="complete")[0]
-    return q[:, cols.shape[1]:]
+def _orthonormal_extension(cols: Array, m: int) -> Array:
+    """m orthonormal columns orthogonal to the orthonormal n x c ``cols``, c + m <= n.
+
+    Each new column is the coordinate axis with the least weight in the span
+    so far, projected off it twice; that keeps a squared norm >= 1/n, and no
+    n x n matrix is formed.
+    """
+    span = cols
+    for _ in range(m):
+        axis = int(np.argmin(np.einsum("ij,ij->i", span, span)))
+        v = -(span @ span[axis])
+        v[axis] += 1.0
+        v -= span @ (span.T @ v)
+        span = np.hstack([span, (v / np.linalg.norm(v))[:, None]])
+    return span[:, cols.shape[1]:]
 
 
-def _shared_factors(ab: Array, bb: Array, rb: Array) -> PrincipalSystem:
-    d, k = ab.shape
-    # The complement-side SVD is backward stable whatever the angle spectrum,
-    # so it fixes the shared right factor and the complement rotation exactly.
-    # The cosine-side SVD cannot: for near-identical subspaces its singular
+def _shared_factors(a: Array, b: Array) -> PrincipalSystem:
+    k = a.shape[1]
+    ab = a.T @ b
+    # The residual's SVD is backward stable whatever the angle spectrum, so it
+    # fixes the shared right factor and the opening directions exactly. The
+    # cosine-side SVD cannot: for near-identical subspaces its singular
     # values cluster at 1 and the right factor comes out arbitrarily mixed.
-    u2_part, sv, wt = np.linalg.svd(rb.T @ bb, full_matrices=False)
+    u, sv, wt = np.linalg.svd(b - a @ ab, full_matrices=False)
     if sv[0] > 1.0 + COSINE_OVERSHOOT_TOL:
         raise NumericalHealthError(f"sine {sv[0]:.12f} exceeds 1 by more than {COSINE_OVERSHOOT_TOL}")
     # Reorder to ascending angles (the SVD sorts sines descending).
     sines = np.clip(sv, 0.0, 1.0)[::-1]
-    u2_part = u2_part[:, ::-1]
+    u = u[:, ::-1]
     v = wt.T[:, ::-1]
     # In-source directions: columns of A^T B V are orthogonal with norms
     # cos(angle); normalize where resolvable, extend orthonormally elsewhere.
-    aligned = ab.T @ (bb @ v)
+    aligned = ab @ v
     cosines = np.linalg.norm(aligned, axis=0)
     if cosines.max() > 1.0 + COSINE_OVERSHOOT_TOL:
         raise NumericalHealthError(f"cosine {cosines.max():.12f} exceeds 1 by more than {COSINE_OVERSHOOT_TOL}")
@@ -226,21 +234,24 @@ def _shared_factors(ab: Array, bb: Array, rb: Array) -> PrincipalSystem:
         fixed = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
         u1[:, order] = fixed
     open_slots = [j for j in range(k) if j not in set(resolvable)]
-    u1[:, open_slots] = _orthonormal_extension(fixed, k)
-    # The flow leaves the base along minus the complement directions, hence
-    # the sign flip on the resolved block.
-    u2 = np.zeros((d - k, d - k))
-    u2[:, :k] = -u2_part
-    u2[:, k:] = _orthonormal_extension(u2_part, d - k)
-    return PrincipalSystem(a_rot=u1, complement_rot=u2, b_rot=v, angles=angles)
+    u1[:, open_slots] = _orthonormal_extension(fixed, len(open_slots))
+    # The flow leaves the base along minus the residual's left factor; one
+    # more projection off A removes what rounding left in A's span. Sines
+    # ascend, so the unresolved columns come first and are filled by an
+    # orthonormal extension of [A, resolved tail].
+    tail = -(u - a @ (a.T @ u))
+    unresolved = int(np.count_nonzero(sines <= RESIDUAL_COLUMN_TOL))
+    if unresolved:
+        tail[:, :unresolved] = _orthonormal_extension(np.hstack([a, tail[:, unresolved:]]), unresolved)
+    return PrincipalSystem(a_rot=u1, tail=tail, b_rot=v, angles=angles)
 
 
-def _reconstruction_residual(system: PrincipalSystem, ab: Array, bb: Array, rb: Array) -> float:
-    k = ab.shape[1]
+def _reconstruction_residual(system: PrincipalSystem, a: Array, b: Array) -> float:
+    ab = a.T @ b
     cos_part = (system.a_rot * np.cos(system.angles)) @ system.b_rot.T
-    sin_part = (system.complement_rot[:, :k] * np.sin(system.angles)) @ system.b_rot.T
-    res_top = float(np.max(np.abs(ab.T @ bb - cos_part)))
-    res_bottom = float(np.max(np.abs(rb.T @ bb + sin_part)))
+    sin_part = (system.tail * np.sin(system.angles)) @ system.b_rot.T
+    res_top = float(np.max(np.abs(ab - cos_part)))
+    res_bottom = float(np.max(np.abs(b - a @ ab + sin_part)))
     return max(res_top, res_bottom)
 
 
@@ -249,34 +260,26 @@ def _qr_polish(m: Array) -> Array:
     return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
-def principal_system(a: Subspace, b: Subspace, r_a: Subspace) -> PrincipalSystem:
-    """Paired decomposition of (A^T B, R^T B) with one shared right factor.
+def principal_system(a: Subspace, b: Subspace) -> PrincipalSystem:
+    """Paired decomposition of (A^T B, B - A A^T B) with one shared right factor.
 
     Args:
         a: base subspace, d x k with k < d/2.
         b: other subspace, same shape as ``a``.
-        r_a: complement of ``a``, d x (d - k).
 
     Returns:
-        The aligned rotations and principal angles. Angles ascend; columns of
-        ``complement_rot`` beyond numerically resolvable directions are an
-        arbitrary orthonormal extension.
+        The aligned rotations, the opening directions and the principal
+        angles. Angles ascend; columns of ``tail`` whose sine is not
+        numerically resolvable are an arbitrary orthonormal extension.
     """
     _check_pair(a, b)
-    d, k = a.ambient_dim, a.sub_dim
-    _check_half_dim(d, k)
-    if r_a.ambient_dim != d or r_a.sub_dim != d - k:
-        raise DimensionMismatch(f"complement must be {d} x {d - k}, got {r_a.ambient_dim} x {r_a.sub_dim}")
-    cross = float(np.max(np.abs(r_a.basis.T @ a.basis)))
-    if cross > RECONSTRUCTION_TOL:
-        raise ValueError(f"r_a is not a complement of a (max cross product {cross:.3e})")
-
-    system = _shared_factors(a.basis, b.basis, r_a.basis)
-    if _reconstruction_residual(system, a.basis, b.basis, r_a.basis) <= RECONSTRUCTION_TOL:
+    _check_half_dim(a.ambient_dim, a.sub_dim)
+    system = _shared_factors(a.basis, b.basis)
+    if _reconstruction_residual(system, a.basis, b.basis) <= RECONSTRUCTION_TOL:
         return system
     # Retry once from re-orthonormalized copies before giving up.
-    system = _shared_factors(_qr_polish(a.basis), _qr_polish(b.basis), _qr_polish(r_a.basis))
-    res = _reconstruction_residual(system, a.basis, b.basis, r_a.basis)
+    system = _shared_factors(_qr_polish(a.basis), _qr_polish(b.basis))
+    res = _reconstruction_residual(system, a.basis, b.basis)
     if res <= RECONSTRUCTION_TOL:
         return system
     raise SharedFactorFailure(f"reconstruction residual {res:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
@@ -284,8 +287,7 @@ def principal_system(a: Subspace, b: Subspace, r_a: Subspace) -> PrincipalSystem
 
 def geodesic(a: Subspace, b: Subspace) -> GeodesicFlow:
     """Geodesic flow with Psi(0) spanning ``a`` and Psi(1) spanning ``b``."""
-    r_a = complement(a)
-    return GeodesicFlow(base=a, base_complement=r_a, system=principal_system(a, b, r_a))
+    return GeodesicFlow(base=a, system=principal_system(a, b))
 
 
 def evaluate(flow: GeodesicFlow, t: float) -> Subspace:
@@ -303,10 +305,7 @@ def evaluate(flow: GeodesicFlow, t: float) -> Subspace:
 
 def _flow_frame(flow: GeodesicFlow) -> tuple[Array, Array]:
     """Principal vectors at the base (head) and the directions they open into (tail)."""
-    k = flow.base.sub_dim
-    head = flow.base.basis @ flow.system.a_rot
-    tail = flow.base_complement.basis @ flow.system.complement_rot[:, :k]
-    return head, tail
+    return flow.base.basis @ flow.system.a_rot, flow.system.tail
 
 
 def _flow_bases(head: Array, tail: Array, angles: Array, ts: Array) -> Array:

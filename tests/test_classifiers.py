@@ -142,6 +142,13 @@ class TestLinearSvm:
         with pytest.raises(ValueError, match="unknown classifier kind"):
             train(blobs(rng, 10, 2, 4.0), "linear_svm")
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_fewer_than_one_epoch_rejected(self, epochs):
+        # zero passes would leave every weight at zero and predict class 0 everywhere
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            train(blobs(rng, 10, 2, 4.0), "svm", SvmParams(epochs=epochs))
+
     def test_class_with_one_row_rejected_for_svm(self):
         x = np.vstack([np.eye(3), [[5.0, 5.0, 5.0]]])
         y = np.array([0, 0, 0, 1])

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import driftalign
 from driftalign.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -105,6 +106,12 @@ class TestExitCodes:
         assert code == 3
         assert "k < d/2" in capsys.readouterr().err
 
+    def test_zero_svm_epochs_returns_three(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run_cli(*rotating_args(out, "--variant", "gfk", "--classifier", "svm", "--svm-epochs", "0"))
+        assert code == 3
+        assert "epochs must be >= 1" in capsys.readouterr().err
+
     def test_bad_rotation_returns_three(self, tmp_path):
         code = run_cli(*rotating_args(tmp_path / "x.json", "--rotation", "3.0"))
         assert code == 3
@@ -200,6 +207,24 @@ class TestDeterminism:
         vb = json.loads(b.read_text())["variants"][0]
         assert va["per_batch"] == vb["per_batch"]
         assert va["running"] == vb["running"]
+
+
+def core_primitive_names():
+    """Backticked names that head each bullet of README's "Core primitives" list."""
+    section = README.read_text().split("### Core primitives", 1)[1].split("\n## ", 1)[0]
+    names = []
+    for bullet in re.split(r"\n- ", section)[1:]:
+        head = " ".join(bullet.split()).split(":", 1)[0]
+        names += re.findall(r"`(\w+)`", head)
+    return names
+
+
+class TestReadmePrimitives:
+    def test_every_listed_primitive_is_exported(self):
+        names = core_primitive_names()
+        assert "flow_kernel" in names and "train" in names
+        missing = [n for n in names if n not in driftalign.__all__ or not hasattr(driftalign, n)]
+        assert not missing, f"README lists names driftalign does not export: {missing}"
 
 
 class TestReadmeCommands:

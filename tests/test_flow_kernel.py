@@ -2,25 +2,26 @@
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from driftalign import (
     DimensionMismatch,
+    DimensionViolation,
     DomainError,
-    GeodesicFlow,
     Subspace,
     TransformKernel,
     apply_transform,
-    complement,
     evaluate,
     flow_kernel,
     geodesic,
+    init_mean,
     orthonormalize,
-    principal_system,
     quadrature_kernel,
     random_subspace,
+    update_mean,
 )
 from driftalign.flow_kernel import QUADRATURE_CHUNK
 from driftalign.verify import run_all
@@ -33,16 +34,12 @@ def kernel_pair(d, k, seed):
     rng = np.random.default_rng(seed)
     source = random_subspace(d, k, rng)
     target = random_subspace(d, k, rng)
-    return source, complement(source), target
+    return source, target
 
 
-def per_node_quadrature(source, source_comp, target, nodes):
+def per_node_quadrature(source, target, nodes):
     """Composite Simpson rule with one validated evaluate() call per node."""
-    flow = GeodesicFlow(
-        base=source,
-        base_complement=source_comp,
-        system=principal_system(source, target, source_comp),
-    )
+    flow = geodesic(source, target)
     acc = np.zeros((source.ambient_dim, source.ambient_dim))
     h = 1.0 / nodes
     for j in range(nodes + 1):
@@ -56,10 +53,8 @@ def per_node_quadrature(source, source_comp, target, nodes):
 def flow_formula(flow, t):
     """The flow point as evaluate() computed it before the batched evaluator."""
     th = flow.system.angles
-    k = flow.base.sub_dim
     head = flow.base.basis @ flow.system.a_rot
-    tail = flow.base_complement.basis @ flow.system.complement_rot[:, :k]
-    return head * np.cos(t * th) - tail * np.sin(t * th)
+    return head * np.cos(t * th) - flow.system.tail * np.sin(t * th)
 
 
 class TestCanonicalValues:
@@ -67,7 +62,7 @@ class TestCanonicalValues:
         # source spans e1, target spans e2: diagonal is 1/2, off-diagonal 1/pi
         source = Subspace(basis=np.array([[1.0], [0.0], [0.0]]))
         target = Subspace(basis=np.array([[0.0], [1.0], [0.0]]))
-        g = flow_kernel(source, complement(source), target).g
+        g = flow_kernel(source, target).g
         assert abs(g[0, 0] - 0.5) < 1e-12
         assert abs(g[1, 1] - 0.5) < 1e-12
         assert abs(abs(g[0, 1]) - 1.0 / math.pi) < 1e-12
@@ -76,46 +71,45 @@ class TestCanonicalValues:
     def test_right_angle_matches_quadrature_including_sign(self):
         source = Subspace(basis=np.array([[1.0], [0.0], [0.0]]))
         target = Subspace(basis=np.array([[0.0], [1.0], [0.0]]))
-        source_comp = complement(source)
-        closed = flow_kernel(source, source_comp, target).g
-        numeric = quadrature_kernel(source, source_comp, target, nodes=10_000).g
+        closed = flow_kernel(source, target).g
+        numeric = quadrature_kernel(source, target, nodes=10_000)
         assert np.abs(closed - numeric).max() < 1e-10
 
     def test_zero_angle_gives_the_projector(self):
         rng = np.random.default_rng(0)
         s = random_subspace(10, 3, rng)
-        g = flow_kernel(s, complement(s), s).g
+        g = flow_kernel(s, s).g
         assert np.abs(g - s.projector()).max() < 1e-9
 
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("d,k,seed", [(8, 2, 1), (10, 3, 2), (12, 1, 3), (16, 5, 4)])
     def test_matches_simpson_quadrature(self, d, k, seed):
-        source, source_comp, target = kernel_pair(d, k, seed)
-        closed = flow_kernel(source, source_comp, target).g
-        numeric = quadrature_kernel(source, source_comp, target, nodes=10_000).g
+        source, target = kernel_pair(d, k, seed)
+        closed = flow_kernel(source, target).g
+        numeric = quadrature_kernel(source, target, nodes=10_000)
         assert np.abs(closed - numeric).max() < 1e-8
 
     def test_quadrature_self_converges(self):
-        source, source_comp, target = kernel_pair(10, 3, 5)
-        coarse = quadrature_kernel(source, source_comp, target, nodes=100).g
-        fine = quadrature_kernel(source, source_comp, target, nodes=10_000).g
+        source, target = kernel_pair(10, 3, 5)
+        coarse = quadrature_kernel(source, target, nodes=100)
+        fine = quadrature_kernel(source, target, nodes=10_000)
         assert np.abs(coarse - fine).max() < 1e-8
 
     def test_node_count_must_be_even_and_positive(self):
-        source, source_comp, target = kernel_pair(8, 2, 6)
+        source, target = kernel_pair(8, 2, 6)
         for nodes in (0, -2, 7):
             with pytest.raises(ValueError):
-                quadrature_kernel(source, source_comp, target, nodes=nodes)
+                quadrature_kernel(source, target, nodes=nodes)
 
     @pytest.mark.parametrize(
         "nodes", [2, QUADRATURE_CHUNK - 2, QUADRATURE_CHUNK, QUADRATURE_CHUNK + 2, 10_000]
     )
     def test_chunked_oracle_matches_per_node_loop(self, nodes):
         for d, k, seed in ((10, 1, 15), (12, 3, 16)):
-            source, source_comp, target = kernel_pair(d, k, seed)
-            chunked = quadrature_kernel(source, source_comp, target, nodes=nodes).g
-            reference = per_node_quadrature(source, source_comp, target, nodes)
+            source, target = kernel_pair(d, k, seed)
+            chunked = quadrature_kernel(source, target, nodes=nodes)
+            reference = per_node_quadrature(source, target, nodes)
             assert np.abs(chunked - reference).max() < 1e-14
 
     @pytest.mark.parametrize(
@@ -126,9 +120,9 @@ class TestOracleAgreement:
     def test_every_chunk_basis_is_validated(self, monkeypatch, corrupt, message):
         original = flow_kernel_module._flow_bases
         monkeypatch.setattr(flow_kernel_module, "_flow_bases", lambda *a: corrupt(original(*a)))
-        source, source_comp, target = kernel_pair(8, 2, 17)
+        source, target = kernel_pair(8, 2, 17)
         with pytest.raises(ValueError, match=message):
-            quadrature_kernel(source, source_comp, target, nodes=100)
+            quadrature_kernel(source, target, nodes=100)
 
     def test_injected_cross_sign_fault_is_caught_by_the_suite(self):
         checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}
@@ -136,9 +130,9 @@ class TestOracleAgreement:
 
     def test_wrong_cross_sign_breaks_agreement(self):
         # the same check the fault-injection path relies on
-        source, source_comp, target = kernel_pair(10, 3, 7)
-        wrong = flow_kernel(source, source_comp, target, cross_sign=1.0).g
-        numeric = quadrature_kernel(source, source_comp, target, nodes=10_000).g
+        source, target = kernel_pair(10, 3, 7)
+        wrong = flow_kernel(source, target, cross_sign=1.0).g
+        numeric = quadrature_kernel(source, target, nodes=10_000)
         assert np.abs(wrong - numeric).max() > 1e-8
 
 
@@ -151,7 +145,7 @@ class TestFlowEvaluation:
             assert np.array_equal(evaluate(flow, t).basis, flow_formula(flow, t))
 
     def test_parameter_outside_the_unit_interval_rejected(self):
-        source, _, target = kernel_pair(8, 2, 22)
+        source, target = kernel_pair(8, 2, 22)
         flow = geodesic(source, target)
         for t in (1.5, -0.1):
             with pytest.raises(DomainError):
@@ -161,8 +155,8 @@ class TestFlowEvaluation:
 class TestKernelProperties:
     def test_symmetric_with_unit_interval_spectrum(self):
         for seed in range(5):
-            source, source_comp, target = kernel_pair(12, 4, seed)
-            g = flow_kernel(source, source_comp, target).g
+            source, target = kernel_pair(12, 4, seed)
+            g = flow_kernel(source, target).g
             assert np.abs(g - g.T).max() < 1e-12
             eigs = np.linalg.eigvalsh(g)
             assert eigs.min() > -1e-9
@@ -170,43 +164,88 @@ class TestKernelProperties:
 
     def test_invariant_under_target_basis_rotation(self):
         rng = np.random.default_rng(8)
-        source, source_comp, target = kernel_pair(11, 3, 9)
+        source, target = kernel_pair(11, 3, 9)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         rotated = Subspace(basis=target.basis @ q)
-        g1 = flow_kernel(source, source_comp, target).g
-        g2 = flow_kernel(source, source_comp, rotated).g
+        g1 = flow_kernel(source, target).g
+        g2 = flow_kernel(source, rotated).g
         assert np.abs(g1 - g2).max() < 1e-9
 
+    FRAME = np.eye(6)[:, :4]
+    WEIGHTS = np.diag([1.0, 0.7, 0.3, 0.0])
+
+    def test_valid_factors_are_accepted(self):
+        kernel = TransformKernel(frame=self.FRAME, weights=self.WEIGHTS)
+        assert kernel.ambient_dim == 6
+        assert np.array_equal(kernel.g, self.FRAME @ self.WEIGHTS @ self.FRAME.T)
+
+    def test_rejects_non_orthonormal_frame(self):
+        with pytest.raises(ValueError, match="frame is not orthonormal"):
+            TransformKernel(frame=1.001 * self.FRAME, weights=self.WEIGHTS)
+
     def test_type_rejects_asymmetric_matrix(self):
-        m = np.eye(4)
-        m[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            TransformKernel(g=m, source_sub_dim=1)
+        w = self.WEIGHTS.copy()
+        w[0, 1] = 0.1
+        with pytest.raises(ValueError, match="asymmetry"):
+            TransformKernel(frame=self.FRAME, weights=w)
+
+    @pytest.mark.parametrize("extreme", [-1e-6, 1.0 + 1e-6], ids=["below_zero", "above_one"])
+    def test_rejects_weight_spectrum_outside_the_unit_interval(self, extreme):
+        w = self.WEIGHTS.copy()
+        w[3, 3] = extreme
+        with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+            TransformKernel(frame=self.FRAME, weights=w)
+
+    def test_rejects_mismatched_factor_shapes(self):
+        with pytest.raises(DimensionViolation):
+            TransformKernel(frame=self.FRAME, weights=np.eye(3))
 
     def test_kernel_matrix_is_read_only(self):
-        source, source_comp, target = kernel_pair(8, 2, 10)
-        kernel = flow_kernel(source, source_comp, target)
-        with pytest.raises(ValueError):
-            kernel.g[0, 0] = 2.0
+        source, target = kernel_pair(8, 2, 10)
+        kernel = flow_kernel(source, target)
+        assert kernel.frame.shape == (8, 4) and kernel.weights.shape == (4, 4)
+        for m in (kernel.frame, kernel.weights):
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
 
 
 class TestApplyTransform:
     def test_rows_map_through_the_matrix(self):
-        source, source_comp, target = kernel_pair(9, 2, 11)
-        kernel = flow_kernel(source, source_comp, target)
+        source, target = kernel_pair(9, 2, 11)
+        kernel = flow_kernel(source, target)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((6, 9))
-        np.testing.assert_allclose(apply_transform(x, kernel), x @ kernel.g, atol=0)
+        factored = ((x @ kernel.frame) @ kernel.weights) @ kernel.frame.T
+        np.testing.assert_allclose(apply_transform(x, kernel), factored, atol=0, rtol=0)
+        # the dense g is the same map up to rounding, not bit for bit
+        assert np.abs(apply_transform(x, kernel) - x @ kernel.g).max() < 1e-12
 
     def test_column_count_mismatch_rejected(self):
-        source, source_comp, target = kernel_pair(9, 2, 13)
-        kernel = flow_kernel(source, source_comp, target)
+        source, target = kernel_pair(9, 2, 13)
+        kernel = flow_kernel(source, target)
         with pytest.raises(DimensionMismatch):
             apply_transform(np.ones((4, 8)), kernel)
+
+    def test_stream_path_builds_no_d_by_d_array(self):
+        # mean update, kernel build and apply at d=1000 stay far below one
+        # d x d float64 array (8 MB); a quarter of it is the bound
+        d, k = 1000, 3
+        rng = np.random.default_rng(15)
+        source, first, second = (random_subspace(d, k, rng) for _ in range(3))
+        state = init_mean(first)
+        x = rng.standard_normal((50, d))
+        tracemalloc.start()
+        try:
+            mean = update_mean(state, second).mean
+            apply_transform(x, flow_kernel(source, mean))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8 / 4
 
     def test_projection_behavior_at_zero_angle(self):
         rng = np.random.default_rng(14)
         s = random_subspace(10, 3, rng)
-        kernel = flow_kernel(s, complement(s), s)
+        kernel = flow_kernel(s, s)
         x = rng.standard_normal((5, 10))
         np.testing.assert_allclose(apply_transform(x, kernel), x @ s.projector(), atol=1e-9)

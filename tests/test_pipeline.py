@@ -96,12 +96,12 @@ class TestVariantCoherence:
         cfg = variant_config("gfk_fb", sub_dim=3)
         state0 = init_pipeline(bundle.source, cfg)
         _, state1, _ = process_batch(state0, bundle.stream[0])
-        # replicate batch 2 by hand from the stored kernel
-        x_pre = bundle.stream[1].x @ state1.last_kernel.g
-        target = pca_subspace(x_pre, 3)
+        # replicate batch 2 by hand from the stored kernel, applied as the pipeline does
         from driftalign import apply_transform, flow_kernel
 
-        kernel = flow_kernel(state1.source_subspace, state1.source_complement, target)
+        x_pre = apply_transform(bundle.stream[1].x, state1.last_kernel)
+        target = pca_subspace(x_pre, 3)
+        kernel = flow_kernel(state1.source_subspace, target)
         by_hand = predict(state1.model, apply_transform(x_pre, kernel))
         via_pipeline, _, _ = process_batch(state1, bundle.stream[1])
         assert np.array_equal(via_pipeline, by_hand)
@@ -168,11 +168,12 @@ class TestStateShape:
             _, state, _ = process_batch(state, batch)
         fields = set(PipelineState.__dataclass_fields__)
         assert fields == {
-            "config", "source_subspace", "source_complement", "model",
+            "config", "source_subspace", "model",
             "mean_state", "last_kernel", "batch_count",
         }
         # the persistent matrices depend only on d and k, never on batch count
-        assert state.last_kernel.g.shape == (10, 10)
+        assert state.last_kernel.frame.shape == (10, 6)
+        assert state.last_kernel.weights.shape == (6, 6)
         assert state.mean_state.mean.basis.shape == (10, 3)
         assert state.batch_count == len(bundle.stream)
 

@@ -13,7 +13,6 @@ from driftalign import (
     DomainError,
     RankDeficient,
     Subspace,
-    complement,
     evaluate,
     geodesic,
     geodesic_distance,
@@ -23,6 +22,7 @@ from driftalign import (
     principal_system,
     random_subspace,
 )
+from driftalign.subspaces import RESIDUAL_COLUMN_TOL
 
 
 def planar_pair(d, phi):
@@ -90,20 +90,48 @@ class TestOrthonormalize:
         assert angles.max() < 1e-7
 
 
-class TestComplement:
-    def test_spans_are_orthogonal(self):
-        rng = np.random.default_rng(4)
-        s = random_subspace(11, 4, rng)
-        r = complement(s)
-        assert r.basis.shape == (11, 7)
-        assert np.abs(s.basis.T @ r.basis).max() < 1e-12
+def system_pairs():
+    """The kinds of pair the thin system must handle, one pytest.param each."""
+    rng = np.random.default_rng(20)
+    a = random_subspace(12, 4, rng)
+    b = random_subspace(12, 4, rng)
+    base = random_subspace(10, 3, rng)
+    near = orthonormalize(base.basis + 1e-9 * rng.standard_normal((10, 3)))
+    same = random_subspace(9, 2, rng)
+    shared = random_subspace(11, 3, rng)
+    one_shared = orthonormalize(np.hstack([shared.basis[:, :1], rng.standard_normal((11, 2))]))
+    return [
+        pytest.param(a, b, id="random"),
+        pytest.param(base, near, id="nearly_identical"),
+        pytest.param(same, same, id="identical"),
+        pytest.param(*planar_pair(5, math.pi / 2), id="planar_right_angle"),
+        # one unresolved column beside two resolved ones
+        pytest.param(shared, one_shared, id="one_shared_direction"),
+    ]
 
-    def test_union_reconstructs_identity(self):
-        rng = np.random.default_rng(5)
-        s = random_subspace(9, 2, rng)
-        r = complement(s)
-        full = np.hstack([s.basis, r.basis])
-        np.testing.assert_allclose(full @ full.T, np.eye(9), atol=1e-12)
+
+class TestThinSystem:
+    @pytest.mark.parametrize("a,b", system_pairs())
+    def test_tail_is_orthonormal_and_orthogonal_to_a(self, a, b):
+        tail = principal_system(a, b).tail
+        assert tail.shape == a.basis.shape
+        assert np.abs(tail.T @ tail - np.eye(a.sub_dim)).max() < 1e-12
+        assert np.abs(a.basis.T @ tail).max() < 1e-12
+
+    @pytest.mark.parametrize("a,b", system_pairs())
+    def test_both_products_reconstruct(self, a, b):
+        sys = principal_system(a, b)
+        ab = a.basis.T @ b.basis
+        cos_part = (sys.a_rot * np.cos(sys.angles)) @ sys.b_rot.T
+        sin_part = (sys.tail * np.sin(sys.angles)) @ sys.b_rot.T
+        assert np.abs(ab - cos_part).max() < 1e-8
+        assert np.abs(b.basis - a.basis @ ab + sin_part).max() < 1e-8
+
+    def test_identical_pair_resolves_no_tail_column(self):
+        # so every tail column of that fixture comes from the orthonormal extension
+        a, b = system_pairs()[2].values
+        sines = np.linalg.svd(b.basis - a.basis @ (a.basis.T @ b.basis), compute_uv=False)
+        assert sines.max() <= RESIDUAL_COLUMN_TOL
 
 
 class TestPrincipalAngles:
@@ -141,26 +169,26 @@ class TestPrincipalSystem:
         rng = np.random.default_rng(9)
         a = random_subspace(12, 4, rng)
         b = random_subspace(12, 4, rng)
-        sys = principal_system(a, b, complement(a))
-        for m in (sys.a_rot, sys.complement_rot, sys.b_rot):
+        sys = principal_system(a, b)
+        for m in (sys.a_rot, sys.tail, sys.b_rot):
             np.testing.assert_allclose(m.T @ m, np.eye(m.shape[1]), atol=1e-9)
 
     def test_reconstructs_both_products(self):
         rng = np.random.default_rng(10)
         a = random_subspace(15, 5, rng)
         b = random_subspace(15, 5, rng)
-        r = complement(a)
-        sys = principal_system(a, b, r)
+        sys = principal_system(a, b)
         cos_part = sys.a_rot @ np.diag(np.cos(sys.angles)) @ sys.b_rot.T
-        sin_part = -(sys.complement_rot[:, :5] @ np.diag(np.sin(sys.angles))) @ sys.b_rot.T
+        sin_part = -(sys.tail @ np.diag(np.sin(sys.angles))) @ sys.b_rot.T
+        residual = b.basis - a.basis @ (a.basis.T @ b.basis)
         assert np.abs(a.basis.T @ b.basis - cos_part).max() < 1e-8
-        assert np.abs(r.basis.T @ b.basis - sin_part).max() < 1e-8
+        assert np.abs(residual - sin_part).max() < 1e-8
 
     def test_angles_match_plain_principal_angles(self):
         rng = np.random.default_rng(11)
         a = random_subspace(13, 3, rng)
         b = random_subspace(13, 3, rng)
-        sys = principal_system(a, b, complement(a))
+        sys = principal_system(a, b)
         np.testing.assert_allclose(sys.angles, principal_angles(a, b), atol=1e-7)
 
     def test_nearly_identical_pair_stays_consistent(self):
@@ -168,7 +196,7 @@ class TestPrincipalSystem:
         rng = np.random.default_rng(12)
         a = random_subspace(10, 3, rng)
         b = orthonormalize(a.basis + 1e-9 * rng.standard_normal((10, 3)))
-        sys = principal_system(a, b, complement(a))
+        sys = principal_system(a, b)
         assert sys.angles.max() < 1e-6
         cos_part = sys.a_rot @ np.diag(np.cos(sys.angles)) @ sys.b_rot.T
         assert np.abs(a.basis.T @ b.basis - cos_part).max() < 1e-8
