@@ -65,7 +65,6 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--svm-lambda", type=float, default=1e-4)
     p.add_argument("--svm-epochs", type=int, default=100)
     p.add_argument("--svm-seed", type=int, default=0)
-    p.add_argument("--diagnostics", action="store_true", help="record angle telemetry per batch")
     p.add_argument("--out", required=True, metavar="PATH", help="where to write the JSON report")
     p.add_argument("--zero-timings", action="store_true", help="write timing fields as 0.0 for reproducible bytes")
 
@@ -154,16 +153,9 @@ def _config_payload(args: argparse.Namespace, command: str) -> dict:
             "epochs": args.svm_epochs,
             "seed": args.svm_seed,
         },
-        "diagnostics": args.diagnostics,
         "zero_timings": args.zero_timings,
     }
-    if command == "run":
-        payload["variant"] = _canonical_variant(args.variant)
     return payload
-
-
-def _canonical_variant(name: str) -> str:
-    return VARIANT_ALIASES.get(name, name)
 
 
 def _variant_payload(
@@ -197,13 +189,16 @@ def _run_variants(args: argparse.Namespace, command: str, names: Sequence[str]) 
             classifier=args.classifier,
             knn_params=KnnParams(n_neighbors=args.knn_neighbors),
             svm_params=SvmParams(regularization=args.svm_lambda, epochs=args.svm_epochs, seed=args.svm_seed),
-            diagnostics=args.diagnostics,
         )
         t0 = time.perf_counter()
         trace = run_stream(bundle.source, bundle.stream, config)
         seconds_total = time.perf_counter() - t0
-        variants.append(_variant_payload(name, args.classifier, trace, seconds_total, args.zero_timings))
-    payload = {"config": _config_payload(args, command), "variants": variants}
+        variants.append(_variant_payload(config.variant, args.classifier, trace, seconds_total, args.zero_timings))
+    report_config = _config_payload(args, command)
+    if command == "run":
+        # the canonical name, as the built config stored it
+        report_config["variant"] = variants[0]["name"]
+    payload = {"config": report_config, "variants": variants}
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -214,7 +209,7 @@ def _run_variants(args: argparse.Namespace, command: str, names: Sequence[str]) 
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    return _run_variants(args, "run", [_canonical_variant(args.variant)])
+    return _run_variants(args, "run", [args.variant])
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:

@@ -34,7 +34,7 @@ from .subspaces import (
 
 # Angles below this use the analytic limits of the integral weights.
 SMALL_ANGLE = 1e-8
-# Allowed asymmetry after explicit symmetrization.
+# Allowed asymmetry of the kernel weights and of the quadrature kernel.
 SYMMETRY_TOL = 1e-12
 # Allowed spectrum overshoot outside [0, 1].
 SPECTRUM_TOL = 1e-9
@@ -126,7 +126,9 @@ def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
     and finite as a Subspace would be, and are accumulated with one weighted
     matmul. It shares the flow formula with ``evaluate`` and nothing with the
     closed form's 2k x 2k assembly, so an assembly fault cannot hide. The
-    symmetrized result is checked for symmetry and a spectrum in [0, 1].
+    result is checked for symmetry and a spectrum in [0, 1]; it is symmetric
+    without any symmetrization, since each node's weight (1, 2 or 4) is a
+    power of two and so (a w) b == (b w) a exactly.
     """
     nodes = int(nodes)
     if nodes < 2 or nodes % 2 != 0:
@@ -148,7 +150,6 @@ def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
         _check_bases(bases)
         acc += (bases * w[:, None]).reshape(d, -1) @ bases.reshape(d, -1).T
     g = acc * (h / 3.0)
-    g = 0.5 * (g + g.T)
     _check_unit_spectrum(g, "quadrature kernel")
     return g
 

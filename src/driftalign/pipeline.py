@@ -6,9 +6,10 @@ prediction with the frozen source classifier. State is a constant-size record
 (source subspace, classifier, running mean, last kernel), so memory does not
 grow with the stream, and every step sees only current and past batches.
 
-The ablation ladder is spanned by three switches: use_gfk (transform on/off),
-use_gmean (running mean vs per-batch subspace as transform target), and
-use_feedback (previous kernel applied to the raw batch before PCA).
+A config names one variant of the ablation ladder, and VARIANT_FLAGS maps the
+name to the steps it runs: gfk (flow-kernel transform on/off), gmean (running
+mean vs per-batch subspace as transform target), and feedback (previous kernel
+applied to the raw batch before PCA).
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .classifiers import (
 from .errors import ConfigError, DimensionMismatch, NonFiniteData, RankDeficient
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
-from .subspaces import Array, Subspace, pca_subspace, principal_angles
+from .subspaces import Array, Subspace, pca_subspace
 
-# Variant name -> (use_gfk, use_gmean, use_feedback), in ladder order.
+# Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
     "pca": (False, False, False),
     "gfk": (True, False, False),
@@ -48,33 +49,35 @@ VARIANT_ALIASES: dict[str, str] = {
     "gmean_fb": "gfk_gmean_fb",
 }
 
-# Batches whose largest source-target angle exceeds this are flagged in
-# diagnostics: the pair is near-orthogonal and the transform says little.
-NEAR_ORTHOGONAL_ANGLE = np.pi / 2 - 0.01
-
 STEP_NAMES = ("pca", "mean", "gfk", "predict")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Switches and parameters for one pipeline run."""
+    """Variant and parameters for one pipeline run.
+
+    ``variant`` is a VARIANT_FLAGS name or one of its VARIANT_ALIASES; it is
+    stored as the canonical name.
+    """
 
     sub_dim: int
-    use_gfk: bool = False
-    use_gmean: bool = False
-    use_feedback: bool = False
+    variant: str = "pca"
     classifier: str = "knn"
     knn_params: KnnParams = KnnParams()
     svm_params: SvmParams = SvmParams()
-    diagnostics: bool = False
 
     def __post_init__(self) -> None:
         if int(self.sub_dim) < 1:
             raise ConfigError(f"sub_dim must be >= 1, got {self.sub_dim}")
+        canonical = VARIANT_ALIASES.get(self.variant, self.variant)
+        if canonical not in VARIANT_FLAGS:
+            raise ConfigError(
+                f"unknown variant {self.variant!r}; expected one of {list(VARIANT_FLAGS)} "
+                f"or an alias {list(VARIANT_ALIASES)}"
+            )
+        object.__setattr__(self, "variant", canonical)
         if self.classifier not in ("knn", "svm"):
             raise ConfigError(f"classifier must be 'knn' or 'svm', got {self.classifier!r}")
-        if self.use_feedback and not self.use_gfk:
-            raise ConfigError("use_feedback requires use_gfk: there is no kernel to feed back")
 
 
 def variant_config(
@@ -83,24 +86,10 @@ def variant_config(
     classifier: str = "knn",
     knn_params: KnnParams = KnnParams(),
     svm_params: SvmParams = SvmParams(),
-    diagnostics: bool = False,
 ) -> PipelineConfig:
     """Config for a named ablation variant or one of its VARIANT_ALIASES."""
-    canonical = VARIANT_ALIASES.get(name, name)
-    if canonical not in VARIANT_FLAGS:
-        raise ConfigError(
-            f"unknown variant {name!r}; expected one of {list(VARIANT_FLAGS)} or an alias {list(VARIANT_ALIASES)}"
-        )
-    use_gfk, use_gmean, use_feedback = VARIANT_FLAGS[canonical]
     return PipelineConfig(
-        sub_dim=sub_dim,
-        use_gfk=use_gfk,
-        use_gmean=use_gmean,
-        use_feedback=use_feedback,
-        classifier=classifier,
-        knn_params=knn_params,
-        svm_params=svm_params,
-        diagnostics=diagnostics,
+        sub_dim=sub_dim, variant=name, classifier=classifier, knn_params=knn_params, svm_params=svm_params
     )
 
 
@@ -146,12 +135,10 @@ class PipelineState:
 
 @dataclass
 class BatchDiagnostics:
-    """Per-batch bookkeeping: step timings and optional angle telemetry."""
+    """Per-batch bookkeeping: step timings, and the error of a skipped batch."""
 
     step_seconds: dict[str, float]
     error: str | None = None
-    target_angles: Array | None = None
-    near_orthogonal: bool = False
 
 
 def init_pipeline(source: LabeledSet, config: PipelineConfig) -> PipelineState:
@@ -180,10 +167,11 @@ def process_batch(
     other failure propagates.
     """
     cfg = state.config
+    gfk, gmean, feedback = VARIANT_FLAGS[cfg.variant]
     timings = dict.fromkeys(STEP_NAMES, 0.0)
 
     t0 = time.perf_counter()
-    if cfg.use_feedback and state.last_kernel is not None:
+    if feedback and state.last_kernel is not None:
         x_pre = apply_transform(batch.x, state.last_kernel)
     else:
         x_pre = batch.x
@@ -196,7 +184,7 @@ def process_batch(
 
     t0 = time.perf_counter()
     mean_state = state.mean_state
-    if cfg.use_gmean:
+    if gmean:
         if mean_state is None:
             mean_state = init_mean(batch_subspace)
         else:
@@ -209,7 +197,7 @@ def process_batch(
     t0 = time.perf_counter()
     kernel = state.last_kernel
     x_adapted = x_pre
-    if cfg.use_gfk:
+    if gfk:
         kernel = flow_kernel(state.source_subspace, target)
         x_adapted = apply_transform(x_pre, kernel)
     timings["gfk"] = time.perf_counter() - t0
@@ -218,19 +206,13 @@ def process_batch(
     predictions = predict(state.model, x_adapted)
     timings["predict"] = time.perf_counter() - t0
 
-    diag = BatchDiagnostics(step_seconds=timings)
-    if cfg.diagnostics:
-        angles = principal_angles(state.source_subspace, target)
-        diag.target_angles = angles
-        diag.near_orthogonal = bool(angles.max() > NEAR_ORTHOGONAL_ANGLE)
-
     new_state = replace(
         state,
         mean_state=mean_state,
         last_kernel=kernel,
         batch_count=state.batch_count + 1,
     )
-    return predictions, new_state, diag
+    return predictions, new_state, BatchDiagnostics(step_seconds=timings)
 
 
 @dataclass(frozen=True, eq=False)

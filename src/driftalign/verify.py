@@ -66,6 +66,12 @@ def _check(name: str, worst: _Worst, tol: float, seed: int) -> PropertyCheck:
     return PropertyCheck(name=name, passed=passed, detail=detail)
 
 
+def _check_instances(instances: int) -> None:
+    # Zero instances would report every property as passed without checking it.
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
+
+
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
@@ -91,6 +97,7 @@ def random_within_ball(center: Subspace, radius: float, rng: np.random.Generator
 
 def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
     """Orthonormality along the flow, endpoint recovery, reconstruction."""
+    _check_instances(instances)
     worst_orth = _Worst()
     worst_end = _Worst()
     worst_recon = _Worst()
@@ -124,6 +131,7 @@ def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
 
 def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
     """Fixed point, step-size law, two-point midpoint, deviation vs Karcher."""
+    _check_instances(instances)
     worst_fixed = _Worst()
     worst_step = _Worst()
     worst_two = _Worst()
@@ -185,6 +193,7 @@ def kernel_suite(
     cross_sign: float = -1.0,
 ) -> list[PropertyCheck]:
     """Closed form vs composite Simpson, symmetry, spectrum, zero-angle case."""
+    _check_instances(instances)
     worst_quad = _Worst()
     worst_sym = _Worst()
     worst_spec = _Worst()
@@ -221,7 +230,8 @@ def run_all(
     """All suites with default or overridden instance counts.
 
     ``inject_fault="gfk-cross-sign"`` flips the kernel's cross-term sign so
-    the quadrature comparison must fail; any other value is rejected.
+    the quadrature comparison must fail; any other value is rejected, as is
+    an ``instances`` below 1, which would pass every property vacuously.
     """
     if inject_fault not in (None, "gfk-cross-sign"):
         raise ValueError(f"unknown fault {inject_fault!r}")

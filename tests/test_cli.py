@@ -66,6 +66,9 @@ class TestExitCodes:
         code = run_cli("run", "--gen", "rotating", "--out", str(tmp_path / "x.json"))
         assert code == 1
 
+    def test_removed_diagnostics_flag_is_a_usage_error(self, tmp_path):
+        assert run_cli(*rotating_args(tmp_path / "x.json", "--diagnostics")) == 1
+
     def test_unknown_variant_is_a_usage_error(self, tmp_path):
         code = run_cli(*rotating_args(tmp_path / "x.json")[:-3], "--variant", "nope",
                        "--out", str(tmp_path / "x.json"))
@@ -120,6 +123,14 @@ class TestExitCodes:
         code = run_cli("verify", "--instances", "3", "--inject-fault", "gfk-cross-sign")
         assert code == 4
         assert "kernel_matches_quadrature" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fault", [(), ("--inject-fault", "gfk-cross-sign")], ids=["clean", "fault"])
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_verify_without_instances_returns_three(self, capsys, instances, fault):
+        assert run_cli("verify", "--instances", instances, *fault) == 3
+        captured = capsys.readouterr()
+        assert "instances must be >= 1" in captured.err
+        assert "passed" not in captured.out
 
     def test_small_verify_passes(self, capsys):
         assert run_cli("verify", "--instances", "3") == 0

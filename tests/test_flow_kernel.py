@@ -24,7 +24,7 @@ from driftalign import (
     update_mean,
 )
 from driftalign.flow_kernel import QUADRATURE_CHUNK
-from driftalign.verify import run_all
+from driftalign.verify import geodesic_suite, kernel_suite, mean_suite, run_all
 
 # The package re-exports the function flow_kernel under the module's name.
 flow_kernel_module = importlib.import_module("driftalign.flow_kernel")
@@ -127,6 +127,23 @@ class TestOracleAgreement:
     def test_injected_cross_sign_fault_is_caught_by_the_suite(self):
         checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}
         assert not checks["kernel_matches_quadrature"].passed
+
+    @pytest.mark.parametrize("instances", [0, -3])
+    @pytest.mark.parametrize(
+        "suite",
+        [run_all, lambda seed, n: run_all(seed, n, inject_fault="gfk-cross-sign"),
+         geodesic_suite, mean_suite, kernel_suite],
+        ids=["run_all", "run_all_with_fault", "geodesic", "mean", "kernel"],
+    )
+    def test_fewer_than_one_instance_rejected(self, suite, instances):
+        # zero instances would report every property as passed, the fault included
+        with pytest.raises(ValueError, match="instances must be >= 1"):
+            suite(0, instances)
+
+    def test_oracle_is_exactly_symmetric_without_symmetrization(self):
+        for d, k, seed in ((8, 2, 1), (10, 3, 2), (12, 1, 3), (16, 5, 4)):
+            g = quadrature_kernel(*kernel_pair(d, k, seed), nodes=1_000)
+            assert np.array_equal(g, g.T)
 
     def test_wrong_cross_sign_breaks_agreement(self):
         # the same check the fault-injection path relies on

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftalign import (
     ConfigError,
@@ -30,6 +32,15 @@ def small_bundle(seed=0, batch_count=10, rotation=math.pi / 3):
     return gen_rotating_drift(spec, classes=2, d=10, total_rotation=rotation)
 
 
+def tiny_bundle(seed):
+    spec = StreamSpec(batch_size=30, batch_count=6, seed=seed, source_size=120)
+    return gen_rotating_drift(spec, classes=2, d=10, total_rotation=math.pi / 3)
+
+
+# Every name a config accepts: the ladder and its aliases.
+ALL_VARIANT_NAMES = st.sampled_from(sorted(VARIANT_FLAGS) + sorted(VARIANT_ALIASES))
+
+
 class TestConfig:
     def test_ladder_flags(self):
         assert list(VARIANT_FLAGS) == ["pca", "gfk", "gfk_fb", "gfk_gmean", "gfk_gmean_fb"]
@@ -38,24 +49,28 @@ class TestConfig:
 
     @pytest.mark.parametrize("alias", sorted(VARIANT_ALIASES))
     def test_alias_yields_the_flags_of_its_canonical_name(self, alias):
-        canonical = variant_config(VARIANT_ALIASES[alias], sub_dim=3)
-        assert variant_config(alias, sub_dim=3) == canonical
-        assert VARIANT_FLAGS[VARIANT_ALIASES[alias]] == (
-            canonical.use_gfk, canonical.use_gmean, canonical.use_feedback
-        )
+        config = variant_config(alias, sub_dim=3)
+        assert config == variant_config(VARIANT_ALIASES[alias], sub_dim=3)
+        assert config.variant == VARIANT_ALIASES[alias]
+
+    def test_config_stores_the_canonical_variant_name(self):
+        assert PipelineConfig(sub_dim=3, variant="gmean_fb").variant == "gfk_gmean_fb"
+        assert PipelineConfig(sub_dim=3).variant == "pca"
+
+    def test_config_fields_are_the_variant_and_its_parameters(self):
+        assert set(PipelineConfig.__dataclass_fields__) == {
+            "sub_dim", "variant", "classifier", "knn_params", "svm_params",
+        }
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             variant_config("pca_gfk", sub_dim=3)
-
-    def test_feedback_without_gfk_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(sub_dim=3, use_gfk=False, use_gmean=False, use_feedback=True)
+        with pytest.raises(ConfigError, match="unknown variant"):
+            PipelineConfig(sub_dim=3, variant="pca_gfk")
 
     def test_unknown_classifier_rejected(self):
         with pytest.raises(ConfigError):
-            PipelineConfig(sub_dim=3, use_gfk=False, use_gmean=False, use_feedback=False,
-                           classifier="tree")
+            PipelineConfig(sub_dim=3, classifier="tree")
 
     def test_minibatch_needs_two_finite_rows(self):
         from driftalign import DimensionMismatch
@@ -117,6 +132,16 @@ class TestCausalityAndMetric:
         assert full.per_batch[:5] == half.per_batch  # bit-for-bit, no tolerance
         assert full.running[:5] == half.running
 
+    @settings(max_examples=40, deadline=None)
+    @given(name=ALL_VARIANT_NAMES, seed=st.integers(0, 10_000), prefix=st.integers(1, 5))
+    def test_any_prefix_of_any_stream_reproduces_the_full_run(self, name, seed, prefix):
+        bundle = tiny_bundle(seed)
+        cfg = variant_config(name, sub_dim=3)
+        full = run_stream(bundle.source, bundle.stream, cfg)
+        part = run_stream(bundle.source, bundle.stream[:prefix], cfg)
+        assert full.per_batch[:prefix] == part.per_batch
+        assert full.running[:prefix] == part.running
+
     def test_running_metric_matches_brute_force(self):
         bundle = small_bundle()
         trace = run_stream(bundle.source, bundle.stream, variant_config("gfk_gmean_fb", sub_dim=3))
@@ -147,6 +172,35 @@ class TestFailureHandling:
         assert state2 is state
         preds3, _, _ = process_batch(state2, bundle.stream[1])
         assert preds3 is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=ALL_VARIANT_NAMES,
+        seed=st.integers(0, 10_000),
+        position=st.integers(0, 6),
+        rows=st.integers(2, 40),
+        level=st.integers(-5, 5),
+    )
+    def test_skipping_a_flat_batch_equals_omitting_it(self, name, seed, position, rows, level):
+        bundle = tiny_bundle(seed)
+        # Identical integer rows: the batch mean is exact, so centering leaves rank zero.
+        flat = MiniBatch(x=np.full((rows, 10), float(level)))
+        cfg = variant_config(name, sub_dim=3)
+        state = init_pipeline(bundle.source, cfg)
+        expected = []
+        for batch in bundle.stream:
+            preds, state, _ = process_batch(state, batch)
+            expected.append(preds)
+        state = init_pipeline(bundle.source, cfg)
+        got = []
+        for i, batch in enumerate(bundle.stream[:position] + (flat,) + bundle.stream[position:]):
+            preds, new_state, diag = process_batch(state, batch)
+            if i == position:
+                assert preds is None and new_state is state and diag.error is not None
+            else:
+                got.append(preds)
+            state = new_state
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
 
     def test_skipped_batches_leave_the_denominator(self):
         bundle = small_bundle(batch_count=4)
@@ -182,12 +236,3 @@ class TestStateShape:
         trace = run_stream(bundle.source, bundle.stream, variant_config("gfk_gmean_fb", sub_dim=3))
         assert set(trace.step_seconds) == {"pca", "mean", "gfk", "predict"}
         assert len(trace.seconds_per_batch) == 3
-
-    def test_diagnostics_record_target_angles(self):
-        bundle = small_bundle(batch_count=2)
-        cfg = variant_config("gfk", sub_dim=3, diagnostics=True)
-        state = init_pipeline(bundle.source, cfg)
-        _, state, diag = process_batch(state, bundle.stream[0])
-        assert diag.target_angles is not None
-        assert diag.target_angles.shape == (3,)
-        assert isinstance(diag.near_orthogonal, bool)
