@@ -3,6 +3,14 @@
 Both models are deliberately simple and fully deterministic: a majority-vote
 k-nearest-neighbour rule and a one-vs-rest linear SVM trained by seeded
 stochastic subgradient descent on the hinge loss with step size 1/(lambda t).
+
+The k-NN rule takes the k training rows nearest in squared Euclidean distance;
+a distance tie goes to the lower training row, a vote tie to the lower class.
+It never sorts a row of distances: with one neighbour, ``argmin`` returns the
+first minimum, which is the lower row; with k > 1, ``partition`` finds the
+k-th smallest distance, every row strictly below it is taken, and the rows
+equal to it fill the remaining places in index order. That is exactly the set
+a stable sort would put first.
 """
 
 from __future__ import annotations
@@ -100,14 +108,17 @@ def train(data: LabeledSet, kind: str, params: KnnParams | SvmParams | None = No
         raise InsufficientData("training needs at least two classes")
     if kind == "knn":
         params = params if params is not None else KnnParams()
-        if params.n_neighbors < 1:
-            raise ValueError(f"n_neighbors must be >= 1, got {params.n_neighbors}")
-        if data.n_rows < params.n_neighbors:
-            raise InsufficientData(f"{data.n_rows} rows < {params.n_neighbors} neighbours")
+        n_neighbors = params.n_neighbors
+        if isinstance(n_neighbors, bool) or not isinstance(n_neighbors, (int, np.integer)):
+            raise ValueError(f"n_neighbors must be an integer, got {n_neighbors!r}")
+        if n_neighbors < 1:
+            raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
+        if data.n_rows < n_neighbors:
+            raise InsufficientData(f"{data.n_rows} rows < {n_neighbors} neighbours")
         return KnnModel(
             train_x=data.x,
             train_y=data.y,
-            n_neighbors=int(params.n_neighbors),
+            n_neighbors=int(n_neighbors),
             n_classes=data.n_classes,
         )
     if kind == "svm":
@@ -155,6 +166,8 @@ def predict(model, x: object) -> Array:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionMismatch(f"queries must be a 2-d array, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteData("queries have non-finite entries")
     if isinstance(model, KnnModel):
         if a.shape[1] != model.train_x.shape[1]:
             raise DimensionMismatch(f"queries have {a.shape[1]} features, model expects {model.train_x.shape[1]}")
@@ -169,14 +182,34 @@ def predict(model, x: object) -> Array:
 
 
 def _knn_predict(model: KnnModel, queries: Array) -> Array:
-    # Squared distances via the expansion |q|^2 - 2 q.p + |p|^2.
+    train_x, train_y, k = model.train_x, model.train_y, model.n_neighbors
+    # Squared distances |q|^2 + |p|^2 - 2 q.p, built in place with the same
+    # operations in the same order as q_sq + p_sq - 2.0 * (q @ p.T), so the
+    # rounding, and with it every distance tie, is that of the plain formula,
+    # while at most two M x N float arrays are alive at a time.
     q_sq = np.sum(queries**2, axis=1)[:, None]
-    p_sq = np.sum(model.train_x**2, axis=1)[None, :]
-    d_sq = q_sq + p_sq - 2.0 * (queries @ model.train_x.T)
-    # Stable sort keeps boundary distance ties in training-row order.
-    order = np.argsort(d_sq, axis=1, kind="stable")[:, : model.n_neighbors]
-    votes = model.train_y[order]
-    counts = np.zeros((queries.shape[0], model.n_classes), dtype=np.int64)
-    np.add.at(counts, (np.arange(queries.shape[0])[:, None], votes), 1)
+    p_sq = np.sum(train_x**2, axis=1)[None, :]
+    d_sq = q_sq + p_sq
+    cross = queries @ train_x.T
+    cross *= 2.0
+    d_sq -= cross
+    del cross
+    if k == 1:
+        # argmin returns the first minimum: distance ties go to the lower row.
+        return train_y[np.argmin(d_sq, axis=1)]
+    # The k-th smallest distance of each row; the copy lets the partitioned
+    # array go at once.
+    kth = np.partition(d_sq, k - 1, axis=1)[:, k - 1 : k].copy()
+    chosen = d_sq < kth
+    # Rows at the k-th distance fill the places left, in training-row order.
+    at = d_sq == kth
+    room = k - np.count_nonzero(chosen, axis=1, keepdims=True)
+    chosen |= at & (np.cumsum(at, axis=1, dtype=np.int32) <= room)
+    # Each query now has exactly k neighbours, and flatnonzero lists them
+    # query by query.
+    m, n = d_sq.shape
+    votes = train_y[np.flatnonzero(chosen) % n].reshape(m, k)
+    c = model.n_classes
+    counts = np.bincount((np.arange(m)[:, None] * c + votes).ravel(), minlength=m * c)
     # argmax returns the first maximum: vote ties go to the smaller class.
-    return np.argmax(counts, axis=1).astype(np.int64)
+    return np.argmax(counts.reshape(m, c), axis=1).astype(np.int64)

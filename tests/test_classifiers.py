@@ -1,5 +1,7 @@
 """Nearest-neighbour and linear hinge-loss classifiers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from driftalign import (
     InsufficientData,
     KnnParams,
     LabeledSet,
+    NonFiniteData,
     SchemaMismatch,
     SvmParams,
     predict,
     train,
 )
-from driftalign.classifiers import LinearSvmModel
+from driftalign.classifiers import KnnModel, LinearSvmModel
 
 
 def blobs(rng, n_per_class, d, separation):
@@ -23,6 +26,33 @@ def blobs(rng, n_per_class, d, separation):
     x = np.vstack([centers[c] + rng.standard_normal((n_per_class, d)) for c in (0, 1)])
     y = np.repeat([0, 1], n_per_class)
     return LabeledSet(x=x, y=y)
+
+
+def stable_sort_knn(model: KnnModel, queries):
+    """The k-NN rule as first written: a stable sort of every distance row."""
+    q_sq = np.sum(queries**2, axis=1)[:, None]
+    p_sq = np.sum(model.train_x**2, axis=1)[None, :]
+    d_sq = q_sq + p_sq - 2.0 * (queries @ model.train_x.T)
+    order = np.argsort(d_sq, axis=1, kind="stable")[:, : model.n_neighbors]
+    votes = model.train_y[order]
+    counts = np.zeros((queries.shape[0], model.n_classes), dtype=np.int64)
+    np.add.at(counts, (np.arange(queries.shape[0])[:, None], votes), 1)
+    return np.argmax(counts, axis=1).astype(np.int64)
+
+
+def lattice_case(rng):
+    """Integer-lattice rows with planted duplicates: exact distances, many ties."""
+    d = int(rng.integers(1, 5))
+    c = int(rng.integers(2, 5))
+    n = int(rng.integers(max(c, 9), 40))
+    x = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    dup = rng.integers(0, n, size=n // 3)
+    x[rng.integers(0, n, size=dup.shape[0])] = x[dup]
+    y = np.concatenate([np.arange(c), rng.integers(0, c, size=n - c)])
+    rng.shuffle(y)
+    lattice = rng.integers(-3, 4, size=(int(rng.integers(1, 30)), d)).astype(np.float64)
+    queries = np.vstack([lattice, x[rng.integers(0, n, size=5)]])
+    return LabeledSet(x=x, y=y), queries
 
 
 class TestLabeledSet:
@@ -91,6 +121,80 @@ class TestKnn:
         model = train(data, "knn")
         with pytest.raises(DimensionMismatch):
             predict(model, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n_neighbors", [2.5, True, "3"])
+    def test_non_integer_neighbour_count_rejected(self, n_neighbors):
+        # 2.5 used to become 2 and True became 1
+        data = LabeledSet(x=np.eye(4), y=np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match="n_neighbors must be an integer"):
+            train(data, "knn", KnnParams(n_neighbors=n_neighbors))
+
+    def test_numpy_integer_neighbour_count_accepted(self):
+        data = LabeledSet(x=np.eye(4), y=np.array([0, 1, 0, 1]))
+        assert train(data, "knn", KnnParams(n_neighbors=np.int64(3))).n_neighbors == 3
+
+    def test_one_nn_distance_tie_goes_to_the_lower_training_row(self):
+        # the origin is at distance 1 from both rows; row 0 carries the larger class
+        x = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        model = train(LabeledSet(x=x, y=np.array([1, 0])), "knn", KnnParams(n_neighbors=1))
+        assert predict(model, np.zeros((1, 2)))[0] == 1
+
+    def test_two_nn_vote_tie_goes_to_the_lower_class(self):
+        # same rows as above: both are neighbours, one vote each, class 0 wins
+        x = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        model = train(LabeledSet(x=x, y=np.array([1, 0])), "knn", KnnParams(n_neighbors=2))
+        assert predict(model, np.zeros((1, 2)))[0] == 0
+
+    def test_labels_equal_the_stable_sort_rule(self):
+        rng = np.random.default_rng(20)
+        for _ in range(120):
+            data, queries = lattice_case(rng)
+            for k in range(1, 10):
+                model = train(data, "knn", KnnParams(n_neighbors=k))
+                got = predict(model, queries)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, stable_sort_knn(model, queries)), (k, data.x, data.y, queries)
+
+    def test_labels_equal_the_stable_sort_rule_on_continuous_rows(self):
+        rng = np.random.default_rng(21)
+        data = blobs(rng, 250, 10, 1.0)
+        queries = rng.standard_normal((50, 10))
+        for k in (1, 2, 3, 5, 9):
+            model = train(data, "knn", KnnParams(n_neighbors=k))
+            assert np.array_equal(predict(model, queries), stable_sort_knn(model, queries))
+
+    def test_empty_query_batch_gives_no_labels(self):
+        data = LabeledSet(x=np.eye(4), y=np.array([0, 1, 0, 1]))
+        for k in (1, 3):
+            out = predict(train(data, "knn", KnnParams(n_neighbors=k)), np.zeros((0, 4)))
+            assert out.shape == (0,)
+
+    @pytest.mark.parametrize("k, bound", [(1, 2.5), (3, 3.0)])
+    def test_predict_memory_stays_near_two_distance_matrices(self, k, bound):
+        # one M x N float64 matrix is 200 kB at 50 queries x 500 rows; the
+        # stable sort with four such temporaries peaked at about 605 kB
+        m, n, d = 50, 500, 10
+        rng = np.random.default_rng(22)
+        model = train(blobs(rng, n // 2, d, 1.0), "knn", KnnParams(n_neighbors=k))
+        queries = rng.standard_normal((m, d))
+        tracemalloc.start()
+        try:
+            predict(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * m * n * 8
+
+
+@pytest.mark.parametrize("kind", ["knn", "svm"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_queries_rejected(kind, bad):
+    rng = np.random.default_rng(9)
+    model = train(blobs(rng, 10, 3, 4.0), kind)
+    queries = np.zeros((2, 3))
+    queries[1, 0] = bad
+    with pytest.raises(NonFiniteData):
+        predict(model, queries)
 
 
 class TestLinearSvm:
