@@ -23,6 +23,40 @@ from .errors import DimensionMismatch, InsufficientData, NonFiniteData, SchemaMi
 
 Array = np.ndarray
 
+# Largest entry magnitude accepted in training rows and stream batches. The
+# k-NN distances |q|^2 + |p|^2 - 2 q.p overflow once entries pass about
+# 1e154, and inf - inf then makes them NaN. With every entry within this
+# bound, and so every row within sqrt(d) times it, the distances stay finite
+# for fewer than about 4e7 features.
+MAX_ABS_ENTRY = 1e150
+
+
+def _check_entries(x: Array, what: str) -> None:
+    """Raise NonFiniteData unless every entry of x is finite and within MAX_ABS_ENTRY.
+
+    ``what`` is the message's subject and verb, such as "x has". min and max
+    form no temporary array, and either one is NaN when an entry is.
+    """
+    if x.size and not (-MAX_ABS_ENTRY <= x.min() and x.max() <= MAX_ABS_ENTRY):
+        if not np.isfinite(x).all():
+            raise NonFiniteData(f"{what} non-finite entries")
+        raise NonFiniteData(f"{what} entries beyond +-{MAX_ABS_ENTRY:.0e}")
+
+
+def _check_query_rows(a: Array) -> None:
+    """Raise NonFiniteData unless every query row is finite and no longer than sqrt(d) * MAX_ABS_ENTRY.
+
+    That is the length of a row with every entry at the bound. Queries are
+    bounded by row length, not entry by entry, because the pipeline predicts
+    on batches multiplied by the flow kernel: its spectrum lies in [0, 1], so
+    it never lengthens a row, but it can move up to sqrt(d) times the bound
+    into a single entry.
+    """
+    if a.size and not np.einsum("ij,ij->i", a, a).max() <= a.shape[1] * MAX_ABS_ENTRY**2:
+        if not np.isfinite(a).all():
+            raise NonFiniteData("queries have non-finite entries")
+        raise NonFiniteData(f"queries have rows longer than sqrt(d) * {MAX_ABS_ENTRY:.0e}")
+
 
 def _read_only(a: Array, dtype) -> Array:
     out = np.array(a, dtype=dtype)
@@ -32,7 +66,10 @@ def _read_only(a: Array, dtype) -> Array:
 
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
-    """Rows x (N x d) with integer labels y in {0, ..., c-1}, every class present."""
+    """Rows x (N x d) with integer labels y in {0, ..., c-1}, every class present.
+
+    Entries must be finite with magnitude at most MAX_ABS_ENTRY.
+    """
 
     x: Array
     y: Array
@@ -42,8 +79,7 @@ class LabeledSet:
         y = np.asarray(self.y)
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise DimensionMismatch(f"x must be a nonempty 2-d array, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteData("x has non-finite entries")
+        _check_entries(x, "x has")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise DimensionMismatch(f"y must have one label per row, got {y.shape} for {x.shape[0]} rows")
         if not np.issubdtype(y.dtype, np.integer):
@@ -162,12 +198,15 @@ def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
 
 
 def predict(model, x: object) -> Array:
-    """Predicted labels for query rows x (M x d)."""
+    """Predicted labels for query rows x (M x d).
+
+    Raises NonFiniteData for a NaN or infinite entry, or a row longer than
+    sqrt(d) * MAX_ABS_ENTRY, where the k-NN distances could overflow.
+    """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionMismatch(f"queries must be a 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteData("queries have non-finite entries")
+    _check_query_rows(a)
     if isinstance(model, KnnModel):
         if a.shape[1] != model.train_x.shape[1]:
             raise DimensionMismatch(f"queries have {a.shape[1]} features, model expects {model.train_x.shape[1]}")

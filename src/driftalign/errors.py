@@ -53,7 +53,12 @@ class SchemaMismatch(DriftAlignError):
 
 
 class NonFiniteData(DriftAlignError, ValueError):
-    """Input rows contain NaN or infinity.
+    """Input rows contain NaN, infinity, or values too large to compute with.
+
+    "Too large" means an entry beyond classifiers.MAX_ABS_ENTRY (1e150) in
+    magnitude, or a query row longer than sqrt(d) times it, where squared
+    distances could overflow; the CLI reports all of these as a data error
+    with exit code 2.
 
     Also a ValueError, so callers that caught the bare ValueError it replaced
     keep working.

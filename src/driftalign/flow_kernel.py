@@ -28,6 +28,7 @@ from .subspaces import (
     Subspace,
     _flow_bases,
     _flow_frame,
+    _gram_deviation,
     _read_only,
     geodesic,
 )
@@ -60,8 +61,8 @@ class TransformKernel:
         s, w = _read_only(self.frame), _read_only(self.weights)
         if s.ndim != 2 or w.shape != (s.shape[1], s.shape[1]):
             raise DimensionViolation(f"need a d x m frame and m x m weights, got {s.shape} and {w.shape}")
-        dev = float(np.max(np.abs(s.T @ s - np.eye(s.shape[1]))))
-        if dev >= ORTHONORMALITY_TOL:
+        dev = _gram_deviation(s)
+        if not dev < ORTHONORMALITY_TOL:
             raise ValueError(f"kernel frame is not orthonormal (max Gram deviation {dev:.3e})")
         _check_unit_spectrum(w, "kernel weights")
         object.__setattr__(self, "frame", s)
@@ -78,43 +79,51 @@ class TransformKernel:
 
 
 def _check_unit_spectrum(m: Array, what: str) -> None:
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > SYMMETRY_TOL:
+    asym = float(abs(m - m.T).max())
+    if not asym <= SYMMETRY_TOL:
         raise ValueError(f"{what} asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     eigs = np.linalg.eigvalsh(m)
     if eigs[0] < -SPECTRUM_TOL or eigs[-1] > 1.0 + SPECTRUM_TOL:
         raise ValueError(f"{what} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0, 1]")
 
 
-def _integral_weights(angles: Array, cross_sign: float) -> tuple[Array, Array, Array]:
+def _integral_weights(angles: Array) -> tuple[Array, Array]:
+    """Diagonal (cos^2 weights, then sin^2 weights) and cross weights of the flow integral."""
     # Entrywise antiderivatives over t in [0, 1]:
     #   integral of cos^2(t a)    = 1/2 + sin(2a) / (4a)     -> 1 as a -> 0
     #   integral of cos(ta)sin(ta) = (1 - cos(2a)) / (4a)    -> 0 as a -> 0
     #   integral of sin^2(t a)    = 1/2 - sin(2a) / (4a)     -> 0 as a -> 0
+    # The odd cross term enters the kernel with a minus sign: the flow leaves
+    # the base along minus the tail.
     small = angles < SMALL_ANGLE
-    safe = np.where(small, 1.0, angles)
-    w_cos = np.where(small, 1.0, 0.5 + np.sin(2.0 * safe) / (4.0 * safe))
-    w_cross = np.where(small, 0.0, cross_sign * (1.0 - np.cos(2.0 * safe)) / (4.0 * safe))
-    w_sin = np.where(small, 0.0, 0.5 - np.sin(2.0 * safe) / (4.0 * safe))
-    return w_cos, w_cross, w_sin
+    degenerate = small.any()
+    safe = np.where(small, 1.0, angles) if degenerate else angles
+    quarter = 4.0 * safe
+    ratio = np.sin(2.0 * safe) / quarter
+    diag = np.concatenate((0.5 + ratio, 0.5 - ratio))
+    cross = -(1.0 - np.cos(2.0 * safe)) / quarter
+    if degenerate:
+        k = angles.shape[0]
+        diag[:k][small] = 1.0
+        diag[k:][small] = 0.0
+        cross[small] = 0.0
+    return diag, cross
 
 
-def flow_kernel(
-    source: Subspace,
-    target: Subspace,
-    *,
-    cross_sign: float = -1.0,
-) -> TransformKernel:
-    """Closed-form kernel for the flow from ``source`` to ``target``.
-
-    ``cross_sign`` scales the odd cross block of the integral; -1.0 is the
-    correct value and the parameter exists only so the verification suite can
-    inject a controlled fault.
-    """
+def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
+    """Closed-form kernel for the flow from ``source`` to ``target``."""
     flow = geodesic(source, target)
-    w_cos, w_cross, w_sin = map(np.diag, _integral_weights(flow.system.angles, cross_sign))
-    weights = np.block([[w_cos, w_cross], [w_cross, w_sin]])
-    return TransformKernel(frame=np.hstack(_flow_frame(flow)), weights=weights)
+    diag, cross = _integral_weights(flow.system.angles)
+    # W = [[diag(w_cos), diag(w_cross)], [diag(w_cross), diag(w_sin)]], written
+    # as its three nonzero diagonals into the flat view of one 2k x 2k array.
+    k = cross.shape[0]
+    n = 2 * k
+    weights = np.zeros((n, n))
+    flat = weights.reshape(-1)
+    flat[:: n + 1] = diag  # (i, i)
+    flat[k : n * k : n + 1] = cross  # (i, k + i), i < k
+    flat[n * k :: n + 1] = cross  # (k + i, i), i < k
+    return TransformKernel(frame=np.concatenate(_flow_frame(flow), axis=1), weights=weights)
 
 
 def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:

@@ -25,10 +25,11 @@ from .classifiers import (
     LabeledSet,
     LinearSvmModel,
     SvmParams,
+    _check_entries,
     predict,
     train,
 )
-from .errors import ConfigError, DimensionMismatch, NonFiniteData, RankDeficient
+from .errors import ConfigError, DimensionMismatch, RankDeficient
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
 from .subspaces import Array, Subspace, pca_subspace
@@ -95,7 +96,10 @@ def variant_config(
 
 @dataclass(frozen=True, eq=False)
 class MiniBatch:
-    """One unlabelled batch of stream rows; labels ride along for scoring only."""
+    """One unlabelled batch of stream rows; labels ride along for scoring only.
+
+    Entries must be finite with magnitude at most classifiers.MAX_ABS_ENTRY.
+    """
 
     x: Array
     true_labels: Array | None = None
@@ -104,8 +108,7 @@ class MiniBatch:
         x = np.asarray(self.x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 2:
             raise DimensionMismatch(f"batch needs at least 2 rows, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteData("batch has non-finite entries")
+        _check_entries(x, "batch has")
         out = np.array(x)
         out.setflags(write=False)
         object.__setattr__(self, "x", out)

@@ -10,6 +10,22 @@ of A^T B and of the residual B - A A^T B sharing one right factor. It yields
 the k directions orthogonal to A that the pair opens into, which is all that
 geodesics between subspaces and the flow kernel built on them need; no basis
 of A's full d x (d - k) complement is ever formed.
+
+Checks, and which imply which. Every value type validates what it stores:
+Subspace (finite, then Gram deviation below ORTHONORMALITY_TOL),
+PrincipalSystem (angles in [0, pi/2]; a_rot, tail and b_rot orthonormal) and
+GeodesicFlow (tail orthogonal to the base). principal_system adds the two
+overshoot checks and the reconstruction check, in one pass: a pair it cannot
+reproduce raises SharedFactorFailure. Each deviation is compared as
+``not dev < tol``, so a NaN entry, which makes its deviation NaN, fails the
+check it reaches; that is why the factors need no finiteness test of their
+own, while Subspace tests finiteness first to keep inf * 0 out of its Gram
+product. No check stands in for another at a looser tolerance: the
+reconstruction bound (1e-8) does not imply orthonormality at 1e-10, and
+orthonormal a_rot and base do not make the head orthonormal at 1e-10, so the
+flow kernel checks its frame again. In flow_kernel, an orthonormal frame and
+symmetric weights make the weights' eigenvalues exactly the kernel's nonzero
+spectrum, so the 2k x 2k spectrum check covers the d x d kernel.
 """
 
 from __future__ import annotations
@@ -48,6 +64,18 @@ def _read_only(a: Array) -> Array:
     return out
 
 
+def _gram_deviation(m: Array) -> float:
+    """max |m^T m - I|, the value np.max(np.abs(m.T @ m - np.eye(k))) gives.
+
+    The identity is subtracted from the diagonal in place; off the diagonal
+    x - 0.0 == x, so every entry, and so the maximum, is unchanged. A NaN
+    entry makes the result NaN, which callers reject with ``not dev < tol``.
+    """
+    g = m.T @ m
+    g.reshape(-1)[:: g.shape[0] + 1] -= 1.0
+    return float(abs(g).max())
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal basis of a k-dimensional subspace of R^d, 1 <= k < d."""
@@ -61,10 +89,10 @@ class Subspace:
         d, k = b.shape
         if k < 1 or k >= d:
             raise DimensionViolation(f"need 1 <= k < d, got d={d}, k={k}")
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise ValueError("basis has non-finite entries")
-        dev = float(np.max(np.abs(b.T @ b - np.eye(k))))
-        if dev >= ORTHONORMALITY_TOL:
+        dev = _gram_deviation(b)
+        if not dev < ORTHONORMALITY_TOL:
             raise ValueError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
         object.__setattr__(self, "basis", _read_only(b))
 
@@ -101,20 +129,20 @@ class PrincipalSystem:
     angles: Array  # k, ascending, in [0, pi/2]
 
     def __post_init__(self) -> None:
-        th = np.asarray(self.angles, dtype=np.float64)
+        th = _read_only(self.angles)
         if th.ndim != 1:
             raise DimensionViolation("angles must be a length-k vector")
-        if np.any(th < 0.0) or np.any(th > np.pi / 2):
+        if not (0.0 <= th.min() and th.max() <= np.pi / 2):
             raise DomainError("principal angles must lie in [0, pi/2]")
-        object.__setattr__(self, "angles", _read_only(th))
+        object.__setattr__(self, "angles", th)
         k = th.shape[0]
         for name in ("a_rot", "tail", "b_rot"):
             m = _read_only(getattr(self, name))
             rows = m.shape[0] if name == "tail" and m.ndim == 2 else k
             if m.shape != (rows, k):
                 raise DimensionViolation(f"{name} must be {rows} x {k}, got shape {m.shape}")
-            dev = float(np.max(np.abs(m.T @ m - np.eye(k))))
-            if dev >= ORTHONORMALITY_TOL:
+            dev = _gram_deviation(m)
+            if not dev < ORTHONORMALITY_TOL:
                 raise ValueError(f"{name} is not orthonormal (max Gram deviation {dev:.3e})")
             object.__setattr__(self, name, m)
 
@@ -127,8 +155,8 @@ class GeodesicFlow:
     system: PrincipalSystem
 
     def __post_init__(self) -> None:
-        cross = float(np.max(np.abs(self.system.tail.T @ self.base.basis)))
-        if cross >= ORTHONORMALITY_TOL:
+        cross = float(abs(self.system.tail.T @ self.base.basis).max())
+        if not cross < ORTHONORMALITY_TOL:
             raise ValueError(f"tail is not orthogonal to base (max {cross:.3e})")
 
 
@@ -136,7 +164,7 @@ def _as_matrix(m: object, what: str) -> Array:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionViolation(f"{what} must be a nonempty 2-d array, got shape {getattr(a, 'shape', None)}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteData(f"{what} has non-finite entries")
     return a
 
@@ -156,13 +184,11 @@ def orthonormalize(m: object) -> Subspace:
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] < RANK_REL_TOL * sv[0]:
         raise RankDeficient(f"matrix has numerical rank < {k} (smallest/largest singular value {sv[-1]:.3e}/{sv[0]:.3e})")
-    q, r = np.linalg.qr(a)
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return Subspace(q * signs)
+    return Subspace(_signed_qr(a))
 
 
 def _check_pair(a: Subspace, b: Subspace) -> None:
-    if a.ambient_dim != b.ambient_dim or a.sub_dim != b.sub_dim:
+    if a.basis.shape != b.basis.shape:
         raise DimensionMismatch(
             f"subspaces live in different spaces: ({a.ambient_dim}, {a.sub_dim}) vs ({b.ambient_dim}, {b.sub_dim})"
         )
@@ -174,7 +200,9 @@ def principal_angles(a: Subspace, b: Subspace) -> Array:
     sv = np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)
     if sv[0] > 1.0 + COSINE_OVERSHOOT_TOL:
         raise NumericalHealthError(f"cosine {sv[0]:.12f} exceeds 1 by more than {COSINE_OVERSHOOT_TOL}")
-    return np.arccos(np.clip(sv, 0.0, 1.0))
+    # Singular values are never negative, so of np.clip(sv, 0.0, 1.0) only the
+    # upper bound can act; np.minimum gives the same bits, -0.0 included.
+    return np.arccos(np.minimum(sv, 1.0))
 
 
 def geodesic_distance(a: Subspace, b: Subspace) -> float:
@@ -199,65 +227,77 @@ def _orthonormal_extension(cols: Array, m: int) -> Array:
     return span[:, cols.shape[1]:]
 
 
+def _signed_qr(m: Array) -> Array:
+    """Q of the thin QR of m, column signs flipped so that diag(R) >= 0."""
+    q, r = np.linalg.qr(m)
+    return q * np.where(r.diagonal() < 0.0, -1.0, 1.0)
+
+
 def _shared_factors(a: Array, b: Array) -> PrincipalSystem:
     k = a.shape[1]
     ab = a.T @ b
+    residual = b - a @ ab
     # The residual's SVD is backward stable whatever the angle spectrum, so it
     # fixes the shared right factor and the opening directions exactly. The
     # cosine-side SVD cannot: for near-identical subspaces its singular
     # values cluster at 1 and the right factor comes out arbitrarily mixed.
-    u, sv, wt = np.linalg.svd(b - a @ ab, full_matrices=False)
+    u, sv, wt = np.linalg.svd(residual, full_matrices=False)
     if sv[0] > 1.0 + COSINE_OVERSHOOT_TOL:
         raise NumericalHealthError(f"sine {sv[0]:.12f} exceeds 1 by more than {COSINE_OVERSHOOT_TOL}")
-    # Reorder to ascending angles (the SVD sorts sines descending).
-    sines = np.clip(sv, 0.0, 1.0)[::-1]
+    # Reorder to ascending angles (the SVD sorts sines descending). Sines and
+    # cosines (column norms, below) are never negative, so np.minimum(x, 1.0)
+    # is np.clip(x, 0.0, 1.0) to the bit, -0.0 included. sines stays a
+    # reversed view: numpy may take a different arcsin kernel for a
+    # contiguous array, and the angles would no longer match to the bit.
+    sines = np.minimum(sv, 1.0)[::-1]
     u = u[:, ::-1]
     v = wt.T[:, ::-1]
     # In-source directions: columns of A^T B V are orthogonal with norms
     # cos(angle); normalize where resolvable, extend orthonormally elsewhere.
+    # The column norms are formed as np.linalg.norm(aligned, axis=0) forms them.
     aligned = ab @ v
-    cosines = np.linalg.norm(aligned, axis=0)
-    if cosines.max() > 1.0 + COSINE_OVERSHOOT_TOL:
-        raise NumericalHealthError(f"cosine {cosines.max():.12f} exceeds 1 by more than {COSINE_OVERSHOOT_TOL}")
-    cosines = np.clip(cosines, 0.0, 1.0)
+    cosines = np.sqrt(np.add.reduce(aligned * aligned, axis=0))
+    top = cosines.max()
+    if top > 1.0 + COSINE_OVERSHOOT_TOL:
+        raise NumericalHealthError(f"cosine {top:.12f} exceeds 1 by more than {COSINE_OVERSHOOT_TOL}")
+    cosines = np.minimum(cosines, 1.0)
     # arccos loses half the digits at small angles and arcsin does near pi/2;
     # each branch is used where it is well-conditioned.
     angles = np.where(sines**2 <= 0.5, np.arcsin(sines), np.arccos(cosines))
-    u1 = np.zeros((k, k))
-    fixed = np.zeros((k, 0))
-    resolvable = np.flatnonzero(cosines > RESIDUAL_COLUMN_TOL)
-    if resolvable.size:
-        # Larger-cosine columns carry less relative noise; orthogonalize those
-        # first so they are not contaminated, then restore positions.
-        order = resolvable[np.argsort(cosines[resolvable], kind="stable")[::-1]]
-        q, r = np.linalg.qr(aligned[:, order] / cosines[order])
-        fixed = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        u1[:, order] = fixed
-    open_slots = [j for j in range(k) if j not in set(resolvable)]
-    u1[:, open_slots] = _orthonormal_extension(fixed, len(open_slots))
+    a_rot = np.zeros((k, k))
+    # Larger-cosine columns carry less relative noise; they are orthogonalized
+    # first so they are not contaminated, then put back in place.
+    if cosines.min() > RESIDUAL_COLUMN_TOL:
+        # Every column resolvable, the case of any pair with no right angle.
+        order = np.argsort(cosines, kind="stable")[::-1]
+        a_rot[:, order] = _signed_qr(aligned[:, order] / cosines[order])
+    else:
+        resolvable = np.flatnonzero(cosines > RESIDUAL_COLUMN_TOL)
+        fixed = np.zeros((k, 0))
+        if resolvable.size:
+            order = resolvable[np.argsort(cosines[resolvable], kind="stable")[::-1]]
+            fixed = _signed_qr(aligned[:, order] / cosines[order])
+            a_rot[:, order] = fixed
+        open_slots = np.flatnonzero(~(cosines > RESIDUAL_COLUMN_TOL))
+        a_rot[:, open_slots] = _orthonormal_extension(fixed, open_slots.size)
     # The flow leaves the base along minus the residual's left factor; one
     # more projection off A removes what rounding left in A's span. Sines
-    # ascend, so the unresolved columns come first and are filled by an
-    # orthonormal extension of [A, resolved tail].
+    # ascend, so the unresolved columns come first (there are some exactly
+    # when the first sine is unresolved) and are filled by an orthonormal
+    # extension of [A, resolved tail].
     tail = -(u - a @ (a.T @ u))
-    unresolved = int(np.count_nonzero(sines <= RESIDUAL_COLUMN_TOL))
-    if unresolved:
+    if sines[0] <= RESIDUAL_COLUMN_TOL:
+        unresolved = int(np.count_nonzero(sines <= RESIDUAL_COLUMN_TOL))
         tail[:, :unresolved] = _orthonormal_extension(np.hstack([a, tail[:, unresolved:]]), unresolved)
-    return PrincipalSystem(a_rot=u1, tail=tail, b_rot=v, angles=angles)
-
-
-def _reconstruction_residual(system: PrincipalSystem, a: Array, b: Array) -> float:
-    ab = a.T @ b
+    system = PrincipalSystem(a_rot=a_rot, tail=tail, b_rot=v, angles=angles)
+    # Both products must be reproduced. A^T B and the residual are the arrays
+    # formed above, so each side is compared with what the factors were cut from.
     cos_part = (system.a_rot * np.cos(system.angles)) @ system.b_rot.T
     sin_part = (system.tail * np.sin(system.angles)) @ system.b_rot.T
-    res_top = float(np.max(np.abs(ab - cos_part)))
-    res_bottom = float(np.max(np.abs(b - a @ ab + sin_part)))
-    return max(res_top, res_bottom)
-
-
-def _qr_polish(m: Array) -> Array:
-    q, r = np.linalg.qr(m)
-    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    res = max(float(abs(ab - cos_part).max()), float(abs(residual + sin_part).max()))
+    if not res <= RECONSTRUCTION_TOL:
+        raise SharedFactorFailure(f"reconstruction residual {res:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
+    return system
 
 
 def principal_system(a: Subspace, b: Subspace) -> PrincipalSystem:
@@ -271,18 +311,17 @@ def principal_system(a: Subspace, b: Subspace) -> PrincipalSystem:
         The aligned rotations, the opening directions and the principal
         angles. Angles ascend; columns of ``tail`` whose sine is not
         numerically resolvable are an arbitrary orthonormal extension.
+
+    Raises:
+        SharedFactorFailure: the factors do not reproduce A^T B and the
+            residual within RECONSTRUCTION_TOL. There is no second attempt:
+            bases that Subspace accepted are orthonormal to within
+            ORTHONORMALITY_TOL, so re-orthonormalizing them would move both
+            products by far less than RECONSTRUCTION_TOL.
     """
     _check_pair(a, b)
-    _check_half_dim(a.ambient_dim, a.sub_dim)
-    system = _shared_factors(a.basis, b.basis)
-    if _reconstruction_residual(system, a.basis, b.basis) <= RECONSTRUCTION_TOL:
-        return system
-    # Retry once from re-orthonormalized copies before giving up.
-    system = _shared_factors(_qr_polish(a.basis), _qr_polish(b.basis))
-    res = _reconstruction_residual(system, a.basis, b.basis)
-    if res <= RECONSTRUCTION_TOL:
-        return system
-    raise SharedFactorFailure(f"reconstruction residual {res:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
+    _check_half_dim(*a.basis.shape)
+    return _shared_factors(a.basis, b.basis)
 
 
 def geodesic(a: Subspace, b: Subspace) -> GeodesicFlow:

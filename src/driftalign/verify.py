@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, flow_kernel, quadrature_kernel
+from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, flow_kernel, quadrature_kernel
 from .subspace_mean import exp_tangent, init_mean, karcher_mean, update_mean
 from .subspaces import (
     Subspace,
@@ -186,14 +186,36 @@ def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
     return checks
 
 
+def flip_cross_sign(kernel: TransformKernel) -> TransformKernel:
+    """``kernel`` with its odd cross term's sign flipped: the fault the suite must catch.
+
+    Negating the two off-diagonal blocks of the weights is exact, and it keeps
+    each 2 x 2 block's spectrum, so the result is still a valid kernel.
+    """
+    k = kernel.weights.shape[0] // 2
+    weights = kernel.weights.copy()
+    weights[:k, k:] *= -1.0
+    weights[k:, :k] *= -1.0
+    return TransformKernel(frame=kernel.frame, weights=weights)
+
+
 def kernel_suite(
     seed: int = 0,
     instances: int = 50,
     nodes: int = 10_000,
-    cross_sign: float = -1.0,
+    flip_cross: bool = False,
 ) -> list[PropertyCheck]:
-    """Closed form vs composite Simpson, symmetry, spectrum, zero-angle case."""
+    """Closed form vs composite Simpson, symmetry, spectrum, zero-angle case.
+
+    ``flip_cross=True`` checks :func:`flip_cross_sign` of every closed-form
+    kernel instead, so the quadrature comparison must fail.
+    """
     _check_instances(instances)
+
+    def closed_form(source: Subspace, target: Subspace) -> TransformKernel:
+        kernel = flow_kernel(source, target)
+        return flip_cross_sign(kernel) if flip_cross else kernel
+
     worst_quad = _Worst()
     worst_sym = _Worst()
     worst_spec = _Worst()
@@ -203,7 +225,7 @@ def kernel_suite(
         rng = _instance_rng(seed, 2000 + idx)
         source = random_subspace(d, k, rng)
         target = random_subspace(d, k, rng)
-        closed = flow_kernel(source, target, cross_sign=cross_sign).g
+        closed = closed_form(source, target).g
         numeric = quadrature_kernel(source, target, nodes=nodes)
         worst_quad.track(float(np.max(np.abs(closed - numeric))), idx)
         worst_sym.track(float(np.max(np.abs(closed - closed.T))), idx)
@@ -212,7 +234,7 @@ def kernel_suite(
 
         rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
         same_span = Subspace(source.basis @ rotation)
-        degenerate = flow_kernel(source, same_span, cross_sign=cross_sign)
+        degenerate = closed_form(source, same_span)
         worst_zero.track(float(np.max(np.abs(degenerate.g - source.projector()))), idx)
     return [
         _check("kernel_matches_quadrature", worst_quad, KERNEL_QUADRATURE_TOL, seed),
@@ -235,8 +257,9 @@ def run_all(
     """
     if inject_fault not in (None, "gfk-cross-sign"):
         raise ValueError(f"unknown fault {inject_fault!r}")
-    cross_sign = 1.0 if inject_fault == "gfk-cross-sign" else -1.0
     checks = geodesic_suite(seed, instances if instances is not None else 200)
     checks += mean_suite(seed, instances if instances is not None else 20)
-    checks += kernel_suite(seed, instances if instances is not None else 50, cross_sign=cross_sign)
+    checks += kernel_suite(
+        seed, instances if instances is not None else 50, flip_cross=inject_fault == "gfk-cross-sign"
+    )
     return checks

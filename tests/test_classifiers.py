@@ -16,7 +16,7 @@ from driftalign import (
     predict,
     train,
 )
-from driftalign.classifiers import KnnModel, LinearSvmModel
+from driftalign.classifiers import MAX_ABS_ENTRY, KnnModel, LinearSvmModel
 
 
 def blobs(rng, n_per_class, d, separation):
@@ -184,6 +184,33 @@ class TestKnn:
         finally:
             tracemalloc.stop()
         assert peak < bound * m * n * 8
+
+
+class TestMagnitudeBound:
+    """Entries beyond MAX_ABS_ENTRY would overflow the squared distances into NaN."""
+
+    def test_training_rows_beyond_the_bound_rejected(self):
+        # the overflow reproducer: the query equals row 0, yet NaN distances gave an arbitrary label
+        x = np.array([[1e160, 0.0], [-1e160, 0.0], [1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(NonFiniteData, match="beyond"):
+            LabeledSet(x=x, y=np.array([0, 1, 1, 1]))
+
+    @pytest.mark.parametrize("kind", ["knn", "svm"])
+    @pytest.mark.parametrize("big", [1e160, -1e160, 1.5 * MAX_ABS_ENTRY], ids=["1e160", "-1e160", "1.5_bound"])
+    def test_query_rows_beyond_the_bound_rejected(self, kind, big):
+        # the reproducer's query [1e160, 0]; and a row just longer than sqrt(2) * bound
+        rows = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        model = train(LabeledSet(x=rows, y=np.array([0, 0, 1, 1])), kind)
+        with pytest.raises(NonFiniteData, match="longer than"):
+            predict(model, np.array([[big, big]]))
+        predict(model, np.array([[MAX_ABS_ENTRY, -MAX_ABS_ENTRY]]))
+
+    def test_entries_at_the_bound_keep_exact_labels(self):
+        x = np.array([[MAX_ABS_ENTRY, 0.0], [-MAX_ABS_ENTRY, 0.0], [1.0, 0.0], [0.0, -1.0]])
+        model = train(LabeledSet(x=x, y=np.array([0, 1, 1, 1])), "knn")
+        queries = np.array([[MAX_ABS_ENTRY, 0.0], [-MAX_ABS_ENTRY, 0.0], [0.9, 0.0], [0.0, -MAX_ABS_ENTRY]])
+        with np.errstate(all="raise"):
+            assert predict(model, queries).tolist() == [0, 1, 1, 1]
 
 
 @pytest.mark.parametrize("kind", ["knn", "svm"])

@@ -34,14 +34,14 @@ def readme_commands():
     return commands
 
 
-def two_class_csv(path, nan_row=None):
+def two_class_csv(path, bad_row=None, bad_cell="nan"):
     rng = np.random.default_rng(0)
     lines = []
     for i in range(120):
         feats = rng.standard_normal(4) + (3.0 if i % 2 else -3.0)
         cells = [f"{v:.6f}" for v in feats]
-        if i == nan_row:
-            cells[1] = "nan"
+        if i == bad_row:
+            cells[1] = bad_cell
         lines.append(",".join(cells) + f",{i % 2}")
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -94,7 +94,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("nan_row", [5, 60], ids=["source", "stream"])
     def test_non_finite_csv_cell_returns_two(self, tmp_path, capsys, nan_row):
-        data = two_class_csv(tmp_path / "nan.csv", nan_row=nan_row)
+        data = two_class_csv(tmp_path / "nan.csv", bad_row=nan_row)
         code = run_cli(
             "run", "--csv", str(data), "--source-frac", "0.3", "--batch", "20",
             "--k", "1", "--variant", "gfk", "--out", str(tmp_path / "x.json"),
@@ -102,6 +102,17 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "non-finite" in err
+
+    @pytest.mark.parametrize("row", [5, 60], ids=["source", "stream"])
+    def test_csv_cell_beyond_the_magnitude_bound_returns_two(self, tmp_path, capsys, row):
+        data = two_class_csv(tmp_path / "big.csv", bad_row=row, bad_cell="1e160")
+        code = run_cli(
+            "run", "--csv", str(data), "--source-frac", "0.3", "--batch", "20",
+            "--k", "1", "--variant", "gfk", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "beyond" in err
 
     def test_oversized_subspace_returns_three_citing_the_rule(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -23,8 +23,8 @@ from driftalign import (
     random_subspace,
     update_mean,
 )
-from driftalign.flow_kernel import QUADRATURE_CHUNK
-from driftalign.verify import geodesic_suite, kernel_suite, mean_suite, run_all
+from driftalign.flow_kernel import QUADRATURE_CHUNK, SMALL_ANGLE
+from driftalign.verify import flip_cross_sign, geodesic_suite, kernel_suite, mean_suite, run_all
 
 # The package re-exports the function flow_kernel under the module's name.
 flow_kernel_module = importlib.import_module("driftalign.flow_kernel")
@@ -148,9 +148,22 @@ class TestOracleAgreement:
     def test_wrong_cross_sign_breaks_agreement(self):
         # the same check the fault-injection path relies on
         source, target = kernel_pair(10, 3, 7)
-        wrong = flow_kernel(source, target, cross_sign=1.0).g
+        wrong = flip_cross_sign(flow_kernel(source, target)).g
         numeric = quadrature_kernel(source, target, nodes=10_000)
         assert np.abs(wrong - numeric).max() > 1e-8
+
+    def test_flipped_kernel_carries_the_positive_cross_integral(self):
+        # the faulted weights are the closed form with the odd term's sign flipped, exactly
+        source, target = kernel_pair(10, 3, 8)
+        kernel = flow_kernel(source, target)
+        wrong = flip_cross_sign(kernel)
+        th = geodesic(source, target).system.angles
+        k = th.shape[0]
+        assert np.array_equal(wrong.weights[:k, k:], np.diag((1.0 - np.cos(2.0 * th)) / (4.0 * th)))
+        assert np.array_equal(wrong.weights[k:, :k], wrong.weights[:k, k:])
+        assert np.array_equal(wrong.weights[:k, :k], kernel.weights[:k, :k])
+        assert np.array_equal(wrong.weights[k:, k:], kernel.weights[k:, k:])
+        assert np.array_equal(wrong.frame, kernel.frame)
 
 
 class TestFlowEvaluation:
@@ -167,6 +180,41 @@ class TestFlowEvaluation:
         for t in (1.5, -0.1):
             with pytest.raises(DomainError):
                 evaluate(flow, t)
+
+
+def reference_weights(angles):
+    """The 2k x 2k weights assembled block by block, the plain way."""
+    small = angles < SMALL_ANGLE
+    safe = np.where(small, 1.0, angles)
+    w_cos = np.where(small, 1.0, 0.5 + np.sin(2.0 * safe) / (4.0 * safe))
+    w_cross = np.where(small, 0.0, -1.0 * (1.0 - np.cos(2.0 * safe)) / (4.0 * safe))
+    w_sin = np.where(small, 0.0, 0.5 - np.sin(2.0 * safe) / (4.0 * safe))
+    w_cos, w_cross, w_sin = map(np.diag, (w_cos, w_cross, w_sin))
+    return np.block([[w_cos, w_cross], [w_cross, w_sin]])
+
+
+class TestWeightAssembly:
+    @pytest.mark.parametrize("d,k", [(10, 1), (10, 3), (16, 4), (40, 10)])
+    def test_weights_and_frame_match_the_block_assembly(self, d, k):
+        rng = np.random.default_rng(d * k)
+        for _ in range(10):
+            source, target = random_subspace(d, k, rng), random_subspace(d, k, rng)
+            kernel = flow_kernel(source, target)
+            flow = geodesic(source, target)
+            assert kernel.weights.tobytes() == reference_weights(flow.system.angles).tobytes()
+            frame = np.hstack([source.basis @ flow.system.a_rot, flow.system.tail])
+            assert kernel.frame.tobytes() == frame.tobytes()
+
+    def test_small_angles_take_the_limits(self):
+        # identical spans and one shared direction put angles below SMALL_ANGLE
+        rng = np.random.default_rng(41)
+        source = random_subspace(11, 3, rng)
+        shared = orthonormalize(np.hstack([source.basis[:, :1], rng.standard_normal((11, 2))]))
+        for target in (source, shared):
+            angles = geodesic(source, target).system.angles
+            assert (angles < SMALL_ANGLE).any()
+            weights = flow_kernel(source, target).weights
+            assert weights.tobytes() == reference_weights(angles).tobytes()
 
 
 class TestKernelProperties:

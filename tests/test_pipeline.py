@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from driftalign import (
     ConfigError,
+    LabeledSet,
     MiniBatch,
     PipelineConfig,
     PipelineState,
@@ -16,6 +17,7 @@ from driftalign import (
     StreamSpec,
     VARIANT_ALIASES,
     VARIANT_FLAGS,
+    apply_transform,
     gen_rotating_drift,
     init_pipeline,
     predict,
@@ -24,6 +26,7 @@ from driftalign import (
     train,
     variant_config,
 )
+from driftalign.classifiers import MAX_ABS_ENTRY
 from driftalign.subspaces import pca_subspace
 
 
@@ -87,6 +90,25 @@ class TestConfig:
         bad[1, 2] = np.nan
         with pytest.raises(NonFiniteData):
             MiniBatch(x=bad)
+
+    @pytest.mark.parametrize("big", [1e160, -1e151])
+    def test_batch_beyond_the_magnitude_bound_is_a_data_error(self, big):
+        bad = np.ones((3, 5))
+        bad[2, 0] = big
+        with pytest.raises(NonFiniteData, match="beyond"):
+            MiniBatch(x=bad)
+
+    def test_batches_at_the_bound_are_scored_after_the_transform(self):
+        # the kernel can push single entries past the bound, but never a row past sqrt(d) times it
+        rng = np.random.default_rng(0)
+        shift = np.repeat([[0.0] * 10, [5e149] * 10], 100, axis=0)
+        source = LabeledSet(x=1e149 * rng.standard_normal((200, 10)) + shift, y=np.repeat([0, 1], 100))
+        state = init_pipeline(source, variant_config("gfk_gmean_fb", sub_dim=3))
+        batch = MiniBatch(x=np.clip(6e149 * rng.standard_normal((50, 10)), -MAX_ABS_ENTRY, MAX_ABS_ENTRY))
+        for _ in range(2):
+            predictions, state, _ = process_batch(state, batch)
+            assert predictions is not None
+        assert np.abs(apply_transform(batch.x, state.last_kernel)).max() > MAX_ABS_ENTRY
 
 
 class TestVariantCoherence:

@@ -5,6 +5,7 @@ import pytest
 
 from driftalign import (
     DimensionMismatch,
+    DomainError,
     NoConvergence,
     evaluate,
     exp_tangent,
@@ -17,6 +18,7 @@ from driftalign import (
     random_subspace,
     update_mean,
 )
+from driftalign.subspaces import ORTHONORMALITY_TOL
 from driftalign.verify import _sine_angles
 
 
@@ -86,6 +88,25 @@ class TestTangentMaps:
         base = random_subspace(9, 2, rng)
         recovered = exp_tangent(base, np.zeros((9, 2)))
         assert principal_angles(recovered, base).max() < 1e-7
+
+    def test_tangent_along_the_base_rejected(self):
+        # a multiple of the base itself is no tangent; it used to be polished back to the base
+        rng = np.random.default_rng(8)
+        base = random_subspace(10, 3, rng)
+        with pytest.raises(DomainError, match="not orthogonal to the base"):
+            exp_tangent(base, 0.7 * base.basis)
+
+    def test_tangent_just_off_the_tangent_space_rejected(self):
+        rng = np.random.default_rng(9)
+        base = random_subspace(10, 3, rng)
+        raw = rng.standard_normal((10, 3))
+        tangent = 0.3 * (raw - base.basis @ (base.basis.T @ raw))
+        exp_tangent(base, tangent)
+        # move one column along the base by just over the tolerance
+        bent = tangent + 2.0 * ORTHONORMALITY_TOL * np.outer(base.basis[:, 0], [1.0, 0.0, 0.0])
+        assert np.abs(base.basis.T @ bent).max() > ORTHONORMALITY_TOL
+        with pytest.raises(DomainError):
+            exp_tangent(base, bent)
 
     def test_tangent_norm_equals_geodesic_distance(self):
         rng = np.random.default_rng(7)

@@ -11,9 +11,14 @@ from driftalign import (
     DimensionMismatch,
     DimensionViolation,
     DomainError,
+    GeodesicFlow,
+    PrincipalSystem,
     RankDeficient,
+    SharedFactorFailure,
     Subspace,
+    TransformKernel,
     evaluate,
+    flow_kernel,
     geodesic,
     geodesic_distance,
     orthonormalize,
@@ -22,7 +27,13 @@ from driftalign import (
     principal_system,
     random_subspace,
 )
-from driftalign.subspaces import RESIDUAL_COLUMN_TOL
+from driftalign.flow_kernel import SYMMETRY_TOL
+from driftalign.subspaces import (
+    COSINE_OVERSHOOT_TOL,
+    ORTHONORMALITY_TOL,
+    RESIDUAL_COLUMN_TOL,
+    _orthonormal_extension,
+)
 
 
 def planar_pair(d, phi):
@@ -132,6 +143,213 @@ class TestThinSystem:
         a, b = system_pairs()[2].values
         sines = np.linalg.svd(b.basis - a.basis @ (a.basis.T @ b.basis), compute_uv=False)
         assert sines.max() <= RESIDUAL_COLUMN_TOL
+
+
+def reference_shared_factors(a, b):
+    """(a_rot, tail, b_rot, angles) as the straightforward implementation computed them.
+
+    The rewritten hot path of principal_system must reproduce these bit for
+    bit; this copy keeps the plain formulation (np.clip, np.linalg.norm, the
+    open-slot list, the extension call on every pair) as the reference.
+    """
+    k = a.shape[1]
+    ab = a.T @ b
+    u, sv, wt = np.linalg.svd(b - a @ ab, full_matrices=False)
+    assert sv[0] <= 1.0 + COSINE_OVERSHOOT_TOL
+    sines = np.clip(sv, 0.0, 1.0)[::-1]
+    u = u[:, ::-1]
+    v = wt.T[:, ::-1]
+    aligned = ab @ v
+    cosines = np.linalg.norm(aligned, axis=0)
+    assert cosines.max() <= 1.0 + COSINE_OVERSHOOT_TOL
+    cosines = np.clip(cosines, 0.0, 1.0)
+    angles = np.where(sines**2 <= 0.5, np.arcsin(sines), np.arccos(cosines))
+    u1 = np.zeros((k, k))
+    fixed = np.zeros((k, 0))
+    resolvable = np.flatnonzero(cosines > RESIDUAL_COLUMN_TOL)
+    if resolvable.size:
+        order = resolvable[np.argsort(cosines[resolvable], kind="stable")[::-1]]
+        q, r = np.linalg.qr(aligned[:, order] / cosines[order])
+        fixed = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        u1[:, order] = fixed
+    open_slots = [j for j in range(k) if j not in set(resolvable)]
+    u1[:, open_slots] = _orthonormal_extension(fixed, len(open_slots))
+    tail = -(u - a @ (a.T @ u))
+    unresolved = int(np.count_nonzero(sines <= RESIDUAL_COLUMN_TOL))
+    if unresolved:
+        tail[:, :unresolved] = _orthonormal_extension(np.hstack([a, tail[:, unresolved:]]), unresolved)
+    return u1, tail, v, angles
+
+
+def random_pairs(d, k, count, seed):
+    rng = np.random.default_rng(seed)
+    return [(random_subspace(d, k, rng), random_subspace(d, k, rng)) for _ in range(count)]
+
+
+def gram_message(name, m):
+    """The orthonormality message, with the deviation formed the plain way."""
+    dev = float(np.max(np.abs(m.T @ m - np.eye(m.shape[1]))))
+    return f"{name} is not orthonormal (max Gram deviation {dev:.3e})"
+
+
+def assert_same_bits(a, b):
+    # stricter than np.array_equal, which takes -0.0 == 0.0
+    sys = principal_system(a, b)
+    expected = reference_shared_factors(a.basis, b.basis)
+    for got, want in zip((sys.a_rot, sys.tail, sys.b_rot, sys.angles), expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("d,k", [(10, 3), (16, 4), (40, 10), (30, 1), (7, 3)])
+    def test_random_pairs_match_the_reference(self, d, k):
+        for a, b in random_pairs(d, k, 40, seed=100 * d + k):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("a,b", system_pairs())
+    def test_degenerate_pairs_match_the_reference(self, a, b):
+        assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("d,k", [(10, 3), (7, 2), (12, 5)])
+    def test_axis_pairs_with_negative_zeros_match_the_reference(self, d, k):
+        # -0.0 entries reach the SVD; the reference's np.clip keeps a -0.0 sine
+        # where np.maximum(x, 0.0) would turn it into +0.0
+        flipped = -np.eye(d)
+        bases = [np.eye(d)[:, :k], flipped[:, :k], flipped[:, 1 : k + 1], flipped[:, ::-1][:, :k]]
+        for x in bases:
+            for y in bases:
+                assert_same_bits(Subspace(x), Subspace(y))
+
+    @pytest.mark.parametrize("d,k", [(10, 3), (16, 4), (40, 10)])
+    def test_right_angle_and_rotated_pairs_match_the_reference(self, d, k):
+        rng = np.random.default_rng(d + k)
+        a = random_subspace(d, k, rng)
+        off = rng.standard_normal((d, k))
+        orthogonal = orthonormalize(off - a.basis @ (a.basis.T @ off))
+        rotated = Subspace(a.basis @ np.linalg.qr(rng.standard_normal((k, k)))[0])
+        for b in (orthogonal, rotated):
+            assert_same_bits(a, b)
+
+
+class TestChecksStillFire:
+    """Each rewritten check raises the class and message the plain formulation did."""
+
+    @pytest.mark.parametrize("name", ["a_rot", "tail", "b_rot"])
+    def test_non_orthonormal_factor(self, name):
+        a, b = random_pairs(10, 3, 1, seed=30)[0]
+        sys = principal_system(a, b)
+        factors = {"a_rot": sys.a_rot, "tail": sys.tail, "b_rot": sys.b_rot}
+        factors[name] = 1.001 * factors[name]
+        with pytest.raises(ValueError) as exc:
+            PrincipalSystem(angles=sys.angles, **factors)
+        assert str(exc.value) == gram_message(name, factors[name])
+
+    def test_nan_factor_is_not_orthonormal(self):
+        # a NaN Gram deviation used to compare false and pass
+        a, b = random_pairs(10, 3, 1, seed=31)[0]
+        sys = principal_system(a, b)
+        tail = sys.tail.copy()
+        tail[4, 1] = np.nan
+        with pytest.raises(ValueError, match="tail is not orthonormal"):
+            PrincipalSystem(a_rot=sys.a_rot, tail=tail, b_rot=sys.b_rot, angles=sys.angles)
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.pi / 2 + 1e-9, np.nan])
+    def test_angle_outside_the_quarter_turn(self, bad):
+        # NaN angles used to pass, since every comparison with NaN is false
+        a, b = random_pairs(10, 3, 1, seed=29)[0]
+        sys = principal_system(a, b)
+        angles = sys.angles.copy()
+        angles[1] = bad
+        with pytest.raises(DomainError) as exc:
+            PrincipalSystem(a_rot=sys.a_rot, tail=sys.tail, b_rot=sys.b_rot, angles=angles)
+        assert str(exc.value) == "principal angles must lie in [0, pi/2]"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_basis(self, bad):
+        basis = np.eye(6)[:, :2]
+        basis[3, 1] = bad
+        with pytest.raises(ValueError) as exc:
+            Subspace(basis)
+        assert str(exc.value) == "basis has non-finite entries"
+
+    def test_non_orthonormal_basis(self):
+        basis = np.eye(6)[:, :2] + 1e-6
+        with pytest.raises(ValueError) as exc:
+            Subspace(basis)
+        assert str(exc.value) == gram_message("basis", basis)
+
+    def test_tail_not_orthogonal_to_base(self):
+        a, b = random_pairs(10, 3, 1, seed=32)[0]
+        sys = principal_system(a, b)
+        with pytest.raises(ValueError) as exc:
+            GeodesicFlow(base=b, system=sys)
+        cross = float(np.max(np.abs(sys.tail.T @ b.basis)))
+        assert str(exc.value) == f"tail is not orthogonal to base (max {cross:.3e})"
+
+    def test_non_orthonormal_kernel_frame(self):
+        kernel = flow_kernel(*random_pairs(10, 3, 1, seed=33)[0])
+        frame = kernel.frame * 1.0001
+        with pytest.raises(ValueError) as exc:
+            TransformKernel(frame=frame, weights=kernel.weights)
+        assert str(exc.value) == gram_message("kernel frame", frame)
+
+    def test_asymmetric_kernel_weights(self):
+        kernel = flow_kernel(*random_pairs(10, 3, 1, seed=34)[0])
+        weights = kernel.weights.copy()
+        weights[0, 4] += 1e-9
+        with pytest.raises(ValueError) as exc:
+            TransformKernel(frame=kernel.frame, weights=weights)
+        asym = float(np.max(np.abs(weights - weights.T)))
+        assert str(exc.value) == f"kernel weights asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}"
+
+    def test_nan_kernel_weights_rejected(self):
+        # NaN weights used to pass both the asymmetry and the spectrum comparison
+        kernel = flow_kernel(*random_pairs(10, 3, 1, seed=35)[0])
+        weights = kernel.weights.copy()
+        weights[1, 1] = np.nan
+        with pytest.raises(ValueError, match="asymmetry nan"):
+            TransformKernel(frame=kernel.frame, weights=weights)
+
+    def test_bad_pair_fails_on_the_first_pass(self, monkeypatch):
+        # a B off the unit sphere by 1e-6 cannot be reproduced; no second attempt is made
+        a, b = random_pairs(10, 3, 1, seed=36)[0]
+        object.__setattr__(b, "basis", b.basis * (1.0 + 1e-6))
+        calls = count_calls(monkeypatch, "svd", "qr")
+        with pytest.raises(SharedFactorFailure, match="reconstruction residual"):
+            principal_system(a, b)
+        assert calls == {"svd": 1, "qr": 1}
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named np.linalg functions from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestFactorisationCount:
+    """The hot path's factorisations, counted: a second one cannot come back unnoticed."""
+
+    @pytest.mark.parametrize("d,k", [(10, 3), (40, 10)])
+    def test_principal_system_makes_one_svd_and_one_qr(self, monkeypatch, d, k):
+        a, b = random_pairs(d, k, 1, seed=37)[0]
+        calls = count_calls(monkeypatch, "svd", "qr", "eigvalsh")
+        principal_system(a, b)
+        assert calls == {"svd": 1, "qr": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("d,k", [(10, 3), (40, 10)])
+    def test_flow_kernel_adds_one_eigvalsh(self, monkeypatch, d, k):
+        a, b = random_pairs(d, k, 1, seed=38)[0]
+        calls = count_calls(monkeypatch, "svd", "qr", "eigvalsh")
+        flow_kernel(a, b)
+        assert calls == {"svd": 1, "qr": 1, "eigvalsh": 1}
 
 
 class TestPrincipalAngles:
