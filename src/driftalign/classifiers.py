@@ -58,6 +58,23 @@ def _check_query_rows(a: Array) -> None:
         raise NonFiniteData(f"queries have rows longer than sqrt(d) * {MAX_ABS_ENTRY:.0e}")
 
 
+def _class_labels(y: Array) -> Array:
+    """Nonempty 1-d labels y as a read-only int64 copy; SchemaMismatch for a non-integer or negative label."""
+    if not np.issubdtype(y.dtype, np.integer):
+        if not np.all(y == y.astype(np.int64)):
+            raise SchemaMismatch("labels must be integers")
+    y = y.astype(np.int64)
+    if y.min() < 0:
+        raise SchemaMismatch(f"labels must be >= 0, got {y.min()}")
+    y.setflags(write=False)
+    return y
+
+
+def _is_integer(value: object) -> bool:
+    """True for a Python or numpy integer; bools are not counted as integers."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _read_only(a: Array, dtype) -> Array:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -82,18 +99,13 @@ class LabeledSet:
         _check_entries(x, "x has")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise DimensionMismatch(f"y must have one label per row, got {y.shape} for {x.shape[0]} rows")
-        if not np.issubdtype(y.dtype, np.integer):
-            if not np.all(y == y.astype(np.int64)):
-                raise SchemaMismatch("labels must be integers")
-        y = y.astype(np.int64)
-        if y.min() < 0:
-            raise SchemaMismatch(f"labels must be >= 0, got {y.min()}")
+        y = _class_labels(y)
         present = np.unique(y)
         if present.shape[0] != int(y.max()) + 1:
             missing = sorted(set(range(int(y.max()) + 1)) - set(present.tolist()))
             raise SchemaMismatch(f"labels must be contiguous from 0; missing {missing}")
         object.__setattr__(self, "x", _read_only(x, np.float64))
-        object.__setattr__(self, "y", _read_only(y, np.int64))
+        object.__setattr__(self, "y", y)
 
     @property
     def n_rows(self) -> int:
@@ -110,18 +122,32 @@ class LabeledSet:
 
 @dataclass(frozen=True)
 class KnnParams:
-    """Neighbour count for the majority-vote rule."""
+    """Neighbour count for the majority-vote rule, an integer >= 1."""
 
     n_neighbors: int = 1
+
+    def __post_init__(self) -> None:
+        if not _is_integer(self.n_neighbors):
+            raise ValueError(f"n_neighbors must be an integer, got {self.n_neighbors!r}")
+        if self.n_neighbors < 1:
+            raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
+        object.__setattr__(self, "n_neighbors", int(self.n_neighbors))
 
 
 @dataclass(frozen=True)
 class SvmParams:
-    """Hinge-loss SGD settings: regularization strength, passes, and rng seed."""
+    """Hinge-loss SGD settings: regularization strength (> 0), passes (>= 1), and rng seed."""
 
     regularization: float = 1e-4
     epochs: int = 100
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        lam = float(self.regularization)
+        if lam <= 0.0:
+            raise ValueError(f"regularization must be positive, got {lam}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,40 +164,24 @@ class LinearSvmModel:
     biases: Array   # c
 
 
-def train(data: LabeledSet, kind: str, params: KnnParams | SvmParams | None = None):
-    """Fit a classifier of the given kind ("knn" or "svm") on labelled rows."""
+def train(data: LabeledSet, params: KnnParams | SvmParams):
+    """Fit the classifier that ``params`` names on labelled rows."""
+    if not isinstance(params, (KnnParams, SvmParams)):
+        raise TypeError(f"unknown classifier params type {type(params).__name__}")
     if data.n_classes < 2:
         raise InsufficientData("training needs at least two classes")
-    if kind == "knn":
-        params = params if params is not None else KnnParams()
-        n_neighbors = params.n_neighbors
-        if isinstance(n_neighbors, bool) or not isinstance(n_neighbors, (int, np.integer)):
-            raise ValueError(f"n_neighbors must be an integer, got {n_neighbors!r}")
-        if n_neighbors < 1:
-            raise ValueError(f"n_neighbors must be >= 1, got {n_neighbors}")
-        if data.n_rows < n_neighbors:
-            raise InsufficientData(f"{data.n_rows} rows < {n_neighbors} neighbours")
-        return KnnModel(
-            train_x=data.x,
-            train_y=data.y,
-            n_neighbors=int(n_neighbors),
-            n_classes=data.n_classes,
-        )
-    if kind == "svm":
-        params = params if params is not None else SvmParams()
-        counts = np.bincount(data.y, minlength=data.n_classes)
-        if counts.min() < 2:
-            raise InsufficientData(f"every class needs >= 2 rows, got counts {counts.tolist()}")
-        return _train_linear_svm(data, params)
-    raise ValueError(f"unknown classifier kind {kind!r}")
+    if isinstance(params, KnnParams):
+        if data.n_rows < params.n_neighbors:
+            raise InsufficientData(f"{data.n_rows} rows < {params.n_neighbors} neighbours")
+        return KnnModel(train_x=data.x, train_y=data.y, n_neighbors=params.n_neighbors, n_classes=data.n_classes)
+    counts = np.bincount(data.y, minlength=data.n_classes)
+    if counts.min() < 2:
+        raise InsufficientData(f"every class needs >= 2 rows, got counts {counts.tolist()}")
+    return _train_linear_svm(data, params)
 
 
 def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
     lam = float(params.regularization)
-    if lam <= 0.0:
-        raise ValueError(f"regularization must be positive, got {lam}")
-    if params.epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {params.epochs}")
     rng = np.random.default_rng(params.seed)
     n, d = data.x.shape
     c = data.n_classes

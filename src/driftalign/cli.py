@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import Sequence
@@ -25,7 +26,7 @@ from .errors import (
     RankDeficient,
     SchemaMismatch,
 )
-from .pipeline import VARIANT_ALIASES, VARIANT_FLAGS, AccuracyTrace, run_stream, variant_config
+from .pipeline import VARIANT_ALIASES, VARIANT_FLAGS, AccuracyTrace, PipelineConfig, run_stream
 from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
 from .verify import run_all
 
@@ -58,6 +59,13 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=10, help="ambient dimension (rotating)")
 
 
+def _out_path(path: str) -> str:
+    """argparse type for --out, so that an unwritable path fails before any data is read."""
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"{path!r} is empty, a directory or in a missing directory")
+    return path
+
+
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=3, help="subspace dimension (must satisfy k < d/2)")
     p.add_argument("--classifier", choices=("knn", "svm"), default="knn")
@@ -65,7 +73,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--svm-lambda", type=float, default=1e-4)
     p.add_argument("--svm-epochs", type=int, default=100)
     p.add_argument("--svm-seed", type=int, default=0)
-    p.add_argument("--out", required=True, metavar="PATH", help="where to write the JSON report")
+    p.add_argument("--out", required=True, type=_out_path, metavar="PATH", help="where to write the JSON report")
     p.add_argument("--zero-timings", action="store_true", help="write timing fields as 0.0 for reproducible bytes")
 
 
@@ -141,7 +149,7 @@ def _config_payload(args: argparse.Namespace, command: str) -> dict:
             data["rotation"] = args.rotation
             data["classes"] = args.classes
             data["dim"] = args.dim
-    payload = {
+    return {
         "command": command,
         "data": data,
         "batch_size": args.batch,
@@ -155,7 +163,6 @@ def _config_payload(args: argparse.Namespace, command: str) -> dict:
         },
         "zero_timings": args.zero_timings,
     }
-    return payload
 
 
 def _variant_payload(
@@ -181,15 +188,13 @@ def _variant_payload(
 
 def _run_variants(args: argparse.Namespace, command: str, names: Sequence[str]) -> int:
     bundle = _load_bundle(args)
+    if args.classifier == "knn":
+        params = KnnParams(n_neighbors=args.knn_neighbors)
+    else:
+        params = SvmParams(regularization=args.svm_lambda, epochs=args.svm_epochs, seed=args.svm_seed)
     variants = []
     for name in names:
-        config = variant_config(
-            name,
-            sub_dim=args.k,
-            classifier=args.classifier,
-            knn_params=KnnParams(n_neighbors=args.knn_neighbors),
-            svm_params=SvmParams(regularization=args.svm_lambda, epochs=args.svm_epochs, seed=args.svm_seed),
-        )
+        config = PipelineConfig(sub_dim=args.k, variant=name, classifier=params)
         t0 = time.perf_counter()
         trace = run_stream(bundle.source, bundle.stream, config)
         seconds_total = time.perf_counter() - t0
@@ -246,7 +251,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         InsufficientData,
         RankDeficient,
         NonFiniteData,
-        FileNotFoundError,
+        OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

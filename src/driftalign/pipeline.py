@@ -26,6 +26,9 @@ from .classifiers import (
     LinearSvmModel,
     SvmParams,
     _check_entries,
+    _class_labels,
+    _is_integer,
+    _read_only,
     predict,
     train,
 )
@@ -55,21 +58,22 @@ STEP_NAMES = ("pca", "mean", "gfk", "predict")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Variant and parameters for one pipeline run.
+    """Subspace dimension (an integer >= 1), variant and classifier for one pipeline run.
 
     ``variant`` is a VARIANT_FLAGS name or one of its VARIANT_ALIASES; it is
-    stored as the canonical name.
+    stored as the canonical name. ``classifier``'s type names the model.
     """
 
     sub_dim: int
     variant: str = "pca"
-    classifier: str = "knn"
-    knn_params: KnnParams = KnnParams()
-    svm_params: SvmParams = SvmParams()
+    classifier: KnnParams | SvmParams = KnnParams()
 
     def __post_init__(self) -> None:
-        if int(self.sub_dim) < 1:
+        if not _is_integer(self.sub_dim):
+            raise ConfigError(f"sub_dim must be an integer, got {self.sub_dim!r}")
+        if self.sub_dim < 1:
             raise ConfigError(f"sub_dim must be >= 1, got {self.sub_dim}")
+        object.__setattr__(self, "sub_dim", int(self.sub_dim))
         canonical = VARIANT_ALIASES.get(self.variant, self.variant)
         if canonical not in VARIANT_FLAGS:
             raise ConfigError(
@@ -77,28 +81,24 @@ class PipelineConfig:
                 f"or an alias {list(VARIANT_ALIASES)}"
             )
         object.__setattr__(self, "variant", canonical)
-        if self.classifier not in ("knn", "svm"):
-            raise ConfigError(f"classifier must be 'knn' or 'svm', got {self.classifier!r}")
+        if not isinstance(self.classifier, (KnnParams, SvmParams)):
+            raise ConfigError(f"classifier must be KnnParams or SvmParams, got {self.classifier!r}")
 
 
-def variant_config(
-    name: str,
-    sub_dim: int,
-    classifier: str = "knn",
-    knn_params: KnnParams = KnnParams(),
-    svm_params: SvmParams = SvmParams(),
-) -> PipelineConfig:
-    """Config for a named ablation variant or one of its VARIANT_ALIASES."""
-    return PipelineConfig(
-        sub_dim=sub_dim, variant=name, classifier=classifier, knn_params=knn_params, svm_params=svm_params
-    )
+def variant_config(name: str, sub_dim: int, classifier: str = "knn") -> PipelineConfig:
+    """Config for a named variant or alias, with the default KnnParams ("knn") or SvmParams ("svm")."""
+    defaults = {"knn": KnnParams(), "svm": SvmParams()}
+    if classifier not in defaults:
+        raise ConfigError(f"classifier must be 'knn' or 'svm', got {classifier!r}")
+    return PipelineConfig(sub_dim=sub_dim, variant=name, classifier=defaults[classifier])
 
 
 @dataclass(frozen=True, eq=False)
 class MiniBatch:
     """One unlabelled batch of stream rows; labels ride along for scoring only.
 
-    Entries must be finite with magnitude at most classifiers.MAX_ABS_ENTRY.
+    Entries must be finite with magnitude at most classifiers.MAX_ABS_ENTRY,
+    and labels, when given, integers >= 0.
     """
 
     x: Array
@@ -109,15 +109,12 @@ class MiniBatch:
         if x.ndim != 2 or x.shape[0] < 2:
             raise DimensionMismatch(f"batch needs at least 2 rows, got shape {x.shape}")
         _check_entries(x, "batch has")
-        out = np.array(x)
-        out.setflags(write=False)
-        object.__setattr__(self, "x", out)
+        object.__setattr__(self, "x", _read_only(x, np.float64))
         if self.true_labels is not None:
-            y = np.asarray(self.true_labels).astype(np.int64)
+            y = np.asarray(self.true_labels)
             if y.shape != (x.shape[0],):
                 raise DimensionMismatch(f"labels must have shape ({x.shape[0]},), got {y.shape}")
-            y.setflags(write=False)
-            object.__setattr__(self, "true_labels", y)
+            object.__setattr__(self, "true_labels", _class_labels(y))
 
     @property
     def n_rows(self) -> int:
@@ -133,7 +130,6 @@ class PipelineState:
     model: KnnModel | LinearSvmModel
     mean_state: MeanSubspaceState | None
     last_kernel: TransformKernel | None
-    batch_count: int
 
 
 @dataclass
@@ -147,15 +143,13 @@ class BatchDiagnostics:
 def init_pipeline(source: LabeledSet, config: PipelineConfig) -> PipelineState:
     """Fit the source subspace and classifier; no stream data is touched."""
     source_subspace = pca_subspace(source.x, config.sub_dim)
-    params = config.knn_params if config.classifier == "knn" else config.svm_params
-    model = train(source, config.classifier, params)
+    model = train(source, config.classifier)
     return PipelineState(
         config=config,
         source_subspace=source_subspace,
         model=model,
         mean_state=None,
         last_kernel=None,
-        batch_count=0,
     )
 
 
@@ -209,12 +203,7 @@ def process_batch(
     predictions = predict(state.model, x_adapted)
     timings["predict"] = time.perf_counter() - t0
 
-    new_state = replace(
-        state,
-        mean_state=mean_state,
-        last_kernel=kernel,
-        batch_count=state.batch_count + 1,
-    )
+    new_state = replace(state, mean_state=mean_state, last_kernel=kernel)
     return predictions, new_state, BatchDiagnostics(step_seconds=timings)
 
 
@@ -228,7 +217,6 @@ class AccuracyTrace:
 
     per_batch: tuple[float | None, ...]
     running: tuple[float | None, ...]
-    seconds_per_batch: tuple[float, ...]
     step_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -249,16 +237,13 @@ def run_stream(
     state = init_pipeline(source, config)
     per_batch: list[float | None] = []
     running: list[float | None] = []
-    seconds: list[float] = []
     step_totals = dict.fromkeys(STEP_NAMES, 0.0)
     scored_sum = 0.0
     scored_n = 0
     for batch in stream:
         if batch.true_labels is None:
             raise ValueError("stream batches must carry true_labels for scoring")
-        t0 = time.perf_counter()
         predictions, state, diag = process_batch(state, batch)
-        seconds.append(time.perf_counter() - t0)
         for name in STEP_NAMES:
             step_totals[name] += diag.step_seconds.get(name, 0.0)
         if predictions is None:
@@ -272,6 +257,5 @@ def run_stream(
     return AccuracyTrace(
         per_batch=tuple(per_batch),
         running=tuple(running),
-        seconds_per_batch=tuple(seconds),
         step_seconds=step_totals,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import LabeledSet
+from .classifiers import LabeledSet, _class_labels
 from .errors import ConfigError, DimensionMismatch, InsufficientData, ParseError, SchemaMismatch
 from .pipeline import MiniBatch
 
@@ -57,11 +57,10 @@ class StreamSpec:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """How to read a CSV: feature count (None to infer), split, batching."""
+    """How to read a CSV: source split, batch size, and whether to skip a header row."""
 
     source_fraction: float
     batch_size: int
-    n_features: int | None = None
     has_header: bool = False
 
     def __post_init__(self) -> None:
@@ -69,8 +68,6 @@ class CsvSchema:
             raise ConfigError(f"source_fraction must lie in (0, 1), got {self.source_fraction}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.n_features is not None and self.n_features < 1:
-            raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +98,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
     """
     rows: list[list[float]] = []
     labels: list[int] = []
-    expected = None if schema.n_features is None else schema.n_features + 1
+    expected = None
     with open(path, newline="") as fh:
         for r, record in enumerate(csv.reader(fh), start=1):
             if r == 1 and schema.has_header:
@@ -128,9 +125,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
     if not rows:
         raise InsufficientData(f"no data rows in {path}")
     x = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if y.min() < 0:
-        raise SchemaMismatch(f"labels must be >= 0, got {y.min()}")
+    y = _class_labels(np.asarray(labels, dtype=np.int64))
     n_classes = int(y.max()) + 1
     present = set(np.unique(y).tolist())
     if present != set(range(n_classes)):

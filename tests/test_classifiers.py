@@ -18,6 +18,9 @@ from driftalign import (
 )
 from driftalign.classifiers import MAX_ABS_ENTRY, KnnModel, LinearSvmModel
 
+# Default params of each classifier, keyed by the CLI's --classifier names.
+PARAMS = {"knn": KnnParams(), "svm": SvmParams()}
+
 
 def blobs(rng, n_per_class, d, separation):
     centers = np.zeros((2, d))
@@ -62,6 +65,18 @@ class TestLabeledSet:
         assert data.n_features == 4
         assert data.n_classes == 3
 
+    @pytest.mark.parametrize("y, match", [
+        ([0.5, 1.7, -0.2, 1.0], "must be integers"),
+        ([0, 1, -1, 1], "must be >= 0"),
+    ], ids=["fractional", "negative"])
+    def test_non_integer_or_negative_labels_rejected(self, y, match):
+        with pytest.raises(SchemaMismatch, match=match):
+            LabeledSet(x=np.eye(4), y=np.array(y))
+
+    def test_integral_float_labels_accepted(self):
+        data = LabeledSet(x=np.eye(3), y=np.array([0.0, 1.0, 0.0]))
+        assert data.y.dtype == np.int64 and data.y.tolist() == [0, 1, 0]
+
     def test_labels_must_start_at_zero_and_be_contiguous(self):
         with pytest.raises(SchemaMismatch):
             LabeledSet(x=np.eye(3), y=np.array([1, 2, 3]))
@@ -84,20 +99,20 @@ class TestKnn:
     def test_training_point_predicts_its_own_label(self):
         rng = np.random.default_rng(0)
         data = blobs(rng, 20, 4, 3.0)
-        model = train(data, "knn", KnnParams(n_neighbors=1))
+        model = train(data, KnnParams(n_neighbors=1))
         assert np.array_equal(predict(model, data.x), data.y)
 
     def test_equidistant_tie_goes_to_the_smaller_class(self):
         x = np.array([[-1.0, 0.0], [1.0, 0.0], [-1.0, 2.0], [1.0, 2.0]])
         y = np.array([0, 1, 0, 1])
-        model = train(LabeledSet(x=x, y=y), "knn", KnnParams(n_neighbors=2))
+        model = train(LabeledSet(x=x, y=y), KnnParams(n_neighbors=2))
         # the origin sees one neighbour of each class at distance 1
         assert predict(model, np.array([[0.0, 0.0]]))[0] == 0
 
     def test_neighbour_count_equal_to_n_votes_the_majority(self):
         x = np.vstack([np.eye(5), -np.eye(5)[:2]])
         y = np.array([0, 0, 0, 0, 0, 1, 1])
-        model = train(LabeledSet(x=x, y=y), "knn", KnnParams(n_neighbors=7))
+        model = train(LabeledSet(x=x, y=y), KnnParams(n_neighbors=7))
         preds = predict(model, np.array([[9.0, 9.0, 9.0, 9.0, 9.0], [0.0, 0.0, 0.0, 0.0, 0.0]]))
         assert np.array_equal(preds, [0, 0])
 
@@ -107,42 +122,47 @@ class TestKnn:
         order = rng.permutation(data.n_rows)
         shuffled = LabeledSet(x=data.x[order], y=data.y[order])
         queries = rng.standard_normal((40, 5))
-        a = predict(train(data, "knn", KnnParams(n_neighbors=3)), queries)
-        b = predict(train(shuffled, "knn", KnnParams(n_neighbors=3)), queries)
+        a = predict(train(data, KnnParams(n_neighbors=3)), queries)
+        b = predict(train(shuffled, KnnParams(n_neighbors=3)), queries)
         assert np.array_equal(a, b)
 
     def test_more_neighbours_than_rows_rejected(self):
         data = LabeledSet(x=np.eye(3), y=np.array([0, 1, 0]))
         with pytest.raises(InsufficientData):
-            train(data, "knn", KnnParams(n_neighbors=4))
+            train(data, KnnParams(n_neighbors=4))
 
     def test_query_width_must_match(self):
         data = LabeledSet(x=np.eye(4), y=np.array([0, 1, 0, 1]))
-        model = train(data, "knn")
+        model = train(data, KnnParams())
         with pytest.raises(DimensionMismatch):
             predict(model, np.ones((2, 3)))
 
     @pytest.mark.parametrize("n_neighbors", [2.5, True, "3"])
     def test_non_integer_neighbour_count_rejected(self, n_neighbors):
         # 2.5 used to become 2 and True became 1
-        data = LabeledSet(x=np.eye(4), y=np.array([0, 1, 0, 1]))
         with pytest.raises(ValueError, match="n_neighbors must be an integer"):
-            train(data, "knn", KnnParams(n_neighbors=n_neighbors))
+            KnnParams(n_neighbors=n_neighbors)
+
+    @pytest.mark.parametrize("n_neighbors", [0, -2])
+    def test_neighbour_count_below_one_rejected(self, n_neighbors):
+        with pytest.raises(ValueError, match="n_neighbors must be >= 1"):
+            KnnParams(n_neighbors=n_neighbors)
 
     def test_numpy_integer_neighbour_count_accepted(self):
         data = LabeledSet(x=np.eye(4), y=np.array([0, 1, 0, 1]))
-        assert train(data, "knn", KnnParams(n_neighbors=np.int64(3))).n_neighbors == 3
+        assert KnnParams(n_neighbors=np.int64(3)).n_neighbors == 3
+        assert train(data, KnnParams(n_neighbors=np.int64(3))).n_neighbors == 3
 
     def test_one_nn_distance_tie_goes_to_the_lower_training_row(self):
         # the origin is at distance 1 from both rows; row 0 carries the larger class
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        model = train(LabeledSet(x=x, y=np.array([1, 0])), "knn", KnnParams(n_neighbors=1))
+        model = train(LabeledSet(x=x, y=np.array([1, 0])), KnnParams(n_neighbors=1))
         assert predict(model, np.zeros((1, 2)))[0] == 1
 
     def test_two_nn_vote_tie_goes_to_the_lower_class(self):
         # same rows as above: both are neighbours, one vote each, class 0 wins
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        model = train(LabeledSet(x=x, y=np.array([1, 0])), "knn", KnnParams(n_neighbors=2))
+        model = train(LabeledSet(x=x, y=np.array([1, 0])), KnnParams(n_neighbors=2))
         assert predict(model, np.zeros((1, 2)))[0] == 0
 
     def test_labels_equal_the_stable_sort_rule(self):
@@ -150,7 +170,7 @@ class TestKnn:
         for _ in range(120):
             data, queries = lattice_case(rng)
             for k in range(1, 10):
-                model = train(data, "knn", KnnParams(n_neighbors=k))
+                model = train(data, KnnParams(n_neighbors=k))
                 got = predict(model, queries)
                 assert got.dtype == np.int64
                 assert np.array_equal(got, stable_sort_knn(model, queries)), (k, data.x, data.y, queries)
@@ -160,13 +180,13 @@ class TestKnn:
         data = blobs(rng, 250, 10, 1.0)
         queries = rng.standard_normal((50, 10))
         for k in (1, 2, 3, 5, 9):
-            model = train(data, "knn", KnnParams(n_neighbors=k))
+            model = train(data, KnnParams(n_neighbors=k))
             assert np.array_equal(predict(model, queries), stable_sort_knn(model, queries))
 
     def test_empty_query_batch_gives_no_labels(self):
         data = LabeledSet(x=np.eye(4), y=np.array([0, 1, 0, 1]))
         for k in (1, 3):
-            out = predict(train(data, "knn", KnnParams(n_neighbors=k)), np.zeros((0, 4)))
+            out = predict(train(data, KnnParams(n_neighbors=k)), np.zeros((0, 4)))
             assert out.shape == (0,)
 
     @pytest.mark.parametrize("k, bound", [(1, 2.5), (3, 3.0)])
@@ -175,7 +195,7 @@ class TestKnn:
         # stable sort with four such temporaries peaked at about 605 kB
         m, n, d = 50, 500, 10
         rng = np.random.default_rng(22)
-        model = train(blobs(rng, n // 2, d, 1.0), "knn", KnnParams(n_neighbors=k))
+        model = train(blobs(rng, n // 2, d, 1.0), KnnParams(n_neighbors=k))
         queries = rng.standard_normal((m, d))
         tracemalloc.start()
         try:
@@ -200,14 +220,14 @@ class TestMagnitudeBound:
     def test_query_rows_beyond_the_bound_rejected(self, kind, big):
         # the reproducer's query [1e160, 0]; and a row just longer than sqrt(2) * bound
         rows = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
-        model = train(LabeledSet(x=rows, y=np.array([0, 0, 1, 1])), kind)
+        model = train(LabeledSet(x=rows, y=np.array([0, 0, 1, 1])), PARAMS[kind])
         with pytest.raises(NonFiniteData, match="longer than"):
             predict(model, np.array([[big, big]]))
         predict(model, np.array([[MAX_ABS_ENTRY, -MAX_ABS_ENTRY]]))
 
     def test_entries_at_the_bound_keep_exact_labels(self):
         x = np.array([[MAX_ABS_ENTRY, 0.0], [-MAX_ABS_ENTRY, 0.0], [1.0, 0.0], [0.0, -1.0]])
-        model = train(LabeledSet(x=x, y=np.array([0, 1, 1, 1])), "knn")
+        model = train(LabeledSet(x=x, y=np.array([0, 1, 1, 1])), KnnParams())
         queries = np.array([[MAX_ABS_ENTRY, 0.0], [-MAX_ABS_ENTRY, 0.0], [0.9, 0.0], [0.0, -MAX_ABS_ENTRY]])
         with np.errstate(all="raise"):
             assert predict(model, queries).tolist() == [0, 1, 1, 1]
@@ -217,7 +237,7 @@ class TestMagnitudeBound:
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_queries_rejected(kind, bad):
     rng = np.random.default_rng(9)
-    model = train(blobs(rng, 10, 3, 4.0), kind)
+    model = train(blobs(rng, 10, 3, 4.0), PARAMS[kind])
     queries = np.zeros((2, 3))
     queries[1, 0] = bad
     with pytest.raises(NonFiniteData):
@@ -232,22 +252,22 @@ class TestLinearSvm:
             rng.standard_normal((30, 2)) * 0.3 + [+3.0, 0.0],
         ])
         y = np.repeat([0, 1], 30)
-        model = train(LabeledSet(x=x, y=y), "svm", SvmParams(epochs=50))
+        model = train(LabeledSet(x=x, y=y), SvmParams(epochs=50))
         assert np.array_equal(predict(model, x), y)
 
     def test_wide_blobs_reach_high_accuracy_with_either_kind(self):
         rng = np.random.default_rng(3)
         data = blobs(rng, 100, 5, 10.0)
-        for kind in ("knn", "svm"):
-            model = train(data, kind)
+        for params in PARAMS.values():
+            model = train(data, params)
             acc = np.mean(predict(model, data.x) == data.y)
             assert acc >= 0.99
 
     def test_same_seed_same_model(self):
         rng = np.random.default_rng(4)
         data = blobs(rng, 25, 3, 2.0)
-        m1 = train(data, "svm", SvmParams(seed=7))
-        m2 = train(data, "svm", SvmParams(seed=7))
+        m1 = train(data, SvmParams(seed=7))
+        m2 = train(data, SvmParams(seed=7))
         assert np.array_equal(m1.weights, m2.weights)
         assert np.array_equal(m1.biases, m2.biases)
 
@@ -264,32 +284,38 @@ class TestLinearSvm:
     def test_single_class_rejected(self):
         data = LabeledSet(x=np.eye(3), y=np.array([0, 0, 0]))
         with pytest.raises(InsufficientData):
-            train(data, "svm")
+            train(data, SvmParams())
         with pytest.raises(InsufficientData):
-            train(data, "knn")
+            train(data, KnnParams())
 
     def test_only_the_documented_kinds_are_accepted(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError, match="unknown classifier kind"):
-            train(blobs(rng, 10, 2, 4.0), "linear_svm")
+        # the type of the params object names the classifier; a name is not a params object
+        data = blobs(np.random.default_rng(7), 10, 2, 4.0)
+        for bad in ("linear_svm", "knn", None):
+            with pytest.raises(TypeError, match="unknown classifier params type"):
+                train(data, bad)
 
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_fewer_than_one_epoch_rejected(self, epochs):
         # zero passes would leave every weight at zero and predict class 0 everywhere
-        rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="epochs must be >= 1"):
-            train(blobs(rng, 10, 2, 4.0), "svm", SvmParams(epochs=epochs))
+            SvmParams(epochs=epochs)
+
+    @pytest.mark.parametrize("regularization", [0.0, -1e-4])
+    def test_non_positive_regularization_rejected(self, regularization):
+        with pytest.raises(ValueError, match="regularization must be positive"):
+            SvmParams(regularization=regularization)
 
     def test_class_with_one_row_rejected_for_svm(self):
         x = np.vstack([np.eye(3), [[5.0, 5.0, 5.0]]])
         y = np.array([0, 0, 0, 1])
         with pytest.raises(InsufficientData):
-            train(LabeledSet(x=x, y=y), "svm")
+            train(LabeledSet(x=x, y=y), SvmParams())
 
     def test_three_class_one_vs_rest(self):
         rng = np.random.default_rng(6)
         centers = np.array([[6.0, 0.0], [-6.0, 0.0], [0.0, 6.0]])
         x = np.vstack([c + 0.4 * rng.standard_normal((40, 2)) for c in centers])
         y = np.repeat([0, 1, 2], 40)
-        model = train(LabeledSet(x=x, y=y), "svm")
+        model = train(LabeledSet(x=x, y=y), SvmParams())
         assert np.mean(predict(model, x) == y) >= 0.99

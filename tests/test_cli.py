@@ -81,6 +81,28 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_csv_that_is_a_directory_returns_two(self, tmp_path, capsys):
+        code = run_cli("run", "--csv", str(tmp_path), "--variant", "pca", "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    def test_non_utf8_csv_returns_two(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"1.0,2.0,0\n\xff1.5,2.5,1\n")
+        code = run_cli("run", "--csv", str(data), "--variant", "pca", "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent", "empty"])
+    def test_unwritable_out_is_a_usage_error_before_the_stream_is_read(self, tmp_path, capsys, where):
+        # the CSV does not exist either: a usage error means it was never opened
+        out = {"directory": str(tmp_path), "missing_parent": str(tmp_path / "absent" / "x.json"), "empty": ""}[where]
+        code = run_cli("run", "--csv", str(tmp_path / "absent.csv"), "--variant", "pca", "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --out:")
+        assert not (tmp_path / "absent").exists()
+
     def test_unparseable_csv_returns_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0,0\n1.5,oops,1\n3.0,4.0,0\n5.0,6.0,1\n" * 5)
@@ -125,6 +147,14 @@ class TestExitCodes:
         code = run_cli(*rotating_args(out, "--variant", "gfk", "--classifier", "svm", "--svm-epochs", "0"))
         assert code == 3
         assert "epochs must be >= 1" in capsys.readouterr().err
+
+    def test_only_the_named_classifier_params_are_checked(self, tmp_path, capsys):
+        # --svm-epochs 0 is ignored by a kNN run, as --knn-neighbors 0 is by an SVM run
+        assert run_cli(*rotating_args(tmp_path / "k.json", "--svm-epochs", "0")) == 0
+        assert run_cli(*rotating_args(tmp_path / "x.json", "--knn-neighbors", "0")) == 3
+        assert "n_neighbors must be >= 1" in capsys.readouterr().err
+        svm_args = ("--classifier", "svm", "--svm-epochs", "2", "--knn-neighbors", "0")
+        assert run_cli(*rotating_args(tmp_path / "s.json", *svm_args)) == 0
 
     def test_bad_rotation_returns_three(self, tmp_path):
         code = run_cli(*rotating_args(tmp_path / "x.json", "--rotation", "3.0"))

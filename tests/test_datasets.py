@@ -8,7 +8,11 @@ import pytest
 from driftalign import (
     ConfigError,
     CsvSchema,
+    DatasetBundle,
+    DimensionMismatch,
     InsufficientData,
+    LabeledSet,
+    MiniBatch,
     ParseError,
     SchemaMismatch,
     StreamSpec,
@@ -104,11 +108,38 @@ class TestLoadCsv:
         with pytest.raises(InsufficientData):
             load_csv(f, CsvSchema(source_fraction=0.5, batch_size=50))
 
+    def test_schema_fields(self):
+        # the column count comes from the first data row; there is no field to preset it
+        assert list(CsvSchema.__dataclass_fields__) == ["source_fraction", "batch_size", "has_header"]
+
     def test_schema_validation(self):
         with pytest.raises(ConfigError):
             CsvSchema(source_fraction=0.0, batch_size=10)
         with pytest.raises(ConfigError):
             CsvSchema(source_fraction=0.5, batch_size=1)
+
+
+class TestDatasetBundle:
+    SOURCE = LabeledSet(x=np.random.default_rng(5).standard_normal((8, 4)), y=np.arange(8) % 2)
+
+    def batch(self, rows, d=4):
+        return MiniBatch(x=np.random.default_rng(rows + d).standard_normal((rows, d)))
+
+    def test_consistent_bundle_accepted(self):
+        bundle = DatasetBundle(source=self.SOURCE, stream=(self.batch(5), self.batch(5)))
+        assert len(bundle.stream) == 2
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(InsufficientData, match="at least one batch"):
+            DatasetBundle(source=self.SOURCE, stream=())
+
+    def test_feature_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch, match="batch has 5 features, source has 4"):
+            DatasetBundle(source=self.SOURCE, stream=(self.batch(5), self.batch(5, d=5)))
+
+    def test_unequal_batch_sizes_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"share one size, got \[5, 6\]"):
+            DatasetBundle(source=self.SOURCE, stream=(self.batch(5), self.batch(6)))
 
 
 class TestStreamSpec:

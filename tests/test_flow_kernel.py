@@ -28,6 +28,7 @@ from driftalign.verify import flip_cross_sign, geodesic_suite, kernel_suite, mea
 
 # The package re-exports the function flow_kernel under the module's name.
 flow_kernel_module = importlib.import_module("driftalign.flow_kernel")
+verify_module = importlib.import_module("driftalign.verify")
 
 
 def kernel_pair(d, k, seed):
@@ -123,6 +124,17 @@ class TestOracleAgreement:
         source, target = kernel_pair(8, 2, 17)
         with pytest.raises(ValueError, match=message):
             quadrature_kernel(source, target, nodes=100)
+
+    @pytest.mark.parametrize("eps, passed", [(1e-9, True), (5e-8, False)], ids=["2e-9", "1e-7"])
+    def test_geodesic_suite_measures_orthonormality_at_its_own_tolerance(self, monkeypatch, eps, passed):
+        # a Subspace rejects a Gram deviation of 2e-9, so the suite must measure bases it never validates
+        original = verify_module._flow_bases
+        monkeypatch.setattr(verify_module, "_flow_bases", lambda *a: original(*a) * (1.0 + eps))
+        check = geodesic_suite(seed=0, instances=9)[0]
+        assert check.name == "geodesic_orthonormal_along_flow"
+        assert check.passed is passed
+        worst = float(check.detail.split()[1])
+        assert 1.5 * eps < worst < 2.5 * eps
 
     def test_injected_cross_sign_fault_is_caught_by_the_suite(self):
         checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}

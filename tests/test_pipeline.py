@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from driftalign import (
     ConfigError,
+    KnnParams,
     LabeledSet,
     MiniBatch,
     PipelineConfig,
     PipelineState,
     NonFiniteData,
+    SchemaMismatch,
     StreamSpec,
+    SvmParams,
     VARIANT_ALIASES,
     VARIANT_FLAGS,
     apply_transform,
@@ -61,9 +64,24 @@ class TestConfig:
         assert PipelineConfig(sub_dim=3).variant == "pca"
 
     def test_config_fields_are_the_variant_and_its_parameters(self):
-        assert set(PipelineConfig.__dataclass_fields__) == {
-            "sub_dim", "variant", "classifier", "knn_params", "svm_params",
-        }
+        assert list(PipelineConfig.__dataclass_fields__) == ["sub_dim", "variant", "classifier"]
+        assert PipelineConfig(sub_dim=3).classifier == KnnParams()
+        assert PipelineConfig(sub_dim=3, classifier=SvmParams(epochs=5)).classifier == SvmParams(epochs=5)
+
+    def test_variant_config_names_the_default_params(self):
+        assert variant_config("gfk", sub_dim=10).classifier == KnnParams()
+        assert variant_config("gfk", sub_dim=10, classifier="svm").classifier == SvmParams()
+
+    @pytest.mark.parametrize("sub_dim", [3.5, 3.0, "3", True])
+    def test_non_integer_sub_dim_rejected(self, sub_dim):
+        with pytest.raises(ConfigError, match="sub_dim must be an integer"):
+            PipelineConfig(sub_dim=sub_dim)
+
+    def test_sub_dim_is_stored_as_int(self):
+        config = PipelineConfig(sub_dim=np.int64(3))
+        assert type(config.sub_dim) is int and config.sub_dim == 3
+        with pytest.raises(ConfigError, match="sub_dim must be >= 1"):
+            PipelineConfig(sub_dim=0)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -72,8 +90,21 @@ class TestConfig:
             PipelineConfig(sub_dim=3, variant="pca_gfk")
 
     def test_unknown_classifier_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig(sub_dim=3, classifier="tree")
+        # a config takes a params object; the string names belong to variant_config
+        for bad in ("tree", "knn", None):
+            with pytest.raises(ConfigError, match="classifier must be KnnParams or SvmParams"):
+                PipelineConfig(sub_dim=3, classifier=bad)
+        with pytest.raises(ConfigError, match="classifier must be 'knn' or 'svm', got 'tree'"):
+            variant_config("gfk", sub_dim=3, classifier="tree")
+
+    @pytest.mark.parametrize("labels, match", [
+        ([0.5, 1.7, -0.2, 1.0], "must be integers"),
+        ([0, 1, -1, 1], "must be >= 0"),
+    ], ids=["fractional", "negative"])
+    def test_minibatch_rejects_labels_it_would_change(self, labels, match):
+        # astype(int64) used to store [0.5, 1.7, -0.2, 1.0] as [0, 1, 0, 1]
+        with pytest.raises(SchemaMismatch, match=match):
+            MiniBatch(x=np.eye(4, 5), true_labels=labels)
 
     def test_minibatch_needs_two_finite_rows(self):
         from driftalign import DimensionMismatch
@@ -116,7 +147,7 @@ class TestVariantCoherence:
         bundle = small_bundle()
         cfg = variant_config("pca", sub_dim=3)
         state = init_pipeline(bundle.source, cfg)
-        model = train(bundle.source, "knn")
+        model = train(bundle.source, KnnParams())
         for batch in bundle.stream:
             preds, state, _ = process_batch(state, batch)
             assert np.array_equal(preds, predict(model, batch.x))
@@ -245,16 +276,16 @@ class TestStateShape:
         fields = set(PipelineState.__dataclass_fields__)
         assert fields == {
             "config", "source_subspace", "model",
-            "mean_state", "last_kernel", "batch_count",
+            "mean_state", "last_kernel",
         }
         # the persistent matrices depend only on d and k, never on batch count
         assert state.last_kernel.frame.shape == (10, 6)
         assert state.last_kernel.weights.shape == (6, 6)
         assert state.mean_state.mean.basis.shape == (10, 3)
-        assert state.batch_count == len(bundle.stream)
+        assert state.mean_state.count == len(bundle.stream)
 
     def test_step_timings_cover_the_four_steps(self):
         bundle = small_bundle(batch_count=3)
         trace = run_stream(bundle.source, bundle.stream, variant_config("gfk_gmean_fb", sub_dim=3))
         assert set(trace.step_seconds) == {"pca", "mean", "gfk", "predict"}
-        assert len(trace.seconds_per_batch) == 3
+        assert len(trace.per_batch) == 3

@@ -12,6 +12,7 @@ from driftalign import (
     DimensionViolation,
     DomainError,
     GeodesicFlow,
+    NonFiniteData,
     PrincipalSystem,
     RankDeficient,
     SharedFactorFailure,
@@ -90,6 +91,13 @@ class TestOrthonormalize:
         rng = np.random.default_rng(2)
         with pytest.raises(DimensionViolation, match="k < d/2"):
             orthonormalize(rng.standard_normal((10, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        m = np.random.default_rng(3).standard_normal((8, 3))
+        m[2, 1] = bad
+        with pytest.raises(NonFiniteData, match="matrix has non-finite entries"):
+            orthonormalize(m)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), d=st.sampled_from([7, 11, 16]), k=st.sampled_from([1, 2, 3]))
@@ -485,6 +493,13 @@ class TestPcaSubspace:
     def test_single_row_rejected(self):
         with pytest.raises(RankDeficient):
             pca_subspace(np.ones((1, 6)), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_data_rejected(self, bad):
+        x = np.random.default_rng(4).standard_normal((20, 6))
+        x[7, 3] = bad
+        with pytest.raises(NonFiniteData, match="data matrix has non-finite entries"):
+            pca_subspace(x, 2)
 
     def test_rank_below_k_rejected(self):
         x = np.outer(np.arange(10.0), np.ones(8))  # rank one after centering
