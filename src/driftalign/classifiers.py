@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InsufficientData, NonFiniteData, SchemaMismatch
+from .subspaces import _read_only
 
 Array = np.ndarray
 
@@ -70,15 +71,19 @@ def _class_labels(y: Array) -> Array:
     return y
 
 
+def _class_count(y: Array) -> int:
+    """Number of classes in labels y from _class_labels; SchemaMismatch unless all of 0..max(y) occur."""
+    present = np.unique(y)
+    n_classes = int(present[-1]) + 1
+    if present.shape[0] != n_classes:
+        missing = sorted(set(range(n_classes)) - set(present.tolist()))
+        raise SchemaMismatch(f"labels must be contiguous from 0; missing {missing}")
+    return n_classes
+
+
 def _is_integer(value: object) -> bool:
     """True for a Python or numpy integer; bools are not counted as integers."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _read_only(a: Array, dtype) -> Array:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +105,8 @@ class LabeledSet:
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise DimensionMismatch(f"y must have one label per row, got {y.shape} for {x.shape[0]} rows")
         y = _class_labels(y)
-        present = np.unique(y)
-        if present.shape[0] != int(y.max()) + 1:
-            missing = sorted(set(range(int(y.max()) + 1)) - set(present.tolist()))
-            raise SchemaMismatch(f"labels must be contiguous from 0; missing {missing}")
-        object.__setattr__(self, "x", _read_only(x, np.float64))
+        _class_count(y)
+        object.__setattr__(self, "x", _read_only(x))
         object.__setattr__(self, "y", y)
 
     @property
@@ -204,7 +206,7 @@ def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
                     w += (eta * signs[i]) * aug[i]
         weights[cls] = w[:d]
         biases[cls] = w[d]
-    return LinearSvmModel(weights=_read_only(weights, np.float64), biases=_read_only(biases, np.float64))
+    return LinearSvmModel(weights=_read_only(weights), biases=_read_only(biases))
 
 
 def predict(model, x: object) -> Array:

@@ -1,8 +1,10 @@
 """Command line interface: run one variant, run the ablation ladder, verify.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 config error,
-4 verification failure. Reports are JSON; passing --zero-timings writes all
-timing fields as zero so identical runs produce byte-identical files.
+Exit codes: 0 success, 1 usage error, 2 data error (a DataError, a
+NumericalError or an unreadable file), 3 config error (a ConfigError or a
+bad argument value), 4 verification failure. Reports are JSON; passing
+--zero-timings writes all timing fields as zero so identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,16 +18,7 @@ import time
 from typing import Sequence
 
 from .classifiers import KnnParams, SvmParams
-from .errors import (
-    ConfigError,
-    DimensionViolation,
-    DomainError,
-    InsufficientData,
-    NonFiniteData,
-    ParseError,
-    RankDeficient,
-    SchemaMismatch,
-)
+from .errors import ConfigError, DataError, NumericalError
 from .pipeline import VARIANT_ALIASES, VARIANT_FLAGS, AccuracyTrace, PipelineConfig, run_stream
 from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
 from .verify import run_all
@@ -245,18 +238,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (
-        ParseError,
-        SchemaMismatch,
-        InsufficientData,
-        RankDeficient,
-        NonFiniteData,
-        OSError,
-        UnicodeDecodeError,
-    ) as exc:
+    # The bases carry the policy (see errors). Order matters: NonFiniteData,
+    # NumericalHealthError and UnicodeDecodeError are ValueErrors too.
+    except (DataError, NumericalError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, DimensionViolation, DomainError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,8 +1,11 @@
 """Exception taxonomy shared by every driftalign module.
 
-Each class marks one failure mode with a distinct recovery story, so callers
-can catch exactly what they can handle (the online pipeline, for instance,
-skips rank-deficient batches but lets everything else propagate).
+Every error descends from exactly one of three bases, and the base is its
+recovery story. A ConfigError (a bad setting) and a DataError (unusable input
+rows or file) abort the run, and the CLI exits 3 and 2. A NumericalError (one
+computation on valid input failed) makes the online pipeline skip the batch it
+happened in, with the state unchanged; anywhere else it aborts the run, and
+the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -12,58 +15,67 @@ class DriftAlignError(Exception):
     """Base class for all driftalign errors."""
 
 
-class RankDeficient(DriftAlignError):
-    """Input matrix has lower numerical rank than the requested subspace."""
+class ConfigError(DriftAlignError):
+    """Invalid or inconsistent configuration value."""
 
 
-class DimensionViolation(DriftAlignError):
+class DataError(DriftAlignError):
+    """Input data that no setting can make usable."""
+
+
+class NumericalError(DriftAlignError):
+    """A computation on one input failed; the next input may succeed."""
+
+
+class DimensionViolation(ConfigError):
     """Requested subspace dimension is incompatible with the ambient space."""
 
 
-class DimensionMismatch(DriftAlignError):
-    """Operands live in different spaces (ambient or subspace dims differ)."""
-
-
-class DomainError(DriftAlignError):
+class DomainError(ConfigError):
     """Scalar argument outside its valid interval."""
 
 
-class NumericalHealthError(DriftAlignError):
-    """A quantity left its mathematically guaranteed range by more than noise."""
-
-
-class SharedFactorFailure(DriftAlignError):
-    """Paired decomposition could not reproduce its inputs within tolerance."""
-
-
-class NoConvergence(DriftAlignError):
-    """Iterative solver hit its iteration cap before meeting tolerance."""
-
-
-class InsufficientData(DriftAlignError):
-    """Too few rows (overall or per class) for the requested operation."""
-
-
-class ParseError(DriftAlignError):
+class ParseError(DataError):
     """A CSV cell could not be read as a number."""
 
 
-class SchemaMismatch(DriftAlignError):
+class SchemaMismatch(DataError):
     """CSV structure contradicts the declared schema or label contract."""
 
 
-class NonFiniteData(DriftAlignError, ValueError):
+class InsufficientData(DataError):
+    """Too few rows (overall or per class) for the requested operation."""
+
+
+class DimensionMismatch(DataError):
+    """Operands live in different spaces (ambient or subspace dims differ)."""
+
+
+class NonFiniteData(DataError, ValueError):
     """Input rows contain NaN, infinity, or values too large to compute with.
 
     "Too large" means an entry beyond classifiers.MAX_ABS_ENTRY (1e150) in
     magnitude, or a query row longer than sqrt(d) times it, where squared
-    distances could overflow; the CLI reports all of these as a data error
-    with exit code 2.
-
-    Also a ValueError, so callers that caught the bare ValueError it replaced
-    keep working.
+    distances could overflow. Also a ValueError, which these checks raised
+    before.
     """
 
 
-class ConfigError(DriftAlignError):
-    """Invalid or inconsistent configuration value."""
+class RankDeficient(NumericalError):
+    """Input matrix has lower numerical rank than the requested subspace."""
+
+
+class SharedFactorFailure(NumericalError):
+    """Paired decomposition could not reproduce its inputs within tolerance."""
+
+
+class NoConvergence(NumericalError):
+    """Iterative solver hit its iteration cap before meeting tolerance."""
+
+
+class NumericalHealthError(NumericalError, ValueError):
+    """A quantity left its mathematically guaranteed range by more than noise.
+
+    Such as a basis that is not finite and orthonormal, or a kernel spectrum
+    outside [0, 1]. Also a ValueError, which those checks raised before.
+    """

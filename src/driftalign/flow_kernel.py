@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionViolation
+from .errors import DimensionMismatch, DimensionViolation, NumericalHealthError
 from .subspaces import (
     ORTHONORMALITY_TOL,
     Array,
@@ -63,7 +63,7 @@ class TransformKernel:
             raise DimensionViolation(f"need a d x m frame and m x m weights, got {s.shape} and {w.shape}")
         dev = _gram_deviation(s)
         if not dev < ORTHONORMALITY_TOL:
-            raise ValueError(f"kernel frame is not orthonormal (max Gram deviation {dev:.3e})")
+            raise NumericalHealthError(f"kernel frame is not orthonormal (max Gram deviation {dev:.3e})")
         _check_unit_spectrum(w, "kernel weights")
         object.__setattr__(self, "frame", s)
         object.__setattr__(self, "weights", w)
@@ -81,10 +81,10 @@ class TransformKernel:
 def _check_unit_spectrum(m: Array, what: str) -> None:
     asym = float(abs(m - m.T).max())
     if not asym <= SYMMETRY_TOL:
-        raise ValueError(f"{what} asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
+        raise NumericalHealthError(f"{what} asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
     eigs = np.linalg.eigvalsh(m)
     if eigs[0] < -SPECTRUM_TOL or eigs[-1] > 1.0 + SPECTRUM_TOL:
-        raise ValueError(f"{what} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0, 1]")
+        raise NumericalHealthError(f"{what} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0, 1]")
 
 
 def _integral_weights(angles: Array) -> tuple[Array, Array]:
@@ -170,9 +170,9 @@ def _check_bases(bases: Array) -> None:
     grams = np.matmul(bases.transpose(1, 2, 0), bases.transpose(1, 0, 2))
     dev = float(np.abs(grams - np.eye(k)).max())
     if not math.isfinite(dev):
-        raise ValueError("basis has non-finite entries")
+        raise NumericalHealthError("basis has non-finite entries")
     if dev >= ORTHONORMALITY_TOL:
-        raise ValueError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
+        raise NumericalHealthError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
 
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:

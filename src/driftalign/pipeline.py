@@ -28,14 +28,13 @@ from .classifiers import (
     _check_entries,
     _class_labels,
     _is_integer,
-    _read_only,
     predict,
     train,
 )
-from .errors import ConfigError, DimensionMismatch, RankDeficient
+from .errors import ConfigError, DimensionMismatch, NumericalError
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
-from .subspaces import Array, Subspace, pca_subspace
+from .subspaces import Array, Subspace, _read_only, pca_subspace
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -109,7 +108,7 @@ class MiniBatch:
         if x.ndim != 2 or x.shape[0] < 2:
             raise DimensionMismatch(f"batch needs at least 2 rows, got shape {x.shape}")
         _check_entries(x, "batch has")
-        object.__setattr__(self, "x", _read_only(x, np.float64))
+        object.__setattr__(self, "x", _read_only(x))
         if self.true_labels is not None:
             y = np.asarray(self.true_labels)
             if y.shape != (x.shape[0],):
@@ -159,49 +158,50 @@ def process_batch(
 ) -> tuple[Array | None, PipelineState, BatchDiagnostics]:
     """Run one batch through the configured steps.
 
-    Returns (predictions, new_state, diagnostics). A rank-deficient batch
-    yields (None, unchanged state, diagnostics with the error recorded); any
-    other failure propagates.
+    Returns (predictions, new_state, diagnostics). A NumericalError in any
+    step skips the batch: the result is (None, state, diagnostics), with the
+    same state object and "<ClassName>: <message>" as diagnostics.error, so
+    the stream goes on as if the batch had been left out. Any other error
+    propagates.
     """
     cfg = state.config
     gfk, gmean, feedback = VARIANT_FLAGS[cfg.variant]
     timings = dict.fromkeys(STEP_NAMES, 0.0)
-
-    t0 = time.perf_counter()
-    if feedback and state.last_kernel is not None:
-        x_pre = apply_transform(batch.x, state.last_kernel)
-    else:
-        x_pre = batch.x
     try:
-        batch_subspace = pca_subspace(x_pre, cfg.sub_dim)
-    except RankDeficient as exc:
-        timings["pca"] = time.perf_counter() - t0
-        return None, state, BatchDiagnostics(step_seconds=timings, error=str(exc))
-    timings["pca"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    mean_state = state.mean_state
-    if gmean:
-        if mean_state is None:
-            mean_state = init_mean(batch_subspace)
+        step, t0 = "pca", time.perf_counter()
+        if feedback and state.last_kernel is not None:
+            x_pre = apply_transform(batch.x, state.last_kernel)
         else:
-            mean_state = update_mean(mean_state, batch_subspace)
-        target = mean_state.mean
-    else:
-        target = batch_subspace
-    timings["mean"] = time.perf_counter() - t0
+            x_pre = batch.x
+        batch_subspace = pca_subspace(x_pre, cfg.sub_dim)
+        timings[step] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    kernel = state.last_kernel
-    x_adapted = x_pre
-    if gfk:
-        kernel = flow_kernel(state.source_subspace, target)
-        x_adapted = apply_transform(x_pre, kernel)
-    timings["gfk"] = time.perf_counter() - t0
+        step, t0 = "mean", time.perf_counter()
+        mean_state = state.mean_state
+        if gmean:
+            if mean_state is None:
+                mean_state = init_mean(batch_subspace)
+            else:
+                mean_state = update_mean(mean_state, batch_subspace)
+            target = mean_state.mean
+        else:
+            target = batch_subspace
+        timings[step] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    predictions = predict(state.model, x_adapted)
-    timings["predict"] = time.perf_counter() - t0
+        step, t0 = "gfk", time.perf_counter()
+        kernel = state.last_kernel
+        x_adapted = x_pre
+        if gfk:
+            kernel = flow_kernel(state.source_subspace, target)
+            x_adapted = apply_transform(x_pre, kernel)
+        timings[step] = time.perf_counter() - t0
+
+        step, t0 = "predict", time.perf_counter()
+        predictions = predict(state.model, x_adapted)
+        timings[step] = time.perf_counter() - t0
+    except NumericalError as exc:
+        timings[step] = time.perf_counter() - t0
+        return None, state, BatchDiagnostics(step_seconds=timings, error=f"{type(exc).__name__}: {exc}")
 
     new_state = replace(state, mean_state=mean_state, last_kernel=kernel)
     return predictions, new_state, BatchDiagnostics(step_seconds=timings)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import LabeledSet, _class_labels
+from .classifiers import LabeledSet, _class_count, _class_labels
 from .errors import ConfigError, DimensionMismatch, InsufficientData, ParseError, SchemaMismatch
 from .pipeline import MiniBatch
 
@@ -126,10 +126,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
         raise InsufficientData(f"no data rows in {path}")
     x = np.asarray(rows, dtype=np.float64)
     y = _class_labels(np.asarray(labels, dtype=np.int64))
-    n_classes = int(y.max()) + 1
-    present = set(np.unique(y).tolist())
-    if present != set(range(n_classes)):
-        raise SchemaMismatch(f"labels must be contiguous from 0; missing {sorted(set(range(n_classes)) - present)}")
+    n_classes = _class_count(y)
 
     n_source = math.ceil(schema.source_fraction * x.shape[0])
     source_y = y[:n_source]

@@ -90,10 +90,10 @@ class Subspace:
         if k < 1 or k >= d:
             raise DimensionViolation(f"need 1 <= k < d, got d={d}, k={k}")
         if not np.isfinite(b).all():
-            raise ValueError("basis has non-finite entries")
+            raise NumericalHealthError("basis has non-finite entries")
         dev = _gram_deviation(b)
         if not dev < ORTHONORMALITY_TOL:
-            raise ValueError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
+            raise NumericalHealthError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
         object.__setattr__(self, "basis", _read_only(b))
 
     @property
@@ -143,7 +143,7 @@ class PrincipalSystem:
                 raise DimensionViolation(f"{name} must be {rows} x {k}, got shape {m.shape}")
             dev = _gram_deviation(m)
             if not dev < ORTHONORMALITY_TOL:
-                raise ValueError(f"{name} is not orthonormal (max Gram deviation {dev:.3e})")
+                raise NumericalHealthError(f"{name} is not orthonormal (max Gram deviation {dev:.3e})")
             object.__setattr__(self, name, m)
 
 
@@ -157,7 +157,7 @@ class GeodesicFlow:
     def __post_init__(self) -> None:
         cross = float(abs(self.system.tail.T @ self.base.basis).max())
         if not cross < ORTHONORMALITY_TOL:
-            raise ValueError(f"tail is not orthogonal to base (max {cross:.3e})")
+            raise NumericalHealthError(f"tail is not orthogonal to base (max {cross:.3e})")
 
 
 def _as_matrix(m: object, what: str) -> Array:

@@ -34,6 +34,8 @@ STEP_SIZE_TOL = 1e-8
 FIXED_POINT_TOL = 1e-8
 TWO_POINT_TOL = 1e-6
 KERNEL_QUADRATURE_TOL = 1e-8
+# Simpson subintervals of the quadrature oracle, whose error falls as nodes^-4.
+KERNEL_QUADRATURE_NODES = 10_000
 ZERO_ANGLE_TOL = 1e-9
 
 
@@ -202,12 +204,7 @@ def flip_cross_sign(kernel: TransformKernel) -> TransformKernel:
     return TransformKernel(frame=kernel.frame, weights=weights)
 
 
-def kernel_suite(
-    seed: int = 0,
-    instances: int = 50,
-    nodes: int = 10_000,
-    flip_cross: bool = False,
-) -> list[PropertyCheck]:
+def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -> list[PropertyCheck]:
     """Closed form vs composite Simpson, symmetry, spectrum, zero-angle case.
 
     ``flip_cross=True`` checks :func:`flip_cross_sign` of every closed-form
@@ -229,7 +226,7 @@ def kernel_suite(
         source = random_subspace(d, k, rng)
         target = random_subspace(d, k, rng)
         closed = closed_form(source, target).g
-        numeric = quadrature_kernel(source, target, nodes=nodes)
+        numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
         worst_quad.track(float(np.max(np.abs(closed - numeric))), idx)
         worst_sym.track(float(np.max(np.abs(closed - closed.T))), idx)
         eigs = np.linalg.eigvalsh(closed)
@@ -260,9 +257,8 @@ def run_all(
     """
     if inject_fault not in (None, "gfk-cross-sign"):
         raise ValueError(f"unknown fault {inject_fault!r}")
-    checks = geodesic_suite(seed, instances if instances is not None else 200)
-    checks += mean_suite(seed, instances if instances is not None else 20)
-    checks += kernel_suite(
-        seed, instances if instances is not None else 50, flip_cross=inject_fault == "gfk-cross-sign"
-    )
+    count = {} if instances is None else {"instances": instances}
+    checks = geodesic_suite(seed, **count)
+    checks += mean_suite(seed, **count)
+    checks += kernel_suite(seed, **count, flip_cross=inject_fault == "gfk-cross-sign")
     return checks

@@ -79,7 +79,7 @@ def test_criterion_1_geodesic_suite():
 
 def test_criterion_2_kernel_oracle_equivalence():
     t0 = time.perf_counter()
-    checks = kernel_suite(seed=0, instances=50, nodes=10_000)
+    checks = kernel_suite(seed=0, instances=50)
     elapsed = time.perf_counter() - t0
     failed = [c.name for c in checks if not c.passed]
     report(

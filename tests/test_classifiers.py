@@ -73,6 +73,17 @@ class TestLabeledSet:
         with pytest.raises(SchemaMismatch, match=match):
             LabeledSet(x=np.eye(4), y=np.array(y))
 
+    @pytest.mark.parametrize("x", [np.ones(4), np.ones((4, 2, 1)), np.ones((0, 2)), np.ones((4, 0))],
+                             ids=["1-d", "3-d", "no_rows", "no_columns"])
+    def test_x_must_be_a_nonempty_matrix(self, x):
+        with pytest.raises(DimensionMismatch, match="x must be a nonempty 2-d array"):
+            LabeledSet(x=x, y=np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("y", [[0, 1, 0], [[0, 1, 0, 1]]], ids=["too_few", "2-d"])
+    def test_one_label_per_row(self, y):
+        with pytest.raises(DimensionMismatch, match="y must have one label per row"):
+            LabeledSet(x=np.eye(4), y=np.array(y))
+
     def test_integral_float_labels_accepted(self):
         data = LabeledSet(x=np.eye(3), y=np.array([0.0, 1.0, 0.0]))
         assert data.y.dtype == np.int64 and data.y.tolist() == [0, 1, 0]
@@ -136,6 +147,18 @@ class TestKnn:
         model = train(data, KnnParams())
         with pytest.raises(DimensionMismatch):
             predict(model, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    @pytest.mark.parametrize("queries", [np.ones(4), np.ones((2, 4, 1))], ids=["1-d", "3-d"])
+    def test_queries_must_be_a_matrix(self, kind, queries):
+        model = train(LabeledSet(x=np.eye(4), y=np.array([0, 0, 1, 1])), PARAMS[kind])
+        with pytest.raises(DimensionMismatch, match="queries must be a 2-d array"):
+            predict(model, queries)
+
+    def test_unknown_model_type_rejected(self):
+        data = LabeledSet(x=np.eye(4), y=np.array([0, 1, 0, 1]))
+        with pytest.raises(TypeError, match="unknown model type KnnParams"):
+            predict(KnnParams(), data.x)
 
     @pytest.mark.parametrize("n_neighbors", [2.5, True, "3"])
     def test_non_integer_neighbour_count_rejected(self, n_neighbors):
@@ -280,6 +303,11 @@ class TestLinearSvm:
         x = rng.standard_normal((10, 2))
         # scaling inputs cannot change an argmax of linear zero-bias scores
         assert np.array_equal(predict(model, x), predict(model, 2.5 * x))
+
+    def test_query_width_must_match(self):
+        model = train(LabeledSet(x=np.eye(4), y=np.array([0, 0, 1, 1])), SvmParams())
+        with pytest.raises(DimensionMismatch, match="queries have 3 features, model expects 4"):
+            predict(model, np.ones((2, 3)))
 
     def test_single_class_rejected(self):
         data = LabeledSet(x=np.eye(3), y=np.array([0, 0, 0]))

@@ -102,6 +102,27 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatch, match="contiguous"):
             load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
 
+    def test_label_column_alone_rejected(self, tmp_path):
+        f = tmp_path / "data.csv"
+        write_csv(f, [[i % 2] for i in range(10)])
+        with pytest.raises(SchemaMismatch, match="row 1: need at least one feature column plus a label"):
+            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
+
+    @pytest.mark.parametrize("text, has_header", [("", False), ("\n\n", False), ("x1,x2,label\n", True)],
+                             ids=["empty", "blank_lines", "header_only"])
+    def test_file_without_data_rows_rejected(self, tmp_path, text, has_header):
+        f = tmp_path / "data.csv"
+        f.write_text(text)
+        with pytest.raises(InsufficientData, match="no data rows"):
+            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2, has_header=has_header))
+
+    def test_source_split_needs_two_rows_of_every_class(self, tmp_path):
+        # 10% of 20 alternating rows is one row of each class
+        f = tmp_path / "data.csv"
+        write_csv(f, grid_rows(20))
+        with pytest.raises(InsufficientData, match=r"2 rows of every class, got counts \[1, 1\]"):
+            load_csv(f, CsvSchema(source_fraction=0.1, batch_size=2))
+
     def test_too_small_stream_rejected(self, tmp_path):
         f = tmp_path / "data.csv"
         write_csv(f, grid_rows(12))
@@ -174,6 +195,12 @@ class TestWaveformGenerator:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             gen_waveform(StreamSpec(batch_size=20, batch_count=2, seed=0), "w13")
+
+    @pytest.mark.parametrize("source_size", [4, 5])
+    def test_source_smaller_than_two_rows_per_class_rejected(self, source_size):
+        spec = StreamSpec(batch_size=20, batch_count=2, seed=0, source_size=source_size)
+        with pytest.raises(ConfigError, match="source_size must be >= 6 for three classes"):
+            gen_waveform(spec, "w21")
 
     def test_classes_are_balanced(self):
         spec = StreamSpec(batch_size=30, batch_count=2, seed=3, source_size=90)

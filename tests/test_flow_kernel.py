@@ -140,6 +140,30 @@ class TestOracleAgreement:
         checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}
         assert not checks["kernel_matches_quadrature"].passed
 
+    def test_unknown_fault_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault 'gfk-sign'"):
+            run_all(0, 1, inject_fault="gfk-sign")
+
+    @pytest.mark.parametrize("instances, passed_on", [(None, {}), (3, {"instances": 3})])
+    def test_run_all_passes_an_instance_count_only_when_given(self, monkeypatch, instances, passed_on):
+        # each suite's own default is the one run_all uses
+        seen = {}
+
+        def recorder(name):
+            def suite(seed, **kwargs):
+                seen[name] = kwargs
+                return []
+            return suite
+
+        for name in ("geodesic_suite", "mean_suite", "kernel_suite"):
+            monkeypatch.setattr(verify_module, name, recorder(name))
+        run_all(0, instances)
+        assert seen == {
+            "geodesic_suite": passed_on,
+            "mean_suite": passed_on,
+            "kernel_suite": {**passed_on, "flip_cross": False},
+        }
+
     @pytest.mark.parametrize("instances", [0, -3])
     @pytest.mark.parametrize(
         "suite",

@@ -1,6 +1,8 @@
 """Online loop: variants, causality, the running metric, and failure handling."""
 
+import importlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,13 +11,16 @@ from hypothesis import strategies as st
 
 from driftalign import (
     ConfigError,
+    DimensionMismatch,
     KnnParams,
     LabeledSet,
     MiniBatch,
     PipelineConfig,
     PipelineState,
     NonFiniteData,
+    NumericalHealthError,
     SchemaMismatch,
+    SharedFactorFailure,
     StreamSpec,
     SvmParams,
     VARIANT_ALIASES,
@@ -32,6 +37,8 @@ from driftalign import (
 from driftalign.classifiers import MAX_ABS_ENTRY
 from driftalign.subspaces import pca_subspace
 
+pipeline_module = importlib.import_module("driftalign.pipeline")
+
 
 def small_bundle(seed=0, batch_count=10, rotation=math.pi / 3):
     spec = StreamSpec(batch_size=40, batch_count=batch_count, seed=seed, source_size=200)
@@ -45,6 +52,16 @@ def tiny_bundle(seed):
 
 # Every name a config accepts: the ladder and its aliases.
 ALL_VARIANT_NAMES = st.sampled_from(sorted(VARIANT_FLAGS) + sorted(VARIANT_ALIASES))
+
+# (variant name, step it calls): update_mean for the gmean variants, flow_kernel
+# for the gfk ones. The pca variant calls neither; its one numerical failure, a
+# rank-deficient batch, is covered by the flat-batch property.
+INJECTION_SITES = st.sampled_from([
+    (name, site)
+    for name in sorted(VARIANT_FLAGS) + sorted(VARIANT_ALIASES)
+    for site, flag in (("flow_kernel", 0), ("update_mean", 1))
+    if VARIANT_FLAGS[VARIANT_ALIASES.get(name, name)][flag]
+])
 
 
 class TestConfig:
@@ -106,9 +123,12 @@ class TestConfig:
         with pytest.raises(SchemaMismatch, match=match):
             MiniBatch(x=np.eye(4, 5), true_labels=labels)
 
-    def test_minibatch_needs_two_finite_rows(self):
-        from driftalign import DimensionMismatch
+    @pytest.mark.parametrize("labels", [[0, 1, 0], [[0, 1, 0, 1]]], ids=["too_few", "2-d"])
+    def test_minibatch_needs_one_label_per_row(self, labels):
+        with pytest.raises(DimensionMismatch, match=r"labels must have shape \(4,\)"):
+            MiniBatch(x=np.eye(4, 5), true_labels=labels)
 
+    def test_minibatch_needs_two_finite_rows(self):
         with pytest.raises(DimensionMismatch):
             MiniBatch(x=np.ones((1, 5)))
         bad = np.ones((3, 5))
@@ -253,6 +273,50 @@ class TestFailureHandling:
             else:
                 got.append(preds)
             state = new_state
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=INJECTION_SITES,
+        error=st.sampled_from([NumericalHealthError, SharedFactorFailure]),
+        seed=st.integers(0, 10_000),
+        position=st.integers(0, 6),
+    )
+    def test_skipping_a_numerical_failure_equals_omitting_the_batch(self, case, error, seed, position):
+        name, site = case
+        if site == "update_mean":
+            position = max(position, 1)  # the first batch starts the mean with init_mean
+        bundle = tiny_bundle(seed)
+        # A batch of the same law, failed by the error injected at ``site``.
+        failed = tiny_bundle(seed + 1).stream[0]
+        cfg = variant_config(name, sub_dim=3)
+        state = init_pipeline(bundle.source, cfg)
+        expected = []
+        for batch in bundle.stream:
+            preds, state, _ = process_batch(state, batch)
+            expected.append(preds)
+        original = getattr(pipeline_module, site)
+        hits = []
+
+        def failing(*args):
+            # ``batch`` is the loop variable of the run below
+            hits.append(batch is failed)
+            if batch is failed:
+                raise error("injected")
+            return original(*args)
+
+        state = init_pipeline(bundle.source, cfg)
+        got = []
+        with mock.patch.object(pipeline_module, site, failing):
+            for batch in bundle.stream[:position] + (failed,) + bundle.stream[position:]:
+                preds, new_state, diag = process_batch(state, batch)
+                if batch is failed:
+                    assert preds is None and new_state is state
+                    assert diag.error == f"{error.__name__}: injected"
+                else:
+                    got.append(preds)
+                state = new_state
+        assert hits.count(True) == 1
         assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
 
     def test_skipped_batches_leave_the_denominator(self):
