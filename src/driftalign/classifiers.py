@@ -15,12 +15,13 @@ a stable sort would put first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientData, NonFiniteData, SchemaMismatch
-from .subspaces import _read_only
+from .errors import ConfigError, DimensionMismatch, InsufficientData, NonFiniteData, SchemaMismatch
+from .subspaces import _is_integer, _read_only
 
 Array = np.ndarray
 
@@ -81,11 +82,6 @@ def _class_count(y: Array) -> int:
     return n_classes
 
 
-def _is_integer(value: object) -> bool:
-    """True for a Python or numpy integer; bools are not counted as integers."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class LabeledSet:
     """Rows x (N x d) with integer labels y in {0, ..., c-1}, every class present.
@@ -130,15 +126,15 @@ class KnnParams:
 
     def __post_init__(self) -> None:
         if not _is_integer(self.n_neighbors):
-            raise ValueError(f"n_neighbors must be an integer, got {self.n_neighbors!r}")
+            raise ConfigError(f"n_neighbors must be an integer, got {self.n_neighbors!r}")
         if self.n_neighbors < 1:
-            raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
+            raise ConfigError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
         object.__setattr__(self, "n_neighbors", int(self.n_neighbors))
 
 
 @dataclass(frozen=True)
 class SvmParams:
-    """Hinge-loss SGD settings: regularization strength (> 0), passes (>= 1), and rng seed."""
+    """Hinge-loss SGD settings: regularization strength (finite, > 0), passes (>= 1), and rng seed (>= 0)."""
 
     regularization: float = 1e-4
     epochs: int = 100
@@ -146,10 +142,17 @@ class SvmParams:
 
     def __post_init__(self) -> None:
         lam = float(self.regularization)
+        if not math.isfinite(lam):
+            raise ConfigError(f"regularization must be finite, got {lam}")
         if lam <= 0.0:
-            raise ValueError(f"regularization must be positive, got {lam}")
+            raise ConfigError(f"regularization must be positive, got {lam}")
+        for name in ("epochs", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,10 @@
 """Command line interface: run one variant, run the ablation ladder, verify.
 
 Exit codes: 0 success, 1 usage error, 2 data error (a DataError, a
-NumericalError or an unreadable file), 3 config error (a ConfigError or a
-bad argument value), 4 verification failure. Reports are JSON; passing
---zero-timings writes all timing fields as zero so identical runs produce
-byte-identical files.
+NumericalError or an unreadable file), 3 config error (a ConfigError), 4
+verification failure. Any other exception is a bug and ends with a
+traceback. Reports are JSON; passing --zero-timings writes all timing fields
+as zero so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -238,12 +238,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    # The bases carry the policy (see errors). Order matters: NonFiniteData,
-    # NumericalHealthError and UnicodeDecodeError are ValueErrors too.
+    # The bases carry the policy (see errors).
     except (DataError, NumericalError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,11 +1,13 @@
 """Exception taxonomy shared by every driftalign module.
 
-Every error descends from exactly one of three bases, and the base is its
-recovery story. A ConfigError (a bad setting) and a DataError (unusable input
-rows or file) abort the run, and the CLI exits 3 and 2. A NumericalError (one
-computation on valid input failed) makes the online pipeline skip the batch it
-happened in, with the state unchanged; anywhere else it aborts the run, and
-the CLI exits 2.
+Every error the package raises is a DriftAlignError under exactly one of
+three bases, and the base alone is its recovery story. A ConfigError (a bad
+setting) and a DataError (unusable input rows or file) abort the run, and the
+CLI exits 3 and 2. A NumericalError (one computation on valid input failed)
+makes the online pipeline skip the batch it happened in, with the state
+unchanged; anywhere else it aborts the run, and the CLI exits 2. None of them
+is a ValueError, so an error from numpy or from a bug is never mistaken for
+one of these.
 """
 
 from __future__ import annotations
@@ -51,13 +53,12 @@ class DimensionMismatch(DataError):
     """Operands live in different spaces (ambient or subspace dims differ)."""
 
 
-class NonFiniteData(DataError, ValueError):
+class NonFiniteData(DataError):
     """Input rows contain NaN, infinity, or values too large to compute with.
 
     "Too large" means an entry beyond classifiers.MAX_ABS_ENTRY (1e150) in
     magnitude, or a query row longer than sqrt(d) times it, where squared
-    distances could overflow. Also a ValueError, which these checks raised
-    before.
+    distances could overflow.
     """
 
 
@@ -73,9 +74,9 @@ class NoConvergence(NumericalError):
     """Iterative solver hit its iteration cap before meeting tolerance."""
 
 
-class NumericalHealthError(NumericalError, ValueError):
+class NumericalHealthError(NumericalError):
     """A quantity left its mathematically guaranteed range by more than noise.
 
     Such as a basis that is not finite and orthonormal, or a kernel spectrum
-    outside [0, 1]. Also a ValueError, which those checks raised before.
+    outside [0, 1].
     """

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionViolation, NumericalHealthError
+from .errors import ConfigError, DimensionMismatch, DimensionViolation, NumericalHealthError
 from .subspaces import (
     ORTHONORMALITY_TOL,
     Array,
@@ -29,6 +29,7 @@ from .subspaces import (
     _flow_bases,
     _flow_frame,
     _gram_deviation,
+    _is_integer,
     _read_only,
     geodesic,
 )
@@ -139,9 +140,10 @@ def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
     without any symmetrization, since each node's weight (1, 2 or 4) is a
     power of two and so (a w) b == (b w) a exactly.
     """
-    nodes = int(nodes)
+    if not _is_integer(nodes):
+        raise ConfigError(f"nodes must be an integer, got {nodes!r}")
     if nodes < 2 or nodes % 2 != 0:
-        raise ValueError(f"nodes must be an even count >= 2, got {nodes}")
+        raise ConfigError(f"nodes must be an even count >= 2, got {nodes}")
     flow = geodesic(source, target)
     head, tail = _flow_frame(flow)
     d = head.shape[0]

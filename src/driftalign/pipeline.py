@@ -27,14 +27,13 @@ from .classifiers import (
     SvmParams,
     _check_entries,
     _class_labels,
-    _is_integer,
     predict,
     train,
 )
-from .errors import ConfigError, DimensionMismatch, NumericalError
+from .errors import ConfigError, DimensionMismatch, NumericalError, SchemaMismatch
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
-from .subspaces import Array, Subspace, _read_only, pca_subspace
+from .subspaces import Array, Subspace, _is_integer, _read_only, pca_subspace
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -242,7 +241,7 @@ def run_stream(
     scored_n = 0
     for batch in stream:
         if batch.true_labels is None:
-            raise ValueError("stream batches must carry true_labels for scoring")
+            raise SchemaMismatch("stream batches must carry true_labels for scoring")
         predictions, state, diag = process_batch(state, batch)
         for name in STEP_NAMES:
             step_totals[name] += diag.step_seconds.get(name, 0.0)

@@ -18,6 +18,7 @@ import numpy as np
 from .classifiers import LabeledSet, _class_count, _class_labels
 from .errors import ConfigError, DimensionMismatch, InsufficientData, ParseError, SchemaMismatch
 from .pipeline import MiniBatch
+from .subspaces import _is_integer
 
 Array = np.ndarray
 
@@ -39,7 +40,7 @@ WAVEFORM_NOISE_DIMS = 19
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """Shape of a generated dataset: batch size, batch count, seed, source rows."""
+    """Shape of a generated dataset: batch size, batch count, seed (>= 0), source rows; all integers."""
 
     batch_size: int
     batch_count: int
@@ -47,10 +48,15 @@ class StreamSpec:
     source_size: int = 500
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "batch_count", "seed", "source_size"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.batch_count < 1:
             raise ConfigError(f"batch_count must be >= 1, got {self.batch_count}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.source_size < 4:
             raise ConfigError(f"source_size must be >= 4, got {self.source_size}")
 
@@ -66,6 +72,8 @@ class CsvSchema:
     def __post_init__(self) -> None:
         if not 0.0 < self.source_fraction < 1.0:
             raise ConfigError(f"source_fraction must lie in (0, 1), got {self.source_fraction}")
+        if not _is_integer(self.batch_size):
+            raise ConfigError(f"batch_size must be an integer, got {self.batch_size!r}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
 
@@ -118,8 +126,10 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
                 except ValueError:
                     raise ParseError(f"row {r}, column {c}: {cell!r} is not a number") from None
             label = parsed[-1]
-            if label != int(label):
+            if not label.is_integer():
                 raise ParseError(f"row {r}, column {expected}: label {label!r} is not an integer")
+            if abs(label) >= 2.0**63:
+                raise ParseError(f"row {r}, column {expected}: label {label!r} does not fit in 64 bits")
             rows.append(parsed[:-1])
             labels.append(int(label))
     if not rows:

@@ -13,11 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NoConvergence
+from .errors import ConfigError, DimensionMismatch, DomainError, InsufficientData, NoConvergence
 from .subspaces import (
     ORTHONORMALITY_TOL,
     Array,
     Subspace,
+    _is_integer,
     evaluate,
     geodesic,
     principal_system,
@@ -32,8 +33,10 @@ class MeanSubspaceState:
     count: int
 
     def __post_init__(self) -> None:
-        if int(self.count) < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not _is_integer(self.count):
+            raise ConfigError(f"count must be an integer, got {self.count!r}")
+        if self.count < 1:
+            raise ConfigError(f"count must be >= 1, got {self.count}")
         object.__setattr__(self, "count", int(self.count))
 
 
@@ -107,7 +110,7 @@ def karcher_mean(
         NoConvergence: iteration cap reached before meeting ``tol``.
     """
     if len(subspaces) == 0:
-        raise ValueError("need at least one subspace")
+        raise InsufficientData("need at least one subspace")
     shape = (subspaces[0].ambient_dim, subspaces[0].sub_dim)
     for s in subspaces[1:]:
         if (s.ambient_dim, s.sub_dim) != shape:

@@ -64,6 +64,11 @@ def _read_only(a: Array) -> Array:
     return out
 
 
+def _is_integer(value: object) -> bool:
+    """True for a Python or numpy integer; bools are not counted as integers."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _gram_deviation(m: Array) -> float:
     """max |m^T m - I|, the value np.max(np.abs(m.T @ m - np.eye(k))) gives.
 

@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, flow_kernel, quadrature_kernel
 from .subspace_mean import exp_tangent, init_mean, karcher_mean, update_mean
 from .subspaces import (
     Subspace,
     _flow_bases,
     _flow_frame,
+    _is_integer,
     geodesic,
     geodesic_distance,
     random_subspace,
@@ -69,10 +71,16 @@ def _check(name: str, worst: _Worst, tol: float, seed: int) -> PropertyCheck:
     return PropertyCheck(name=name, passed=passed, detail=detail)
 
 
-def _check_instances(instances: int) -> None:
+def _check_settings(seed: int, instances: int) -> None:
+    """ConfigError unless seed is an integer >= 0 and instances an integer >= 1."""
+    for name, value in (("seed", seed), ("instances", instances)):
+        if not _is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     # Zero instances would report every property as passed without checking it.
     if instances < 1:
-        raise ValueError(f"instances must be >= 1, got {instances}")
+        raise ConfigError(f"instances must be >= 1, got {instances}")
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:
@@ -100,7 +108,7 @@ def random_within_ball(center: Subspace, radius: float, rng: np.random.Generator
 
 def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
     """Orthonormality along the flow, endpoint recovery, reconstruction."""
-    _check_instances(instances)
+    _check_settings(seed, instances)
     worst_orth = _Worst()
     worst_end = _Worst()
     worst_recon = _Worst()
@@ -136,7 +144,7 @@ def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
 
 def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
     """Fixed point, step-size law, two-point midpoint, deviation vs Karcher."""
-    _check_instances(instances)
+    _check_settings(seed, instances)
     worst_fixed = _Worst()
     worst_step = _Worst()
     worst_two = _Worst()
@@ -210,7 +218,7 @@ def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -
     ``flip_cross=True`` checks :func:`flip_cross_sign` of every closed-form
     kernel instead, so the quadrature comparison must fail.
     """
-    _check_instances(instances)
+    _check_settings(seed, instances)
 
     def closed_form(source: Subspace, target: Subspace) -> TransformKernel:
         kernel = flow_kernel(source, target)
@@ -252,11 +260,12 @@ def run_all(
     """All suites with default or overridden instance counts.
 
     ``inject_fault="gfk-cross-sign"`` flips the kernel's cross-term sign so
-    the quadrature comparison must fail; any other value is rejected, as is
-    an ``instances`` below 1, which would pass every property vacuously.
+    the quadrature comparison must fail; any other value is rejected, as is a
+    negative seed, and an ``instances`` below 1, which would pass every
+    property vacuously.
     """
     if inject_fault not in (None, "gfk-cross-sign"):
-        raise ValueError(f"unknown fault {inject_fault!r}")
+        raise ConfigError(f"unknown fault {inject_fault!r}")
     count = {} if instances is None else {"instances": instances}
     checks = geodesic_suite(seed, **count)
     checks += mean_suite(seed, **count)

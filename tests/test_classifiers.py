@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from driftalign import (
+    ConfigError,
     DimensionMismatch,
     InsufficientData,
     KnnParams,
@@ -97,7 +98,7 @@ class TestLabeledSet:
     def test_non_finite_features_rejected(self):
         x = np.eye(3)
         x[1, 1] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteData):
             LabeledSet(x=x, y=np.array([0, 1, 0]))
 
     def test_arrays_are_read_only(self):
@@ -163,12 +164,12 @@ class TestKnn:
     @pytest.mark.parametrize("n_neighbors", [2.5, True, "3"])
     def test_non_integer_neighbour_count_rejected(self, n_neighbors):
         # 2.5 used to become 2 and True became 1
-        with pytest.raises(ValueError, match="n_neighbors must be an integer"):
+        with pytest.raises(ConfigError, match="n_neighbors must be an integer"):
             KnnParams(n_neighbors=n_neighbors)
 
     @pytest.mark.parametrize("n_neighbors", [0, -2])
     def test_neighbour_count_below_one_rejected(self, n_neighbors):
-        with pytest.raises(ValueError, match="n_neighbors must be >= 1"):
+        with pytest.raises(ConfigError, match="n_neighbors must be >= 1"):
             KnnParams(n_neighbors=n_neighbors)
 
     def test_numpy_integer_neighbour_count_accepted(self):
@@ -326,13 +327,36 @@ class TestLinearSvm:
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_fewer_than_one_epoch_rejected(self, epochs):
         # zero passes would leave every weight at zero and predict class 0 everywhere
-        with pytest.raises(ValueError, match="epochs must be >= 1"):
+        with pytest.raises(ConfigError, match="epochs must be >= 1"):
             SvmParams(epochs=epochs)
 
     @pytest.mark.parametrize("regularization", [0.0, -1e-4])
     def test_non_positive_regularization_rejected(self, regularization):
-        with pytest.raises(ValueError, match="regularization must be positive"):
+        with pytest.raises(ConfigError, match="regularization must be positive"):
             SvmParams(regularization=regularization)
+
+    @pytest.mark.parametrize("regularization", [np.nan, np.inf, -np.inf])
+    def test_non_finite_regularization_rejected(self, regularization):
+        # NaN or infinite steps made every weight NaN, and every prediction class 0
+        with pytest.raises(ConfigError, match="regularization must be finite"):
+            SvmParams(regularization=regularization)
+
+    @pytest.mark.parametrize("name", ["epochs", "seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_non_integer_epochs_and_seed_rejected(self, name, value):
+        # epochs=2.5 used to fail inside train with a TypeError, and True trained one epoch
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            SvmParams(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        # numpy would reject it only once training starts, and not as a driftalign error
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            SvmParams(seed=-1)
+
+    def test_numpy_integer_epochs_and_seed_accepted(self):
+        data = blobs(np.random.default_rng(8), 10, 2, 4.0)
+        model = train(data, SvmParams(epochs=np.int64(2), seed=np.int32(3)))
+        assert np.array_equal(model.weights, train(data, SvmParams(epochs=2, seed=3)).weights)
 
     def test_class_with_one_row_rejected_for_svm(self):
         x = np.vstack([np.eye(3), [[5.0, 5.0, 5.0]]])

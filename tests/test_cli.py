@@ -34,15 +34,16 @@ def readme_commands():
     return commands
 
 
-def two_class_csv(path, bad_row=None, bad_cell="nan"):
+def two_class_csv(path, bad_row=None, bad_cell="nan", bad_column=2):
+    """Four features and a label; row bad_row + 1, column bad_column (1-based) holds bad_cell."""
     rng = np.random.default_rng(0)
     lines = []
     for i in range(120):
         feats = rng.standard_normal(4) + (3.0 if i % 2 else -3.0)
-        cells = [f"{v:.6f}" for v in feats]
+        cells = [f"{v:.6f}" for v in feats] + [str(i % 2)]
         if i == bad_row:
-            cells[1] = bad_cell
-        lines.append(",".join(cells) + f",{i % 2}")
+            cells[bad_column - 1] = bad_cell
+        lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -55,7 +56,58 @@ def rotating_args(out, *extra):
     )
 
 
+def csv_label_args(tmp_path, label):
+    data = two_class_csv(tmp_path / "labels.csv", bad_row=5, bad_cell=label, bad_column=5)
+    return (
+        "run", "--csv", str(data), "--source-frac", "0.3", "--batch", "20",
+        "--k", "1", "--variant", "gfk", "--out", str(tmp_path / "x.json"),
+    )
+
+
+SVM_ARGS = ("--variant", "gfk", "--classifier", "svm", "--svm-epochs", "2")
+
+# Bad inputs, each with the exit code its error base sets and the one line of
+# stderr it prints. Before every error was a DriftAlignError, the negative
+# seeds exited 3 only through numpy's own ValueError, the non-finite
+# --svm-lambda values exited 0 with NaN weights, the label nan exited 3 and
+# the labels inf and 1e300 ended in a traceback.
+BAD_INPUTS = [
+    pytest.param(lambda tmp: rotating_args(tmp / "x.json", "--seed", "-1"), 3,
+                 "config error: seed must be >= 0, got -1", id="seed"),
+    pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-seed", "-1"), 3,
+                 "config error: seed must be >= 0, got -1", id="svm-seed"),
+    pytest.param(lambda tmp: ("verify", "--seed", "-1"), 3,
+                 "config error: seed must be >= 0, got -1", id="verify-seed"),
+    pytest.param(lambda tmp: rotating_args(tmp / "x.json", "--knn-neighbors", "0"), 3,
+                 "config error: n_neighbors must be >= 1, got 0", id="knn-neighbors"),
+    pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-epochs", "0"), 3,
+                 "config error: epochs must be >= 1, got 0", id="svm-epochs"),
+    pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-lambda", "-1"), 3,
+                 "config error: regularization must be positive, got -1.0", id="svm-lambda-negative"),
+    pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-lambda", "nan"), 3,
+                 "config error: regularization must be finite, got nan", id="svm-lambda-nan"),
+    pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-lambda", "inf"), 3,
+                 "config error: regularization must be finite, got inf", id="svm-lambda-inf"),
+    pytest.param(lambda tmp: ("verify", "--instances", "0"), 3,
+                 "config error: instances must be >= 1, got 0", id="verify-instances"),
+    pytest.param(lambda tmp: csv_label_args(tmp, "nan"), 2,
+                 "data error: row 6, column 5: label nan is not an integer", id="csv-label-nan"),
+    pytest.param(lambda tmp: csv_label_args(tmp, "inf"), 2,
+                 "data error: row 6, column 5: label inf is not an integer", id="csv-label-inf"),
+    pytest.param(lambda tmp: csv_label_args(tmp, "1e300"), 2,
+                 "data error: row 6, column 5: label 1e+300 does not fit in 64 bits", id="csv-label-1e300"),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, code, message", BAD_INPUTS)
+    def test_bad_input_exits_with_its_base_code_and_one_line(self, tmp_path, capsys, argv, code, message):
+        assert run_cli(*argv(tmp_path)) == code
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert not (tmp_path / "x.json").exists()
+
     def test_successful_run_returns_zero(self, tmp_path):
         out = tmp_path / "trace.json"
         assert run_cli(*rotating_args(out)) == 0

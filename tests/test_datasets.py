@@ -138,6 +138,22 @@ class TestLoadCsv:
             CsvSchema(source_fraction=0.0, batch_size=10)
         with pytest.raises(ConfigError):
             CsvSchema(source_fraction=0.5, batch_size=1)
+        with pytest.raises(ConfigError, match="batch_size must be an integer, got 2.5"):
+            CsvSchema(source_fraction=0.5, batch_size=2.5)
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [("nan", "label nan is not an integer"), ("inf", "label inf is not an integer"),
+         ("-inf", "label -inf is not an integer"), ("1e300", "label 1e[+]300 does not fit in 64 bits")],
+    )
+    def test_label_that_is_not_an_int64_rejected(self, tmp_path, label, message):
+        # nan was reported as a config error, and inf and 1e300 ended in an OverflowError
+        f = tmp_path / "data.csv"
+        rows = grid_rows(10)
+        rows[2][-1] = label
+        write_csv(f, rows)
+        with pytest.raises(ParseError, match=f"row 3, column 4: {message}"):
+            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
 
 
 class TestDatasetBundle:
@@ -171,6 +187,16 @@ class TestStreamSpec:
             StreamSpec(batch_size=10, batch_count=0, seed=0)
         with pytest.raises(ConfigError):
             StreamSpec(batch_size=10, batch_count=5, seed=0, source_size=3)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            StreamSpec(batch_size=10, batch_count=5, seed=-1)
+
+    @pytest.mark.parametrize("name", ["batch_size", "batch_count", "seed", "source_size"])
+    @pytest.mark.parametrize("value", [12.5, True, "12"])
+    def test_every_field_must_be_an_integer(self, name, value):
+        # batch_size=2.5 used to fail inside numpy with a TypeError
+        fields = {"batch_size": 10, "batch_count": 5, "seed": 0, "source_size": 40, name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            StreamSpec(**fields)
 
 
 class TestWaveformGenerator:

@@ -1,6 +1,8 @@
 """One failure policy: an error's base decides whether a batch is skipped and how the CLI exits."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,22 @@ from driftalign import (
 from driftalign.cli import main
 
 cli_module = importlib.import_module("driftalign.cli")
+errors_module = importlib.import_module("driftalign.errors")
 pipeline_module = importlib.import_module("driftalign.pipeline")
+
+SOURCES = sorted(Path(driftalign.__file__).parent.glob("*.py"))
+# (module, function, class) of each raise that is not a DriftAlignError: the
+# type checks of train and predict, and the CLI's two argparse hooks, which
+# argparse turns into a usage error (exit 1).
+OTHER_RAISES = {
+    ("classifiers.py", "train", "TypeError"),
+    ("classifiers.py", "predict", "TypeError"),
+    ("cli.py", "error", "UsageError"),
+    ("cli.py", "_out_path", "ArgumentTypeError"),
+}
+# (module, function) of each except clause that may name ValueError: float()
+# reports an unparseable CSV cell with one, which load_csv turns into a ParseError.
+VALUE_ERROR_HANDLERS = {("streams.py", "load_csv")}
 
 
 def subclasses(cls):
@@ -53,6 +70,12 @@ def test_every_error_descends_from_exactly_one_base(cls):
     assert len(bases(cls)) == 1
 
 
+@pytest.mark.parametrize("cls", [DriftAlignError, *ERRORS], ids=by_name)
+def test_no_error_is_a_value_error(cls):
+    # so a ValueError from numpy or from a bug is never taken for a config or data error
+    assert not issubclass(cls, ValueError)
+
+
 @pytest.mark.parametrize("cls", ERRORS, ids=by_name)
 def test_cli_exit_code_follows_the_base(cls, tmp_path, monkeypatch, capsys):
     def fail(*args):
@@ -66,6 +89,93 @@ def test_cli_exit_code_follows_the_base(cls, tmp_path, monkeypatch, capsys):
     kind = "config" if base is ConfigError else "data"
     assert capsys.readouterr().err == f"{kind} error: injected\n"
     assert not out.exists()
+
+
+def test_a_plain_value_error_propagates_out_of_the_cli(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(cli_module, "run_stream", fail)
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="injected"):
+        main(["run", "--gen", "rotating", "--batch-count", "2", "--variant", "gfk", "--out", str(out)])
+    assert capsys.readouterr().err == ""
+    assert not out.exists()
+
+
+def raises_and_handlers(tree):
+    """(innermost enclosing function or None, node) for each raise statement and except clause."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, (ast.Raise, ast.ExceptHandler)):
+                yield function, child
+            yield from visit(child, inner)
+
+    yield from visit(tree, None)
+
+
+def named_classes(node):
+    """Names of the classes an exception expression or except clause type names."""
+    if node is None:
+        return []
+    if isinstance(node, ast.Call):
+        return named_classes(node.func)
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in named_classes(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return [ast.dump(node)]
+
+
+def is_package_error(name):
+    cls = getattr(errors_module, name, None)
+    return isinstance(cls, type) and issubclass(cls, DriftAlignError)
+
+
+def test_the_lint_sees_every_module():
+    assert {path.name for path in SOURCES} >= {"cli.py", "errors.py", "streams.py", "verify.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_raise_names_a_package_error(path):
+    # a bare raise names nothing, and fails too
+    found = []
+    for function, node in raises_and_handlers(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise):
+            names = named_classes(node.exc) or ["<bare raise>"]
+            for name in names:
+                if not is_package_error(name) and (path.name, function, name) not in OTHER_RAISES:
+                    found.append(f"{path.name}:{node.lineno} in {function}: raise {name}")
+    assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_except_clause_names_value_error(path):
+    found = []
+    for function, node in raises_and_handlers(ast.parse(path.read_text())):
+        if isinstance(node, ast.ExceptHandler) and "ValueError" in named_classes(node.type):
+            if (path.name, function) not in VALUE_ERROR_HANDLERS:
+                found.append(f"{path.name}:{node.lineno} in {function}")
+    assert found == []
+
+
+def test_the_lint_reads_raises_and_handlers():
+    source = (
+        "def f():\n"
+        "    try:\n"
+        "        raise ValueError('x')\n"
+        "    except (KeyError, ValueError):\n"
+        "        raise\n"
+    )
+    (f1, raised), (f2, handler), (f3, bare) = raises_and_handlers(ast.parse(source))
+    assert f1 == f2 == f3 == "f"
+    assert named_classes(raised.exc) == ["ValueError"]
+    assert named_classes(handler.type) == ["KeyError", "ValueError"]
+    assert named_classes(bare.exc) == []
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from driftalign import (
+    ConfigError,
     DimensionMismatch,
     DimensionViolation,
     DomainError,
+    NumericalHealthError,
     Subspace,
     TransformKernel,
     apply_transform,
@@ -100,8 +102,14 @@ class TestOracleAgreement:
     def test_node_count_must_be_even_and_positive(self):
         source, target = kernel_pair(8, 2, 6)
         for nodes in (0, -2, 7):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError, match="nodes must be an even count >= 2"):
                 quadrature_kernel(source, target, nodes=nodes)
+
+    @pytest.mark.parametrize("nodes", [2.5, 100.0, True])
+    def test_node_count_must_be_an_integer(self, nodes):
+        # 2.5 used to run with 2 subintervals
+        with pytest.raises(ConfigError, match="nodes must be an integer"):
+            quadrature_kernel(*kernel_pair(8, 2, 6), nodes=nodes)
 
     @pytest.mark.parametrize(
         "nodes", [2, QUADRATURE_CHUNK - 2, QUADRATURE_CHUNK, QUADRATURE_CHUNK + 2, 10_000]
@@ -122,7 +130,7 @@ class TestOracleAgreement:
         original = flow_kernel_module._flow_bases
         monkeypatch.setattr(flow_kernel_module, "_flow_bases", lambda *a: corrupt(original(*a)))
         source, target = kernel_pair(8, 2, 17)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(NumericalHealthError, match=message):
             quadrature_kernel(source, target, nodes=100)
 
     @pytest.mark.parametrize("eps, passed", [(1e-9, True), (5e-8, False)], ids=["2e-9", "1e-7"])
@@ -141,7 +149,7 @@ class TestOracleAgreement:
         assert not checks["kernel_matches_quadrature"].passed
 
     def test_unknown_fault_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault 'gfk-sign'"):
+        with pytest.raises(ConfigError, match="unknown fault 'gfk-sign'"):
             run_all(0, 1, inject_fault="gfk-sign")
 
     @pytest.mark.parametrize("instances, passed_on", [(None, {}), (3, {"instances": 3})])
@@ -173,8 +181,21 @@ class TestOracleAgreement:
     )
     def test_fewer_than_one_instance_rejected(self, suite, instances):
         # zero instances would report every property as passed, the fault included
-        with pytest.raises(ValueError, match="instances must be >= 1"):
+        with pytest.raises(ConfigError, match="instances must be >= 1"):
             suite(0, instances)
+
+    @pytest.mark.parametrize(
+        "seed, instances, message",
+        [(-1, 1, "seed must be >= 0, got -1"), (0.5, 1, "seed must be an integer"),
+         (0, 1.5, "instances must be an integer"), (0, True, "instances must be an integer")],
+    )
+    @pytest.mark.parametrize(
+        "suite", [run_all, geodesic_suite, mean_suite, kernel_suite], ids=["run_all", "geodesic", "mean", "kernel"]
+    )
+    def test_seed_and_instances_checked_before_numpy_sees_them(self, suite, seed, instances, message):
+        # a negative seed used to fail inside numpy's default_rng with a plain ValueError
+        with pytest.raises(ConfigError, match=message):
+            suite(seed, instances)
 
     def test_oracle_is_exactly_symmetric_without_symmetrization(self):
         for d, k, seed in ((8, 2, 1), (10, 3, 2), (12, 1, 3), (16, 5, 4)):
@@ -281,20 +302,20 @@ class TestKernelProperties:
         assert np.array_equal(kernel.g, self.FRAME @ self.WEIGHTS @ self.FRAME.T)
 
     def test_rejects_non_orthonormal_frame(self):
-        with pytest.raises(ValueError, match="frame is not orthonormal"):
+        with pytest.raises(NumericalHealthError, match="frame is not orthonormal"):
             TransformKernel(frame=1.001 * self.FRAME, weights=self.WEIGHTS)
 
     def test_type_rejects_asymmetric_matrix(self):
         w = self.WEIGHTS.copy()
         w[0, 1] = 0.1
-        with pytest.raises(ValueError, match="asymmetry"):
+        with pytest.raises(NumericalHealthError, match="asymmetry"):
             TransformKernel(frame=self.FRAME, weights=w)
 
     @pytest.mark.parametrize("extreme", [-1e-6, 1.0 + 1e-6], ids=["below_zero", "above_one"])
     def test_rejects_weight_spectrum_outside_the_unit_interval(self, extreme):
         w = self.WEIGHTS.copy()
         w[3, 3] = extreme
-        with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+        with pytest.raises(NumericalHealthError, match=r"leaves \[0, 1\]"):
             TransformKernel(frame=self.FRAME, weights=w)
 
     def test_rejects_mismatched_factor_shapes(self):

@@ -133,7 +133,7 @@ class TestConfig:
             MiniBatch(x=np.ones((1, 5)))
         bad = np.ones((3, 5))
         bad[0, 0] = np.inf
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteData):
             MiniBatch(x=bad)
 
     def test_non_finite_batch_is_a_data_error(self):
@@ -227,7 +227,7 @@ class TestCausalityAndMetric:
     def test_stream_without_labels_is_rejected(self):
         bundle = small_bundle()
         naked = (MiniBatch(x=bundle.stream[0].x),)
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaMismatch):
             run_stream(bundle.source, naked, variant_config("pca", sub_dim=3))
 
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from driftalign import (
+    ConfigError,
     DimensionMismatch,
     DomainError,
+    InsufficientData,
+    MeanSubspaceState,
     NoConvergence,
     evaluate,
     exp_tangent,
@@ -73,6 +76,14 @@ class TestRunningMean:
         with pytest.raises(DimensionMismatch):
             update_mean(state, random_subspace(12, 3, rng))
 
+    @pytest.mark.parametrize("count, message", [(2.7, "count must be an integer"), (True, "count must be an integer"),
+                                                (0, "count must be >= 1")])
+    def test_count_must_be_a_positive_integer(self, count, message):
+        # 2.7 used to be stored as 2
+        mean = random_subspace(10, 3, np.random.default_rng(5))
+        with pytest.raises(ConfigError, match=message):
+            MeanSubspaceState(mean=mean, count=count)
+
 
 class TestTangentMaps:
     def test_log_exp_roundtrip(self):
@@ -137,6 +148,10 @@ class TestKarcherMean:
         pts = [perturbed(a, 0.2, rng) for _ in range(4)]
         with pytest.raises(NoConvergence):
             karcher_mean(pts, tol=0.0, max_iter=3)
+
+    def test_no_subspaces_rejected(self):
+        with pytest.raises(InsufficientData, match="need at least one subspace"):
+            karcher_mean([])
 
     def test_running_mean_tracks_karcher_inside_a_tight_ball(self):
         # the running rule is order-dependent, so only closeness is asserted

@@ -13,6 +13,7 @@ from driftalign import (
     DomainError,
     GeodesicFlow,
     NonFiniteData,
+    NumericalHealthError,
     PrincipalSystem,
     RankDeficient,
     SharedFactorFailure,
@@ -49,7 +50,7 @@ def planar_pair(d, phi):
 
 class TestSubspaceType:
     def test_rejects_non_orthonormal_basis(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalHealthError):
             Subspace(basis=np.ones((4, 2)))
 
     def test_rejects_k_not_below_d(self):
@@ -248,7 +249,7 @@ class TestChecksStillFire:
         sys = principal_system(a, b)
         factors = {"a_rot": sys.a_rot, "tail": sys.tail, "b_rot": sys.b_rot}
         factors[name] = 1.001 * factors[name]
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(NumericalHealthError) as exc:
             PrincipalSystem(angles=sys.angles, **factors)
         assert str(exc.value) == gram_message(name, factors[name])
 
@@ -258,7 +259,7 @@ class TestChecksStillFire:
         sys = principal_system(a, b)
         tail = sys.tail.copy()
         tail[4, 1] = np.nan
-        with pytest.raises(ValueError, match="tail is not orthonormal"):
+        with pytest.raises(NumericalHealthError, match="tail is not orthonormal"):
             PrincipalSystem(a_rot=sys.a_rot, tail=tail, b_rot=sys.b_rot, angles=sys.angles)
 
     @pytest.mark.parametrize("bad", [-1e-3, math.pi / 2 + 1e-9, np.nan])
@@ -276,20 +277,20 @@ class TestChecksStillFire:
     def test_non_finite_basis(self, bad):
         basis = np.eye(6)[:, :2]
         basis[3, 1] = bad
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(NumericalHealthError) as exc:
             Subspace(basis)
         assert str(exc.value) == "basis has non-finite entries"
 
     def test_non_orthonormal_basis(self):
         basis = np.eye(6)[:, :2] + 1e-6
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(NumericalHealthError) as exc:
             Subspace(basis)
         assert str(exc.value) == gram_message("basis", basis)
 
     def test_tail_not_orthogonal_to_base(self):
         a, b = random_pairs(10, 3, 1, seed=32)[0]
         sys = principal_system(a, b)
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(NumericalHealthError) as exc:
             GeodesicFlow(base=b, system=sys)
         cross = float(np.max(np.abs(sys.tail.T @ b.basis)))
         assert str(exc.value) == f"tail is not orthogonal to base (max {cross:.3e})"
@@ -297,7 +298,7 @@ class TestChecksStillFire:
     def test_non_orthonormal_kernel_frame(self):
         kernel = flow_kernel(*random_pairs(10, 3, 1, seed=33)[0])
         frame = kernel.frame * 1.0001
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(NumericalHealthError) as exc:
             TransformKernel(frame=frame, weights=kernel.weights)
         assert str(exc.value) == gram_message("kernel frame", frame)
 
@@ -305,7 +306,7 @@ class TestChecksStillFire:
         kernel = flow_kernel(*random_pairs(10, 3, 1, seed=34)[0])
         weights = kernel.weights.copy()
         weights[0, 4] += 1e-9
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(NumericalHealthError) as exc:
             TransformKernel(frame=kernel.frame, weights=weights)
         asym = float(np.max(np.abs(weights - weights.T)))
         assert str(exc.value) == f"kernel weights asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}"
@@ -315,7 +316,7 @@ class TestChecksStillFire:
         kernel = flow_kernel(*random_pairs(10, 3, 1, seed=35)[0])
         weights = kernel.weights.copy()
         weights[1, 1] = np.nan
-        with pytest.raises(ValueError, match="asymmetry nan"):
+        with pytest.raises(NumericalHealthError, match="asymmetry nan"):
             TransformKernel(frame=kernel.frame, weights=weights)
 
     def test_bad_pair_fails_on_the_first_pass(self, monkeypatch):
