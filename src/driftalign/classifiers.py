@@ -11,6 +11,13 @@ first minimum, which is the lower row; with k > 1, ``partition`` finds the
 k-th smallest distance, every row strictly below it is taken, and the rows
 equal to it fill the remaining places in index order. That is exactly the set
 a stable sort would put first.
+
+Each SVM step does only the floating-point operations of the plain formula,
+in its order: eta = 1/(lambda t), margin = sign * w.row, w *= 1 - eta lambda,
+and w += (eta sign) row when the margin is below 1. The loop reads signs,
+the permutation and the rows from Python lists instead of numpy arrays,
+which saves the boxing and view creation a step would otherwise pay, so the
+weights repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, InsufficientData, NonFiniteData, SchemaMismatch
-from .subspaces import _is_integer, _read_only
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    InsufficientData,
+    NonFiniteData,
+    NumericalHealthError,
+    SchemaMismatch,
+)
+from .subspaces import _is_integer, _read_only, _real
 
 Array = np.ndarray
 
@@ -31,6 +45,8 @@ Array = np.ndarray
 # bound, and so every row within sqrt(d) times it, the distances stay finite
 # for fewer than about 4e7 features.
 MAX_ABS_ENTRY = 1e150
+# Most missing labels a contiguity error names; it counts the rest.
+MAX_NAMED_MISSING = 10
 
 
 def _check_entries(x: Array, what: str) -> None:
@@ -73,12 +89,24 @@ def _class_labels(y: Array) -> Array:
 
 
 def _class_count(y: Array) -> int:
-    """Number of classes in labels y from _class_labels; SchemaMismatch unless all of 0..max(y) occur."""
+    """Number of classes in labels y from _class_labels; SchemaMismatch unless all of 0..max(y) occur.
+
+    The message names at most MAX_NAMED_MISSING missing labels, read off the
+    gaps between the distinct labels, so a huge label costs no more than a
+    small one.
+    """
     present = np.unique(y)
     n_classes = int(present[-1]) + 1
-    if present.shape[0] != n_classes:
-        missing = sorted(set(range(n_classes)) - set(present.tolist()))
-        raise SchemaMismatch(f"labels must be contiguous from 0; missing {missing}")
+    n_missing = n_classes - present.shape[0]
+    if n_missing:
+        # Labels gap_lo[j] up to present[j] (exclusive) are missing.
+        gap_lo = np.concatenate(([0], present[:-1] + 1))
+        named: list[int] = []
+        for j in np.flatnonzero(gap_lo < present)[:MAX_NAMED_MISSING].tolist():
+            lo = int(gap_lo[j])
+            named.extend(range(lo, min(int(present[j]), lo + MAX_NAMED_MISSING - len(named))))
+        shown = f"{named}" if n_missing == len(named) else f"the first {len(named)}: {named}"
+        raise SchemaMismatch(f"labels must be contiguous from 0; {n_missing} missing, {shown}")
     return n_classes
 
 
@@ -141,7 +169,7 @@ class SvmParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lam = float(self.regularization)
+        lam = _real("regularization", self.regularization)
         if not math.isfinite(lam):
             raise ConfigError(f"regularization must be finite, got {lam}")
         if lam <= 0.0:
@@ -153,6 +181,7 @@ class SvmParams:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "regularization", lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,29 +215,43 @@ def train(data: LabeledSet, params: KnnParams | SvmParams):
 
 
 def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
-    lam = float(params.regularization)
+    """One-vs-rest Pegasos; NumericalHealthError if a weight or bias is not finite.
+
+    A tiny lambda makes the first steps overflow (a subnormal one makes
+    1/lambda infinite), and the weights then turn NaN.
+    """
+    lam = params.regularization
     rng = np.random.default_rng(params.seed)
     n, d = data.x.shape
     c = data.n_classes
     # Constant-feature augmentation keeps the bias inside the shrinking
     # weight vector, which keeps the 1/(lambda t) schedule stable.
     aug = np.hstack([data.x, np.ones((n, 1))])
+    # One view per row, made once. The loop holds at most one epoch's order
+    # as a list: a whole run's schedule would be megabytes of Python objects.
+    rows = list(aug)
     weights = np.zeros((c, d))
     biases = np.zeros(c)
-    for cls in range(c):
-        signs = np.where(data.y == cls, 1.0, -1.0)
-        w = np.zeros(d + 1)
-        t = 0
-        for _ in range(params.epochs):
-            for i in rng.permutation(n):
-                t += 1
-                eta = 1.0 / (lam * t)
-                margin = signs[i] * float(w @ aug[i])
-                w *= 1.0 - eta * lam
-                if margin < 1.0:
-                    w += (eta * signs[i]) * aug[i]
-        weights[cls] = w[:d]
-        biases[cls] = w[d]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cls in range(c):
+            signs = np.where(data.y == cls, 1.0, -1.0).tolist()
+            w = np.zeros(d + 1)
+            dot = w.dot
+            t = 0
+            for _ in range(params.epochs):
+                for i in rng.permutation(n).tolist():
+                    t += 1
+                    eta = 1.0 / (lam * t)
+                    sign = signs[i]
+                    row = rows[i]
+                    margin = sign * dot(row)
+                    w *= 1.0 - eta * lam
+                    if margin < 1.0:
+                        w += (eta * sign) * row
+            weights[cls] = w[:d]
+            biases[cls] = w[d]
+    if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+        raise NumericalHealthError(f"SVM training with regularization {lam} gave non-finite weights")
     return LinearSvmModel(weights=_read_only(weights), biases=_read_only(biases))
 
 

@@ -77,6 +77,6 @@ class NoConvergence(NumericalError):
 class NumericalHealthError(NumericalError):
     """A quantity left its mathematically guaranteed range by more than noise.
 
-    Such as a basis that is not finite and orthonormal, or a kernel spectrum
-    outside [0, 1].
+    Such as a basis that is not finite and orthonormal, a kernel spectrum
+    outside [0, 1], or SVM weights that are not finite.
     """

@@ -18,7 +18,7 @@ import numpy as np
 from .classifiers import LabeledSet, _class_count, _class_labels
 from .errors import ConfigError, DimensionMismatch, InsufficientData, ParseError, SchemaMismatch
 from .pipeline import MiniBatch
-from .subspaces import _is_integer
+from .subspaces import _is_integer, _real
 
 Array = np.ndarray
 
@@ -70,12 +70,14 @@ class CsvSchema:
     has_header: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.source_fraction < 1.0:
-            raise ConfigError(f"source_fraction must lie in (0, 1), got {self.source_fraction}")
+        fraction = _real("source_fraction", self.source_fraction)
+        if not 0.0 < fraction < 1.0:
+            raise ConfigError(f"source_fraction must lie in (0, 1), got {fraction}")
         if not _is_integer(self.batch_size):
             raise ConfigError(f"batch_size must be an integer, got {self.batch_size!r}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        object.__setattr__(self, "source_fraction", fraction)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,6 +231,7 @@ def gen_rotating_drift(
         raise ConfigError(f"need at least 2 classes, got {classes}")
     if d < 4:
         raise ConfigError(f"need ambient dimension >= 4, got {d}")
+    total_rotation = _real("total_rotation", total_rotation)
     if not 0.0 <= total_rotation <= math.pi / 2:
         raise ConfigError(f"total_rotation must lie in [0, pi/2], got {total_rotation}")
     if spec.source_size < 2 * classes:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     DimensionViolation,
     DomainError,
@@ -67,6 +68,20 @@ def _read_only(a: Array) -> Array:
 def _is_integer(value: object) -> bool:
     """True for a Python or numpy integer; bools are not counted as integers."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(name: str, value: object) -> float:
+    """Setting ``name`` as a float; ConfigError unless it is a Python or numpy integer or float.
+
+    Bools and strings are not numbers. An integer beyond the float range is
+    rejected here rather than escaping as an OverflowError.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got an integer beyond the float range") from None
 
 
 def _gram_deviation(m: Array) -> float:
@@ -340,7 +355,7 @@ def evaluate(flow: GeodesicFlow, t: float) -> Subspace:
     The principal angles between evaluate(flow, 0) and evaluate(flow, t) are
     exactly t times the pair's angles, so t is arc-length fraction.
     """
-    t = float(t)
+    t = _real("flow parameter", t)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"flow parameter must lie in [0, 1], got {t}")
     head, tail = _flow_frame(flow)

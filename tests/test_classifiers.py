@@ -12,8 +12,12 @@ from driftalign import (
     KnnParams,
     LabeledSet,
     NonFiniteData,
+    NumericalHealthError,
     SchemaMismatch,
+    StreamSpec,
     SvmParams,
+    gen_waveform,
+    pca_subspace,
     predict,
     train,
 )
@@ -42,6 +46,38 @@ def stable_sort_knn(model: KnnModel, queries):
     counts = np.zeros((queries.shape[0], model.n_classes), dtype=np.int64)
     np.add.at(counts, (np.arange(queries.shape[0])[:, None], votes), 1)
     return np.argmax(counts, axis=1).astype(np.int64)
+
+
+def reference_linear_svm(data: LabeledSet, params: SvmParams):
+    """(weights, biases) of the Pegasos loop as first written, with numpy indexing at every step."""
+    lam = float(params.regularization)
+    rng = np.random.default_rng(params.seed)
+    n, d = data.x.shape
+    c = data.n_classes
+    # Constant-feature augmentation keeps the bias inside the shrinking
+    # weight vector, which keeps the 1/(lambda t) schedule stable.
+    aug = np.hstack([data.x, np.ones((n, 1))])
+    weights = np.zeros((c, d))
+    biases = np.zeros(c)
+    for cls in range(c):
+        signs = np.where(data.y == cls, 1.0, -1.0)
+        w = np.zeros(d + 1)
+        t = 0
+        for _ in range(params.epochs):
+            for i in rng.permutation(n):
+                t += 1
+                eta = 1.0 / (lam * t)
+                margin = signs[i] * float(w @ aug[i])
+                w *= 1.0 - eta * lam
+                if margin < 1.0:
+                    w += (eta * signs[i]) * aug[i]
+        weights[cls] = w[:d]
+        biases[cls] = w[d]
+    return weights, biases
+
+
+def waveform40_source(seed):
+    return gen_waveform(StreamSpec(batch_size=100, batch_count=1, seed=seed, source_size=500), "w40").source
 
 
 def lattice_case(rng):
@@ -90,10 +126,24 @@ class TestLabeledSet:
         assert data.y.dtype == np.int64 and data.y.tolist() == [0, 1, 0]
 
     def test_labels_must_start_at_zero_and_be_contiguous(self):
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch, match=r"contiguous from 0; 1 missing, \[0\]$"):
             LabeledSet(x=np.eye(3), y=np.array([1, 2, 3]))
-        with pytest.raises(SchemaMismatch):
+        with pytest.raises(SchemaMismatch, match=r"contiguous from 0; 1 missing, \[1\]$"):
             LabeledSet(x=np.eye(3), y=np.array([0, 2, 2]))
+
+    def test_a_huge_label_names_ten_missing_labels_and_counts_the_rest(self):
+        # the message listed every missing label, built from range(max + 1):
+        # a label of 10**5 gave 688 926 characters, and 10**6 took seconds
+        with pytest.raises(SchemaMismatch) as caught:
+            LabeledSet(x=np.eye(3), y=np.array([0, 1, 10**12]))
+        assert str(caught.value) == (
+            "labels must be contiguous from 0; 999999999998 missing, "
+            "the first 10: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11]"
+        )
+
+    def test_missing_labels_are_named_across_gaps(self):
+        with pytest.raises(SchemaMismatch, match=r"; 14 missing, the first 10: \[1, 2, 4, 6, 7, 8, 9, 10, 11, 12\]$"):
+            LabeledSet(x=np.eye(5), y=np.array([0, 3, 5, 17, 0]))
 
     def test_non_finite_features_rejected(self):
         x = np.eye(3)
@@ -363,6 +413,53 @@ class TestLinearSvm:
         y = np.array([0, 0, 0, 1])
         with pytest.raises(InsufficientData):
             train(LabeledSet(x=x, y=y), SvmParams())
+
+    @pytest.mark.parametrize("classes", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 5, 40])
+    @pytest.mark.parametrize("params", [SvmParams(epochs=3), SvmParams(regularization=0.05, epochs=2, seed=11)],
+                             ids=["default_lambda", "lambda_0.05"])
+    def test_weights_equal_the_plain_loop_bit_for_bit(self, classes, d, params):
+        rng = np.random.default_rng(100 * classes + d)
+        n = 12 * classes
+        y = np.arange(n) % classes
+        x = rng.standard_normal((n, d)) + 1.5 * rng.standard_normal((classes, d))[y]
+        data = LabeledSet(x=x, y=y)
+        model = train(data, params)
+        weights, biases = reference_linear_svm(data, params)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.biases.tobytes() == biases.tobytes()
+
+    def test_waveform40_weights_equal_the_plain_loop_bit_for_bit(self):
+        source = waveform40_source(seed=5)
+        model = train(source, SvmParams())
+        weights, biases = reference_linear_svm(source, SvmParams())
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.biases.tobytes() == biases.tobytes()
+
+    def test_training_peak_stays_below_the_source_pca_peak(self):
+        # the PCA sets svm_waveform's peak allocation; a whole-run schedule of
+        # Python objects would be megabytes and lift the peak above it
+        source = waveform40_source(seed=6)
+        peaks = []
+        for step in (lambda: train(source, SvmParams(epochs=2)), lambda: pca_subspace(source.x, 10)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
+
+    @pytest.mark.parametrize("regularization, scale", [(1e-320, 1.0), (1e-300, 1e10)],
+                             ids=["subnormal_lambda", "entries_near_1e10"])
+    def test_non_finite_weights_raise(self, regularization, scale):
+        # a subnormal lambda makes 1/lambda infinite; a tiny normal one lets
+        # steps on large entries overflow. Either way the weights turned
+        # non-finite, every prediction was class 0, and only a warning showed
+        x = scale * np.array([[1.0, 2.0], [-1.0, 3.0], [2.0, -1.0], [-3.0, -2.0]])
+        data = LabeledSet(x=x, y=np.array([0, 0, 1, 1]))
+        with pytest.raises(NumericalHealthError, match="non-finite weights"):
+            train(data, SvmParams(regularization=regularization, epochs=2))
 
     def test_three_class_one_vs_rest(self):
         rng = np.random.default_rng(6)

@@ -70,7 +70,8 @@ SVM_ARGS = ("--variant", "gfk", "--classifier", "svm", "--svm-epochs", "2")
 # stderr it prints. Before every error was a DriftAlignError, the negative
 # seeds exited 3 only through numpy's own ValueError, the non-finite
 # --svm-lambda values exited 0 with NaN weights, the label nan exited 3 and
-# the labels inf and 1e300 ended in a traceback.
+# the labels inf and 1e300 ended in a traceback. A subnormal --svm-lambda
+# made 1/lambda infinite and the weights NaN, and exited 0 with a warning.
 BAD_INPUTS = [
     pytest.param(lambda tmp: rotating_args(tmp / "x.json", "--seed", "-1"), 3,
                  "config error: seed must be >= 0, got -1", id="seed"),
@@ -88,6 +89,9 @@ BAD_INPUTS = [
                  "config error: regularization must be finite, got nan", id="svm-lambda-nan"),
     pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-lambda", "inf"), 3,
                  "config error: regularization must be finite, got inf", id="svm-lambda-inf"),
+    pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-lambda", "1e-320"), 2,
+                 "data error: SVM training with regularization 1e-320 gave non-finite weights",
+                 id="svm-lambda-subnormal"),
     pytest.param(lambda tmp: ("verify", "--instances", "0"), 3,
                  "config error: instances must be >= 1, got 0", id="verify-instances"),
     pytest.param(lambda tmp: csv_label_args(tmp, "nan"), 2,

@@ -2,18 +2,25 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import driftalign
 from driftalign import (
     ConfigError,
+    CsvSchema,
     DataError,
     DriftAlignError,
     NumericalError,
     StreamSpec,
+    Subspace,
+    SvmParams,
+    evaluate,
     gen_rotating_drift,
+    geodesic,
     init_pipeline,
     process_batch,
     variant_config,
@@ -207,3 +214,37 @@ def test_process_batch_skips_numerical_errors_and_propagates_the_rest(cls, site,
         with pytest.raises(cls, match="injected"):
             process_batch(state, batch)
     assert calls == [site]
+
+
+# Each float setting or argument, used with a given value.
+REAL_SETTINGS = {
+    "flow parameter": lambda value: evaluate(
+        geodesic(Subspace(np.eye(6)[:, :2]), Subspace(np.eye(6)[:, 1:3])), value
+    ),
+    "regularization": lambda value: SvmParams(regularization=value),
+    "source_fraction": lambda value: CsvSchema(source_fraction=value, batch_size=5),
+    "total_rotation": lambda value: gen_rotating_drift(
+        StreamSpec(batch_size=4, batch_count=1, seed=0, source_size=8), total_rotation=value
+    ),
+}
+
+
+NOT_REAL = [pytest.param(value, f"must be a real number, got {re.escape(repr(value))}", id=label)
+            for label, value in [("abc", "abc"), ("numeric_string", "0.5"), ("None", None), ("True", True),
+                                 ("numpy_bool", np.bool_(False)), ("list", [0.5])]]
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
+@pytest.mark.parametrize("value, message", [*NOT_REAL, pytest.param(10**400, "must be finite", id="huge_int")])
+def test_float_settings_accept_only_real_numbers(name, value, message):
+    # 'abc' raised ValueError from float(), None and the strings a TypeError,
+    # or the string was stored as it was; 10**400 overflows float()
+    with pytest.raises(ConfigError, match=f"{name} {message}"):
+        REAL_SETTINGS[name](value)
+
+
+def test_float_settings_are_stored_as_python_floats():
+    for value in (np.float32(0.25), np.float64(0.25), np.int64(1) / 4):
+        assert type(SvmParams(regularization=value).regularization) is float
+        assert type(CsvSchema(source_fraction=value, batch_size=5).source_fraction) is float
+    assert SvmParams(regularization=np.int64(2)).regularization == 2.0
