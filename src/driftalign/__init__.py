@@ -24,7 +24,7 @@ from .errors import (
     SchemaMismatch,
     SharedFactorFailure,
 )
-from .flow_kernel import TransformKernel, apply_transform, flow_kernel, quadrature_kernel
+from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .pipeline import (
     VARIANT_ALIASES,
     VARIANT_FLAGS,
@@ -39,14 +39,7 @@ from .pipeline import (
     variant_config,
 )
 from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
-from .subspace_mean import (
-    MeanSubspaceState,
-    exp_tangent,
-    init_mean,
-    karcher_mean,
-    log_tangent,
-    update_mean,
-)
+from .subspace_mean import MeanSubspaceState, init_mean, update_mean
 from .subspaces import (
     GeodesicFlow,
     PrincipalSystem,
@@ -54,11 +47,9 @@ from .subspaces import (
     evaluate,
     geodesic,
     geodesic_distance,
-    orthonormalize,
     pca_subspace,
     principal_angles,
     principal_system,
-    random_subspace,
 )
 
 __all__ = [
@@ -97,7 +88,6 @@ __all__ = [
     "VARIANT_FLAGS",
     "apply_transform",
     "evaluate",
-    "exp_tangent",
     "flow_kernel",
     "gen_rotating_drift",
     "gen_waveform",
@@ -105,17 +95,12 @@ __all__ = [
     "geodesic_distance",
     "init_mean",
     "init_pipeline",
-    "karcher_mean",
     "load_csv",
-    "log_tangent",
-    "orthonormalize",
     "pca_subspace",
     "predict",
     "principal_angles",
     "principal_system",
     "process_batch",
-    "quadrature_kernel",
-    "random_subspace",
     "run_stream",
     "train",
     "update_mean",

@@ -9,27 +9,23 @@ by G are re-weighted toward directions that stay aligned along the whole path,
 which is what makes a source-trained classifier usable on drifted data. The
 integral has a closed form in the principal system of the pair: G = S W S^T,
 with S = [head, tail] the d x 2k flow frame and W a 2k x 2k weight matrix, and
-the kernel is stored in that factored form. The composite Simpson rule below
-exists only to verify it; it and the ``g`` property, kept for checks, are the
-only places a dense d x d G is built.
+the kernel is stored in that factored form. This module forms no d x d array;
+the dense G and its quadrature oracle are built only in ``driftalign.verify``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, DimensionViolation, NumericalHealthError
+from .errors import DimensionMismatch, DimensionViolation, NumericalHealthError
 from .subspaces import (
     ORTHONORMALITY_TOL,
     Array,
     Subspace,
-    _flow_bases,
     _flow_frame,
     _gram_deviation,
-    _is_integer,
     _read_only,
     geodesic,
 )
@@ -40,10 +36,6 @@ SMALL_ANGLE = 1e-8
 SYMMETRY_TOL = 1e-12
 # Allowed spectrum overshoot outside [0, 1].
 SPECTRUM_TOL = 1e-9
-# Flow evaluations per broadcast chunk in quadrature_kernel. Even, so chunks
-# start on even nodes; small, so a chunk's d x m x k arrays stay below the
-# memory the rest of the verify path already holds at its peak.
-QUADRATURE_CHUNK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +64,6 @@ class TransformKernel:
     @property
     def ambient_dim(self) -> int:
         return int(self.frame.shape[0])
-
-    @property
-    def g(self) -> Array:
-        """The dense d x d kernel matrix, for checks; the stream path never forms it."""
-        return (self.frame @ self.weights) @ self.frame.T
 
 
 def _check_unit_spectrum(m: Array, what: str) -> None:
@@ -125,56 +112,6 @@ def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
     flat[k : n * k : n + 1] = cross  # (i, k + i), i < k
     flat[n * k :: n + 1] = cross  # (k + i, i), i < k
     return TransformKernel(frame=np.concatenate(_flow_frame(flow), axis=1), weights=weights)
-
-
-def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
-    """Composite Simpson approximation of the projection integral, as a dense d x d array.
-
-    ``nodes`` is the (even) number of subintervals; error falls as nodes^-4.
-    The flow is evaluated at every node, QUADRATURE_CHUNK nodes at a time:
-    each chunk's bases come from one broadcast call, are checked orthonormal
-    and finite as a Subspace would be, and are accumulated with one weighted
-    matmul. It shares the flow formula with ``evaluate`` and nothing with the
-    closed form's 2k x 2k assembly, so an assembly fault cannot hide. The
-    result is checked for symmetry and a spectrum in [0, 1]; it is symmetric
-    without any symmetrization, since each node's weight (1, 2 or 4) is a
-    power of two and so (a w) b == (b w) a exactly.
-    """
-    if not _is_integer(nodes):
-        raise ConfigError(f"nodes must be an integer, got {nodes!r}")
-    if nodes < 2 or nodes % 2 != 0:
-        raise ConfigError(f"nodes must be an even count >= 2, got {nodes}")
-    flow = geodesic(source, target)
-    head, tail = _flow_frame(flow)
-    d = head.shape[0]
-    acc = np.zeros((d, d))
-    h = 1.0 / nodes
-    # Simpson weights run 1, 4, 2, 4, ..., 2, 4, 1. The chunk size is even, so
-    # every chunk starts on an even node and follows the 2, 4, 2, ... pattern.
-    interior = np.tile((2.0, 4.0), QUADRATURE_CHUNK // 2)
-    for start in range(0, nodes + 1, QUADRATURE_CHUNK):
-        j = np.arange(start, min(start + QUADRATURE_CHUNK, nodes + 1))
-        w = interior[: j.size]
-        if start == 0 or j[-1] == nodes:
-            w = np.where((j == 0) | (j == nodes), 1.0, w)
-        bases = _flow_bases(head, tail, flow.system.angles, j * h)
-        _check_bases(bases)
-        acc += (bases * w[:, None]).reshape(d, -1) @ bases.reshape(d, -1).T
-    g = acc * (h / 3.0)
-    _check_unit_spectrum(g, "quadrature kernel")
-    return g
-
-
-def _check_bases(bases: Array) -> None:
-    # The checks Subspace applies, for every basis of a d x m x k stack. A
-    # non-finite entry makes its column's squared norm, and so dev, non-finite.
-    k = bases.shape[2]
-    grams = np.matmul(bases.transpose(1, 2, 0), bases.transpose(1, 0, 2))
-    dev = float(np.abs(grams - np.eye(k)).max())
-    if not math.isfinite(dev):
-        raise NumericalHealthError("basis has non-finite entries")
-    if dev >= ORTHONORMALITY_TOL:
-        raise NumericalHealthError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
 
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:

@@ -227,6 +227,9 @@ def gen_rotating_drift(
     (e1, e3) plane, so the source-trained layout degrades monotonically while
     the class geometry stays intact.
     """
+    for name, value in (("classes", classes), ("d", d)):
+        if not _is_integer(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
     if d < 4:

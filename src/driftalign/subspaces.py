@@ -124,10 +124,6 @@ class Subspace:
     def sub_dim(self) -> int:
         return int(self.basis.shape[1])
 
-    def projector(self) -> Array:
-        """The d x d orthogonal projection onto this subspace."""
-        return self.basis @ self.basis.T
-
 
 @dataclass(frozen=True, eq=False)
 class PrincipalSystem:
@@ -194,17 +190,6 @@ def _check_half_dim(d: int, k: int) -> None:
     # which needs k <= d - k; the documented contract keeps the bound strict.
     if 2 * k >= d:
         raise DimensionViolation(f"subspace dimension must satisfy k < d/2, got d={d}, k={k}")
-
-
-def orthonormalize(m: object) -> Subspace:
-    """Orthonormal basis for the column span of a full-rank d x k matrix."""
-    a = _as_matrix(m, "matrix")
-    d, k = a.shape
-    _check_half_dim(d, k)
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < RANK_REL_TOL * sv[0]:
-        raise RankDeficient(f"matrix has numerical rank < {k} (smallest/largest singular value {sv[-1]:.3e}/{sv[0]:.3e})")
-    return Subspace(_signed_qr(a))
 
 
 def _check_pair(a: Subspace, b: Subspace) -> None:
@@ -398,8 +383,3 @@ def pca_subspace(x: object, k: int) -> Subspace:
     anchor = np.argmax(np.abs(basis), axis=0)
     signs = np.where(basis[anchor, np.arange(k)] < 0.0, -1.0, 1.0)
     return Subspace(basis * signs)
-
-
-def random_subspace(d: int, k: int, rng: np.random.Generator) -> Subspace:
-    """Random k-dim subspace of R^d drawn from the rotation-invariant law."""
-    return orthonormalize(rng.standard_normal((d, k)))

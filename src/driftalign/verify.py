@@ -1,5 +1,14 @@
 """Seeded self-verification: geodesic laws, mean laws, kernel vs quadrature.
 
+This module owns the oracles that check the online path and are not part of
+it: the iterative order-free mean (``karcher_mean`` with its tangent maps
+``log_tangent`` and ``exp_tangent``), the composite Simpson kernel
+(``quadrature_kernel``), and the random-subspace helpers ``orthonormalize``
+and ``random_subspace``. They, and the dense d x d kernels and projectors the
+suites compare, are built here and nowhere in the library modules; the
+package does not import this module, so ``import driftalign`` loads none of
+it.
+
 Each suite draws deterministic random instances, measures the worst deviation
 per property, and reports one PropertyCheck per property. Failures name the
 instance seed so any single case can be replayed in isolation.
@@ -8,21 +17,37 @@ instance seed so any single case can be replayed in isolation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, flow_kernel, quadrature_kernel
-from .subspace_mean import exp_tangent, init_mean, karcher_mean, update_mean
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    DomainError,
+    InsufficientData,
+    NoConvergence,
+    NumericalHealthError,
+    RankDeficient,
+)
+from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, _check_unit_spectrum, flow_kernel
+from .subspace_mean import init_mean, update_mean
 from .subspaces import (
+    ORTHONORMALITY_TOL,
+    RANK_REL_TOL,
+    Array,
     Subspace,
+    _as_matrix,
+    _check_half_dim,
     _flow_bases,
     _flow_frame,
     _is_integer,
+    _signed_qr,
     geodesic,
     geodesic_distance,
-    random_subspace,
+    principal_system,
 )
 
 # Grids skip combinations that violate the k < d/2 requirement.
@@ -39,6 +64,143 @@ KERNEL_QUADRATURE_TOL = 1e-8
 # Simpson subintervals of the quadrature oracle, whose error falls as nodes^-4.
 KERNEL_QUADRATURE_NODES = 10_000
 ZERO_ANGLE_TOL = 1e-9
+# karcher_mean stops once the average tangent's Frobenius norm is below
+# KARCHER_TOL, and raises NoConvergence after KARCHER_MAX_ITER iterations.
+# Both are read at call time.
+KARCHER_TOL = 1e-8
+KARCHER_MAX_ITER = 200
+# Flow evaluations per broadcast chunk in quadrature_kernel. Even, so chunks
+# start on even nodes; small, so a chunk's d x m x k arrays stay below the
+# memory the rest of the verify path already holds at its peak.
+QUADRATURE_CHUNK = 16
+
+
+def orthonormalize(m: object) -> Subspace:
+    """Orthonormal basis for the column span of a full-rank d x k matrix."""
+    a = _as_matrix(m, "matrix")
+    d, k = a.shape
+    _check_half_dim(d, k)
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] < RANK_REL_TOL * sv[0]:
+        raise RankDeficient(f"matrix has numerical rank < {k} (smallest/largest singular value {sv[-1]:.3e}/{sv[0]:.3e})")
+    return Subspace(_signed_qr(a))
+
+
+def random_subspace(d: int, k: int, rng: np.random.Generator) -> Subspace:
+    """Random k-dim subspace of R^d drawn from the rotation-invariant law."""
+    return orthonormalize(rng.standard_normal((d, k)))
+
+
+def log_tangent(base: Subspace, target: Subspace) -> Array:
+    """Tangent d x k matrix at ``base`` whose geodesic reaches ``target`` at t=1."""
+    system = principal_system(base, target)
+    return -(system.tail * system.angles) @ system.a_rot.T
+
+
+def exp_tangent(base: Subspace, tangent: Array) -> Subspace:
+    """Endpoint of the geodesic leaving ``base`` with tangent ``tangent``.
+
+    The tangent must satisfy base^T tangent = 0; its singular values are the
+    principal angles travelled.
+
+    Raises:
+        DomainError: an entry of base^T tangent exceeds ORTHONORMALITY_TOL in
+            magnitude, so ``tangent`` is not a tangent at ``base``.
+    """
+    t = np.asarray(tangent, dtype=np.float64)
+    if t.shape != (base.ambient_dim, base.sub_dim):
+        raise DimensionMismatch(f"tangent must be {base.ambient_dim} x {base.sub_dim}, got {t.shape}")
+    # base^T tangent is what pulls the endpoint off orthonormality: its Gram
+    # matrix departs from the identity by about that much (times a factor of
+    # order k), so the contract is checked at the basis tolerance.
+    cross = float(abs(base.basis.T @ t).max())
+    if not cross <= ORTHONORMALITY_TOL:
+        raise DomainError(f"tangent is not orthogonal to the base (max |base^T tangent| {cross:.3e})")
+    u, theta, vt = np.linalg.svd(t, full_matrices=False)
+    m = base.basis @ ((vt.T * np.cos(theta)) @ vt) + (u * np.sin(theta)) @ vt
+    return Subspace(m)
+
+
+def karcher_mean(subspaces: Sequence[Subspace]) -> Subspace:
+    """Order-free mean by tangent-space fixed point iteration.
+
+    Repeatedly lifts all subspaces to the tangent space at the current
+    estimate, steps to the exponential of the average tangent, and stops when
+    the average tangent's Frobenius norm drops below KARCHER_TOL. Inputs are
+    assumed to sit inside a geodesic ball of radius pi/4 so the mean is
+    unique.
+
+    Raises:
+        NoConvergence: KARCHER_MAX_ITER iterations ran before meeting KARCHER_TOL.
+    """
+    if len(subspaces) == 0:
+        raise InsufficientData("need at least one subspace")
+    shape = (subspaces[0].ambient_dim, subspaces[0].sub_dim)
+    for s in subspaces[1:]:
+        if (s.ambient_dim, s.sub_dim) != shape:
+            raise DimensionMismatch("subspaces must share ambient and subspace dimensions")
+    est = subspaces[0]
+    for _ in range(KARCHER_MAX_ITER):
+        mean_tangent = sum(log_tangent(est, s) for s in subspaces) / len(subspaces)
+        if float(np.linalg.norm(mean_tangent)) < KARCHER_TOL:
+            return est
+        est = exp_tangent(est, mean_tangent)
+    raise NoConvergence(f"tangent mean norm still >= {KARCHER_TOL:.0e} after {KARCHER_MAX_ITER} iterations")
+
+
+def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
+    """Composite Simpson approximation of the projection integral, as a dense d x d array.
+
+    ``nodes`` is the (even) number of subintervals; error falls as nodes^-4.
+    The flow is evaluated at every node, QUADRATURE_CHUNK nodes at a time:
+    each chunk's bases come from one broadcast call, are checked orthonormal
+    and finite as a Subspace would be, and are accumulated with one weighted
+    matmul. It shares the flow formula with ``evaluate`` and nothing with the
+    closed form's 2k x 2k assembly, so an assembly fault cannot hide. The
+    result is checked for symmetry and a spectrum in [0, 1]; it is symmetric
+    without any symmetrization, since each node's weight (1, 2 or 4) is a
+    power of two and so (a w) b == (b w) a exactly.
+    """
+    if not _is_integer(nodes):
+        raise ConfigError(f"nodes must be an integer, got {nodes!r}")
+    if nodes < 2 or nodes % 2 != 0:
+        raise ConfigError(f"nodes must be an even count >= 2, got {nodes}")
+    flow = geodesic(source, target)
+    head, tail = _flow_frame(flow)
+    d = head.shape[0]
+    acc = np.zeros((d, d))
+    h = 1.0 / nodes
+    # Simpson weights run 1, 4, 2, 4, ..., 2, 4, 1. The chunk size is even, so
+    # every chunk starts on an even node and follows the 2, 4, 2, ... pattern.
+    interior = np.tile((2.0, 4.0), QUADRATURE_CHUNK // 2)
+    for start in range(0, nodes + 1, QUADRATURE_CHUNK):
+        j = np.arange(start, min(start + QUADRATURE_CHUNK, nodes + 1))
+        w = interior[: j.size]
+        if start == 0 or j[-1] == nodes:
+            w = np.where((j == 0) | (j == nodes), 1.0, w)
+        bases = _flow_bases(head, tail, flow.system.angles, j * h)
+        _check_bases(bases)
+        acc += (bases * w[:, None]).reshape(d, -1) @ bases.reshape(d, -1).T
+    g = acc * (h / 3.0)
+    _check_unit_spectrum(g, "quadrature kernel")
+    return g
+
+
+def _check_bases(bases: Array) -> None:
+    # The checks Subspace applies, for every basis of a d x m x k stack. A
+    # non-finite entry makes its column's squared norm, and so dev, non-finite.
+    k = bases.shape[2]
+    grams = np.matmul(bases.transpose(1, 2, 0), bases.transpose(1, 0, 2))
+    dev = float(np.abs(grams - np.eye(k)).max())
+    if not math.isfinite(dev):
+        raise NumericalHealthError("basis has non-finite entries")
+    if dev >= ORTHONORMALITY_TOL:
+        raise NumericalHealthError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
+
+
+def _dense_kernel(kernel: TransformKernel) -> Array:
+    """The kernel's dense d x d matrix G = frame @ weights @ frame.T."""
+    return (kernel.frame @ kernel.weights) @ kernel.frame.T
 
 
 @dataclass
@@ -233,7 +395,7 @@ def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -
         rng = _instance_rng(seed, 2000 + idx)
         source = random_subspace(d, k, rng)
         target = random_subspace(d, k, rng)
-        closed = closed_form(source, target).g
+        closed = _dense_kernel(closed_form(source, target))
         numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
         worst_quad.track(float(np.max(np.abs(closed - numeric))), idx)
         worst_sym.track(float(np.max(np.abs(closed - closed.T))), idx)
@@ -243,7 +405,9 @@ def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -
         rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
         same_span = Subspace(source.basis @ rotation)
         degenerate = closed_form(source, same_span)
-        worst_zero.track(float(np.max(np.abs(degenerate.g - source.projector()))), idx)
+        worst_zero.track(
+            float(np.max(np.abs(_dense_kernel(degenerate) - source.basis @ source.basis.T))), idx
+        )
     return [
         _check("kernel_matches_quadrature", worst_quad, KERNEL_QUADRATURE_TOL, seed),
         _check("kernel_symmetry", worst_sym, SYMMETRY_TOL, seed),

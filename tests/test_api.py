@@ -1,0 +1,105 @@
+"""The public API and the boundary between the online path and its oracles."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import driftalign
+from driftalign import Subspace, TransformKernel
+
+PACKAGE = Path(driftalign.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+# The modules that may import driftalign.verify: the verify command, and itself.
+VERIFY_IMPORTERS = {"cli.py", "verify.py"}
+
+PUBLIC_API = {
+    "AccuracyTrace", "BatchDiagnostics", "ConfigError", "CsvSchema", "DataError", "DatasetBundle",
+    "DimensionMismatch", "DimensionViolation", "DomainError", "DriftAlignError", "GeodesicFlow",
+    "InsufficientData", "KnnParams", "LabeledSet", "MeanSubspaceState", "MiniBatch", "NoConvergence",
+    "NonFiniteData", "NumericalError", "NumericalHealthError", "ParseError", "PipelineConfig",
+    "PipelineState", "PrincipalSystem", "RankDeficient", "SchemaMismatch", "SharedFactorFailure",
+    "StreamSpec", "Subspace", "SvmParams", "TransformKernel", "VARIANT_ALIASES", "VARIANT_FLAGS",
+    "apply_transform", "evaluate", "flow_kernel", "gen_rotating_drift", "gen_waveform", "geodesic",
+    "geodesic_distance", "init_mean", "init_pipeline", "load_csv", "pca_subspace", "predict",
+    "principal_angles", "principal_system", "process_batch", "run_stream", "train", "update_mean",
+    "variant_config",
+}
+
+
+def verify_imports(tree):
+    """Line numbers of the imports of driftalign.verify in a module of the package."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            relative = node.level == 1 and (node.module == "verify" or (node.module is None and any(
+                alias.name == "verify" for alias in node.names)))
+            if relative or node.module == "driftalign.verify":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(alias.name == "driftalign.verify" for alias in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def defined_names(tree):
+    """Names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_public_api_is_pinned():
+    assert set(driftalign.__all__) == PUBLIC_API
+    assert len(driftalign.__all__) == len(PUBLIC_API)
+    assert [name for name in driftalign.__all__ if getattr(driftalign, name, None) is None] == []
+
+
+def test_the_boundary_lint_reads_every_import_form():
+    source = (
+        "from .verify import run_all\n"
+        "from . import verify\n"
+        "from driftalign.verify import karcher_mean\n"
+        "import driftalign.verify\n"
+        "from .verifying import x\n"
+        "from .subspaces import verify\n"
+    )
+    assert verify_imports(ast.parse(source)) == [1, 2, 3, 4]
+
+
+def test_only_cli_and_verify_import_verify():
+    found = [f"{path.name}:{line}" for path in SOURCES if path.name not in VERIFY_IMPORTERS
+             for line in verify_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_no_verify_name_is_public():
+    names = defined_names(ast.parse((PACKAGE / "verify.py").read_text()))
+    assert {"karcher_mean", "quadrature_kernel", "random_subspace", "run_all"} <= names
+    assert names & set(driftalign.__all__) == set()
+
+
+def test_library_modules_hold_no_oracle():
+    # the oracles live in verify; the value types build no dense d x d matrix
+    moved = {"karcher_mean", "log_tangent", "exp_tangent", "quadrature_kernel", "QUADRATURE_CHUNK",
+             "_check_bases", "orthonormalize", "random_subspace"}
+    for name in ("subspaces", "subspace_mean", "flow_kernel"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        assert defined_names(tree) & moved == set(), name
+    assert not hasattr(Subspace, "projector")
+    assert not hasattr(TransformKernel, "g")
+
+
+def test_importing_the_package_leaves_verify_unloaded():
+    # the benchmark times `import driftalign.verify` on its own; the package must not pull it in
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    code = "import sys, driftalign; print(sorted(m for m in sys.modules if m.startswith('driftalign')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = ast.literal_eval(out.stdout)
+    assert "driftalign.subspaces" in loaded
+    assert "driftalign.verify" not in loaded

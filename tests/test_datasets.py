@@ -256,6 +256,22 @@ class TestRotatingGenerator:
             gen_rotating_drift(StreamSpec(batch_size=25, batch_count=4, seed=0, source_size=5),
                                classes=3)
 
+    @pytest.mark.parametrize("name", ["classes", "d"])
+    @pytest.mark.parametrize("value", [2.5, 6.0, True], ids=["2.5", "6.0", "True"])
+    def test_classes_and_dimension_must_be_integers(self, name, value):
+        # 2.5 and 6.0 used to escape as numpy's TypeError
+        spec = StreamSpec(batch_size=25, batch_count=2, seed=0)
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
+            gen_rotating_drift(spec, **{name: value})
+
+    def test_numpy_integer_settings_give_the_same_stream(self):
+        spec = StreamSpec(batch_size=20, batch_count=2, seed=4, source_size=60)
+        plain = gen_rotating_drift(spec, classes=3, d=8)
+        numpy_ints = gen_rotating_drift(spec, classes=np.int64(3), d=np.int64(8))
+        assert numpy_ints.source.x.tobytes() == plain.source.x.tobytes()
+        for a, b in zip(numpy_ints.stream, plain.stream):
+            assert a.x.tobytes() == b.x.tobytes()
+
     def test_zero_rotation_keeps_batches_in_the_source_law(self):
         spec = StreamSpec(batch_size=50, batch_count=4, seed=7, source_size=200)
         calm = gen_rotating_drift(spec, total_rotation=0.0)

@@ -1,5 +1,7 @@
 """Running mean on the manifold plus the iterative reference mean."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,23 +13,26 @@ from driftalign import (
     MeanSubspaceState,
     NoConvergence,
     evaluate,
-    exp_tangent,
     geodesic,
     geodesic_distance,
     init_mean,
-    karcher_mean,
-    log_tangent,
     principal_angles,
-    random_subspace,
     update_mean,
 )
 from driftalign.subspaces import ORTHONORMALITY_TOL
-from driftalign.verify import _sine_angles
+from driftalign.verify import (
+    _sine_angles,
+    exp_tangent,
+    karcher_mean,
+    log_tangent,
+    orthonormalize,
+    random_subspace,
+)
+
+verify_module = importlib.import_module("driftalign.verify")
 
 
 def perturbed(base, scale, rng):
-    from driftalign import orthonormalize
-
     return orthonormalize(base.basis + scale * rng.standard_normal(base.basis.shape))
 
 
@@ -142,12 +147,15 @@ class TestKarcherMean:
         mean = karcher_mean([s, s, s])
         assert principal_angles(mean, s).max() < 1e-7
 
-    def test_impossible_tolerance_raises(self):
+    def test_impossible_tolerance_raises(self, monkeypatch):
+        # the settings are module constants, read at call time
+        monkeypatch.setattr(verify_module, "KARCHER_TOL", 0.0)
+        monkeypatch.setattr(verify_module, "KARCHER_MAX_ITER", 3)
         rng = np.random.default_rng(10)
         a = random_subspace(10, 3, rng)
         pts = [perturbed(a, 0.2, rng) for _ in range(4)]
-        with pytest.raises(NoConvergence):
-            karcher_mean(pts, tol=0.0, max_iter=3)
+        with pytest.raises(NoConvergence, match="still >= 0e\\+00 after 3 iterations"):
+            karcher_mean(pts)
 
     def test_no_subspaces_rejected(self):
         with pytest.raises(InsufficientData, match="need at least one subspace"):

@@ -23,11 +23,9 @@ from driftalign import (
     flow_kernel,
     geodesic,
     geodesic_distance,
-    orthonormalize,
     pca_subspace,
     principal_angles,
     principal_system,
-    random_subspace,
 )
 from driftalign.flow_kernel import SYMMETRY_TOL
 from driftalign.subspaces import (
@@ -36,6 +34,7 @@ from driftalign.subspaces import (
     RESIDUAL_COLUMN_TOL,
     _orthonormal_extension,
 )
+from driftalign.verify import orthonormalize, random_subspace
 
 
 def planar_pair(d, phi):
@@ -61,12 +60,6 @@ class TestSubspaceType:
         s = Subspace(basis=np.eye(6)[:, :2])
         with pytest.raises(ValueError):
             s.basis[0, 0] = 7.0
-
-    def test_projector_is_idempotent(self):
-        rng = np.random.default_rng(3)
-        s = random_subspace(9, 3, rng)
-        p = s.projector()
-        np.testing.assert_allclose(p @ p, p, atol=1e-12)
 
 
 class TestOrthonormalize:
