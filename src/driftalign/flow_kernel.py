@@ -32,7 +32,9 @@ from .subspaces import (
 
 # Angles below this use the analytic limits of the integral weights.
 SMALL_ANGLE = 1e-8
-# Allowed asymmetry of the kernel weights and of the quadrature kernel.
+# Allowed asymmetry of the kernel weights, and of the Gauss-Legendre
+# quadrature kernel in driftalign.verify, which is exactly symmetric by
+# construction and checked against this bound all the same.
 SYMMETRY_TOL = 1e-12
 # Allowed spectrum overshoot outside [0, 1].
 SPECTRUM_TOL = 1e-9

@@ -371,7 +371,11 @@ def pca_subspace(x: object, k: int) -> Subspace:
     """
     a = _as_matrix(x, "data matrix")
     n, d = a.shape
-    _check_half_dim(d, int(k))
+    # Plain Python, as this runs on every batch. A float, bool, string or
+    # k < 1 would otherwise escape as a TypeError or IndexError, or run as 1.
+    if not _is_integer(k) or k < 1:
+        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
+    _check_half_dim(d, k)
     if n < 2:
         raise RankDeficient(f"PCA needs at least 2 rows, got {n}")
     centered = a - a.mean(axis=0)

@@ -2,7 +2,7 @@
 
 This module owns the oracles that check the online path and are not part of
 it: the iterative order-free mean (``karcher_mean`` with its tangent maps
-``log_tangent`` and ``exp_tangent``), the composite Simpson kernel
+``log_tangent`` and ``exp_tangent``), the Gauss-Legendre quadrature kernel
 (``quadrature_kernel``), and the random-subspace helpers ``orthonormalize``
 and ``random_subspace``. They, and the dense d x d kernels and projectors the
 suites compare, are built here and nowhere in the library modules; the
@@ -61,18 +61,19 @@ STEP_SIZE_TOL = 1e-8
 FIXED_POINT_TOL = 1e-8
 TWO_POINT_TOL = 1e-6
 KERNEL_QUADRATURE_TOL = 1e-8
-# Simpson subintervals of the quadrature oracle, whose error falls as nodes^-4.
-KERNEL_QUADRATURE_NODES = 10_000
+# Gauss-Legendre points of the quadrature oracle. An n-point rule is exact
+# for polynomials of degree 2n - 1, and the integrand's trig polynomials of
+# frequency <= pi are matched to rounding at 16 points. quadrature_kernel
+# takes at most MAX_QUADRATURE_NODES: more buys no accuracy, only a larger
+# d x nodes x k stack of bases.
+KERNEL_QUADRATURE_NODES = 16
+MAX_QUADRATURE_NODES = 64
 ZERO_ANGLE_TOL = 1e-9
 # karcher_mean stops once the average tangent's Frobenius norm is below
 # KARCHER_TOL, and raises NoConvergence after KARCHER_MAX_ITER iterations.
 # Both are read at call time.
 KARCHER_TOL = 1e-8
 KARCHER_MAX_ITER = 200
-# Flow evaluations per broadcast chunk in quadrature_kernel. Even, so chunks
-# start on even nodes; small, so a chunk's d x m x k arrays stay below the
-# memory the rest of the verify path already holds at its peak.
-QUADRATURE_CHUNK = 16
 
 
 def orthonormalize(m: object) -> Subspace:
@@ -149,39 +150,40 @@ def karcher_mean(subspaces: Sequence[Subspace]) -> Subspace:
 
 
 def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
-    """Composite Simpson approximation of the projection integral, as a dense d x d array.
+    """Gauss-Legendre approximation of the projection integral, as a dense d x d array.
 
-    ``nodes`` is the (even) number of subintervals; error falls as nodes^-4.
-    The flow is evaluated at every node, QUADRATURE_CHUNK nodes at a time:
-    each chunk's bases come from one broadcast call, are checked orthonormal
-    and finite as a Subspace would be, and are accumulated with one weighted
-    matmul. It shares the flow formula with ``evaluate`` and nothing with the
-    closed form's 2k x 2k assembly, so an assembly fault cannot hide. The
-    result is checked for symmetry and a spectrum in [0, 1]; it is symmetric
-    without any symmetrization, since each node's weight (1, 2 or 4) is a
-    power of two and so (a w) b == (b w) a exactly.
+    ``nodes`` is the number of Gauss-Legendre points on [0, 1], from 1 to
+    MAX_QUADRATURE_NODES. The integrand's entries are trig polynomials of
+    frequency at most twice the largest principal angle, so at most pi, and
+    16 nodes reach rounding. The flow is evaluated at every node in one
+    broadcast call; every basis is checked orthonormal and finite as a
+    Subspace would be, and the weighted sum of Psi Psi^T is one matmul. It
+    shares the flow formula with ``evaluate`` and nothing with the closed
+    form's 2k x 2k assembly, so an assembly fault cannot hide. The result is
+    checked for symmetry and a spectrum in [0, 1]; it is symmetric without any
+    symmetrization, since each basis is scaled by the square root of its
+    weight and the sum is formed as X @ X.T, which numpy computes with a
+    symmetric rank-k update (syrk) that writes both triangles from the same
+    products.
     """
     if not _is_integer(nodes):
         raise ConfigError(f"nodes must be an integer, got {nodes!r}")
-    if nodes < 2 or nodes % 2 != 0:
-        raise ConfigError(f"nodes must be an even count >= 2, got {nodes}")
+    if not 1 <= nodes <= MAX_QUADRATURE_NODES:
+        raise ConfigError(f"nodes must be in [1, {MAX_QUADRATURE_NODES}], got {nodes}")
+    # Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi
+    # matrix of the Legendre recurrence, and the weight of each, mapped to
+    # [0, 1], is v0^2 for its unit eigenvector v. These weights sum to 1;
+    # dividing by their computed sum takes eigh's rounding out of that sum.
+    i = np.arange(1.0, nodes)
+    beta = i / np.sqrt(4.0 * i * i - 1.0)
+    x, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    root_weights = np.abs(v[0]) / np.linalg.norm(v[0])
     flow = geodesic(source, target)
     head, tail = _flow_frame(flow)
-    d = head.shape[0]
-    acc = np.zeros((d, d))
-    h = 1.0 / nodes
-    # Simpson weights run 1, 4, 2, 4, ..., 2, 4, 1. The chunk size is even, so
-    # every chunk starts on an even node and follows the 2, 4, 2, ... pattern.
-    interior = np.tile((2.0, 4.0), QUADRATURE_CHUNK // 2)
-    for start in range(0, nodes + 1, QUADRATURE_CHUNK):
-        j = np.arange(start, min(start + QUADRATURE_CHUNK, nodes + 1))
-        w = interior[: j.size]
-        if start == 0 or j[-1] == nodes:
-            w = np.where((j == 0) | (j == nodes), 1.0, w)
-        bases = _flow_bases(head, tail, flow.system.angles, j * h)
-        _check_bases(bases)
-        acc += (bases * w[:, None]).reshape(d, -1) @ bases.reshape(d, -1).T
-    g = acc * (h / 3.0)
+    bases = _flow_bases(head, tail, flow.system.angles, 0.5 * (x + 1.0))
+    _check_bases(bases)
+    scaled = (bases * root_weights[:, None]).reshape(head.shape[0], -1)
+    g = scaled @ scaled.T
     _check_unit_spectrum(g, "quadrature kernel")
     return g
 
@@ -375,7 +377,7 @@ def flip_cross_sign(kernel: TransformKernel) -> TransformKernel:
 
 
 def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -> list[PropertyCheck]:
-    """Closed form vs composite Simpson, symmetry, spectrum, zero-angle case.
+    """Closed form vs Gauss-Legendre quadrature, symmetry, spectrum, zero-angle case.
 
     ``flip_cross=True`` checks :func:`flip_cross_sign` of every closed-form
     kernel instead, so the quadrature comparison must fail.

@@ -85,7 +85,7 @@ def test_criterion_2_kernel_oracle_equivalence():
     report(
         2,
         not failed and elapsed < 30.0,
-        f"closed form vs 10^4-node quadrature over 50 instances, {elapsed:.2f}s "
+        f"closed form vs 16-node Gauss–Legendre quadrature over 50 instances, {elapsed:.2f}s "
         f"(budget 30s), failures: {failed or 'none'}",
     )
 

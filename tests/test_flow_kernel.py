@@ -24,7 +24,8 @@ from driftalign import (
 )
 from driftalign.flow_kernel import SMALL_ANGLE
 from driftalign.verify import (
-    QUADRATURE_CHUNK,
+    KERNEL_QUADRATURE_NODES,
+    KERNEL_QUADRATURE_TOL,
     _dense_kernel,
     flip_cross_sign,
     geodesic_suite,
@@ -43,6 +44,13 @@ def kernel_pair(d, k, seed):
     rng = np.random.default_rng(seed)
     source = random_subspace(d, k, rng)
     target = random_subspace(d, k, rng)
+    return source, target
+
+
+def right_angle_pair():
+    # source spans e1, target spans e2: the widest angle a flow can turn through
+    source = Subspace(basis=np.array([[1.0], [0.0], [0.0]]))
+    target = Subspace(basis=np.array([[0.0], [1.0], [0.0]]))
     return source, target
 
 
@@ -68,21 +76,24 @@ def flow_formula(flow, t):
 
 class TestCanonicalValues:
     def test_right_angle_pair_in_the_plane(self):
-        # source spans e1, target spans e2: diagonal is 1/2, off-diagonal 1/pi
-        source = Subspace(basis=np.array([[1.0], [0.0], [0.0]]))
-        target = Subspace(basis=np.array([[0.0], [1.0], [0.0]]))
-        g = _dense_kernel(flow_kernel(source, target))
+        # diagonal is 1/2, off-diagonal 1/pi
+        g = _dense_kernel(flow_kernel(*right_angle_pair()))
         assert abs(g[0, 0] - 0.5) < 1e-12
         assert abs(g[1, 1] - 0.5) < 1e-12
         assert abs(abs(g[0, 1]) - 1.0 / math.pi) < 1e-12
         assert abs(g[2, 2]) < 1e-12
 
     def test_right_angle_matches_quadrature_including_sign(self):
-        source = Subspace(basis=np.array([[1.0], [0.0], [0.0]]))
-        target = Subspace(basis=np.array([[0.0], [1.0], [0.0]]))
+        source, target = right_angle_pair()
         closed = _dense_kernel(flow_kernel(source, target))
-        numeric = quadrature_kernel(source, target, nodes=10_000)
+        numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
         assert np.abs(closed - numeric).max() < 1e-10
+
+    def test_two_nodes_miss_the_agreement(self):
+        # the agreement at the default node count is not one any rule would reach
+        source, target = right_angle_pair()
+        closed = _dense_kernel(flow_kernel(source, target))
+        assert np.abs(closed - quadrature_kernel(source, target, nodes=2)).max() > KERNEL_QUADRATURE_TOL
 
     def test_zero_angle_gives_the_projector(self):
         rng = np.random.default_rng(0)
@@ -93,23 +104,26 @@ class TestCanonicalValues:
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("d,k,seed", [(8, 2, 1), (10, 3, 2), (12, 1, 3), (16, 5, 4)])
-    def test_matches_simpson_quadrature(self, d, k, seed):
+    def test_matches_gauss_legendre_quadrature(self, d, k, seed):
         source, target = kernel_pair(d, k, seed)
         closed = _dense_kernel(flow_kernel(source, target))
-        numeric = quadrature_kernel(source, target, nodes=10_000)
+        numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
         assert np.abs(closed - numeric).max() < 1e-8
 
     def test_quadrature_self_converges(self):
+        # half the default nodes already reach rounding
         source, target = kernel_pair(10, 3, 5)
-        coarse = quadrature_kernel(source, target, nodes=100)
-        fine = quadrature_kernel(source, target, nodes=10_000)
-        assert np.abs(coarse - fine).max() < 1e-8
+        coarse = quadrature_kernel(source, target, nodes=8)
+        fine = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
+        assert np.abs(coarse - fine).max() < 1e-14
 
-    def test_node_count_must_be_even_and_positive(self):
+    def test_node_count_must_be_in_range(self):
         source, target = kernel_pair(8, 2, 6)
-        for nodes in (0, -2, 7):
-            with pytest.raises(ConfigError, match="nodes must be an even count >= 2"):
+        for nodes in (0, -2, 65):
+            with pytest.raises(ConfigError, match=r"nodes must be in \[1, 64\]"):
                 quadrature_kernel(source, target, nodes=nodes)
+        for nodes in (1, 7, 64):
+            quadrature_kernel(source, target, nodes=nodes)
 
     @pytest.mark.parametrize("nodes", [2.5, 100.0, True])
     def test_node_count_must_be_an_integer(self, nodes):
@@ -118,14 +132,28 @@ class TestOracleAgreement:
             quadrature_kernel(*kernel_pair(8, 2, 6), nodes=nodes)
 
     @pytest.mark.parametrize(
-        "nodes", [2, QUADRATURE_CHUNK - 2, QUADRATURE_CHUNK, QUADRATURE_CHUNK + 2, 10_000]
+        "pair", [lambda: kernel_pair(10, 1, 15), lambda: kernel_pair(12, 3, 16), right_angle_pair],
+        ids=["d10k1", "d12k3", "right_angle"],
     )
-    def test_chunked_oracle_matches_per_node_loop(self, nodes):
-        for d, k, seed in ((10, 1, 15), (12, 3, 16)):
-            source, target = kernel_pair(d, k, seed)
-            chunked = quadrature_kernel(source, target, nodes=nodes)
-            reference = per_node_quadrature(source, target, nodes)
-            assert np.abs(chunked - reference).max() < 1e-14
+    def test_oracle_matches_per_node_simpson_reference(self, pair):
+        # the 10^4-subinterval Simpson rule, one evaluate() per node, is the reference
+        source, target = pair()
+        gauss = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
+        reference = per_node_quadrature(source, target, 10_000)
+        assert np.abs(gauss - reference).max() < 1e-14
+
+    def test_one_broadcast_flow_evaluation_per_call(self, monkeypatch):
+        # a per-node or per-chunk loop would call _flow_bases more than once
+        calls = []
+        original = verify_module._flow_bases
+
+        def counted(*args):
+            calls.append(args[3].shape)
+            return original(*args)
+
+        monkeypatch.setattr(verify_module, "_flow_bases", counted)
+        quadrature_kernel(*kernel_pair(12, 3, 16), nodes=KERNEL_QUADRATURE_NODES)
+        assert calls == [(KERNEL_QUADRATURE_NODES,)]
 
     @pytest.mark.parametrize(
         "corrupt,message",
@@ -137,7 +165,7 @@ class TestOracleAgreement:
         monkeypatch.setattr(verify_module, "_flow_bases", lambda *a: corrupt(original(*a)))
         source, target = kernel_pair(8, 2, 17)
         with pytest.raises(NumericalHealthError, match=message):
-            quadrature_kernel(source, target, nodes=100)
+            quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
 
     @pytest.mark.parametrize("eps, passed", [(1e-9, True), (5e-8, False)], ids=["2e-9", "1e-7"])
     def test_geodesic_suite_measures_orthonormality_at_its_own_tolerance(self, monkeypatch, eps, passed):
@@ -205,14 +233,14 @@ class TestOracleAgreement:
 
     def test_oracle_is_exactly_symmetric_without_symmetrization(self):
         for d, k, seed in ((8, 2, 1), (10, 3, 2), (12, 1, 3), (16, 5, 4)):
-            g = quadrature_kernel(*kernel_pair(d, k, seed), nodes=1_000)
+            g = quadrature_kernel(*kernel_pair(d, k, seed), nodes=KERNEL_QUADRATURE_NODES)
             assert np.array_equal(g, g.T)
 
     def test_wrong_cross_sign_breaks_agreement(self):
         # the same check the fault-injection path relies on
         source, target = kernel_pair(10, 3, 7)
         wrong = _dense_kernel(flip_cross_sign(flow_kernel(source, target)))
-        numeric = quadrature_kernel(source, target, nodes=10_000)
+        numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
         assert np.abs(wrong - numeric).max() > 1e-8
 
     def test_flipped_kernel_carries_the_positive_cross_integral(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftalign import (
+    ConfigError,
     DimensionMismatch,
     DimensionViolation,
     DomainError,
@@ -494,6 +495,17 @@ class TestPcaSubspace:
         x[7, 3] = bad
         with pytest.raises(NonFiniteData, match="data matrix has non-finite entries"):
             pca_subspace(x, 2)
+
+    @pytest.mark.parametrize("k", [2.5, -1, 0, "3", True], ids=["float", "negative", "zero", "str", "bool"])
+    def test_k_must_be_a_positive_integer(self, k):
+        # 2.5 and "3" used to raise TypeError, -1 IndexError, and True ran as k=1
+        x = np.random.default_rng(5).standard_normal((20, 10))
+        with pytest.raises(ConfigError, match="k must be an integer >= 1"):
+            pca_subspace(x, k)
+
+    def test_numpy_integer_k_gives_the_same_basis(self):
+        x = np.random.default_rng(5).standard_normal((20, 10))
+        assert np.array_equal(pca_subspace(x, np.int64(3)).basis, pca_subspace(x, 3).basis)
 
     def test_rank_below_k_rejected(self):
         x = np.outer(np.arange(10.0), np.ones(8))  # rank one after centering
