@@ -4,7 +4,11 @@ This module owns the oracles that check the online path and are not part of
 it: the iterative order-free mean (``karcher_mean`` with its tangent maps
 ``log_tangent`` and ``exp_tangent``), the Gauss-Legendre quadrature kernel
 (``quadrature_kernel``), and the random-subspace helpers ``orthonormalize``
-and ``random_subspace``. They, and the dense d x d kernels and projectors the
+and ``random_subspace``. ``log_tangent`` is the closed-form Grassmann
+logarithm, one solve and one k-column SVD, defined while every principal
+angle is below pi/2; it and ``karcher_mean`` never call ``principal_system``,
+so the mean the running mean is checked against is computed independently of
+the online path. They, and the dense d x d kernels and projectors the
 suites compare, are built here and nowhere in the library modules; the
 package does not import this module, so ``import driftalign`` loads none of
 it.
@@ -41,13 +45,13 @@ from .subspaces import (
     Subspace,
     _as_matrix,
     _check_half_dim,
+    _check_pair,
     _flow_bases,
     _flow_frame,
     _is_integer,
     _signed_qr,
     geodesic,
     geodesic_distance,
-    principal_system,
 )
 
 # Grids skip combinations that violate the k < d/2 requirement.
@@ -93,9 +97,37 @@ def random_subspace(d: int, k: int, rng: np.random.Generator) -> Subspace:
 
 
 def log_tangent(base: Subspace, target: Subspace) -> Array:
-    """Tangent d x k matrix at ``base`` whose geodesic reaches ``target`` at t=1."""
-    system = principal_system(base, target)
-    return -(system.tail * system.angles) @ system.a_rot.T
+    """Tangent d x k matrix at ``base`` whose geodesic reaches ``target`` at t=1.
+
+    The closed-form Grassmann logarithm (Edelman, Arias & Smith 1998; Absil,
+    Mahony & Sepulchre 2004): with C = B^T T, the thin SVD
+    (T - B C) C^-1 = U diag(s) V^T gives the tangent U diag(arctan(s)) V^T.
+    Its singular values are the principal angles. C^-1 is applied by one
+    solve, never formed. The map is defined while every principal angle is
+    below pi/2, where C is invertible; at a right angle the geodesic is not
+    unique. Near one, C^-1 amplifies rounding by about tan(angle): within
+    about 1e-7 of pi/2, B^T times the tangent exceeds ORTHONORMALITY_TOL and
+    ``exp_tangent`` rejects it. The mean's inputs, in a pi/4 ball, stay far
+    from that. A tiny angle keeps its direction to rounding, where
+    ``principal_system`` fills an unresolved opening direction arbitrarily.
+    It shares no code with ``principal_system``, so the oracle does not
+    inherit a fault of the online path.
+
+    Raises:
+        DimensionMismatch: the subspaces have different shapes.
+        DomainError: C is exactly singular, so a principal angle is pi/2.
+    """
+    _check_pair(base, target)
+    _check_half_dim(*base.basis.shape)
+    b = base.basis
+    c = b.T @ target.basis
+    try:
+        # (T - B C) C^-1 is the transpose of C^-T (T - B C)^T.
+        m = np.linalg.solve(c.T, (target.basis - b @ c).T).T
+    except np.linalg.LinAlgError:
+        raise DomainError("a principal angle is pi/2: the log map is not unique at a right angle") from None
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return (u * np.arctan(s)) @ vt
 
 
 def exp_tangent(base: Subspace, tangent: Array) -> Subspace:
@@ -126,10 +158,12 @@ def karcher_mean(subspaces: Sequence[Subspace]) -> Subspace:
     """Order-free mean by tangent-space fixed point iteration.
 
     Repeatedly lifts all subspaces to the tangent space at the current
-    estimate, steps to the exponential of the average tangent, and stops when
+    estimate with the closed-form ``log_tangent``, adds the tangents into one
+    d x k buffer, steps to the exponential of their average, and stops when
     the average tangent's Frobenius norm drops below KARCHER_TOL. Inputs are
     assumed to sit inside a geodesic ball of radius pi/4 so the mean is
-    unique.
+    unique; that keeps every principal angle to the estimate below pi/2,
+    inside the log map's domain. No step calls ``principal_system``.
 
     Raises:
         NoConvergence: KARCHER_MAX_ITER iterations ran before meeting KARCHER_TOL.
@@ -141,8 +175,12 @@ def karcher_mean(subspaces: Sequence[Subspace]) -> Subspace:
         if (s.ambient_dim, s.sub_dim) != shape:
             raise DimensionMismatch("subspaces must share ambient and subspace dimensions")
     est = subspaces[0]
+    mean_tangent = np.empty(shape)
     for _ in range(KARCHER_MAX_ITER):
-        mean_tangent = sum(log_tangent(est, s) for s in subspaces) / len(subspaces)
+        mean_tangent.fill(0.0)
+        for s in subspaces:
+            mean_tangent += log_tangent(est, s)
+        mean_tangent /= len(subspaces)
         if float(np.linalg.norm(mean_tangent)) < KARCHER_TOL:
             return est
         est = exp_tangent(est, mean_tangent)
@@ -222,7 +260,9 @@ class _Worst:
         self.index = -1
 
     def track(self, value: float, index: int) -> None:
-        if value > self.value:
+        # A NaN deviation is recorded, so that _check fails on it, and then
+        # kept: no later value replaces a NaN worst.
+        if not value <= self.value and not math.isnan(self.value):
             self.value = float(value)
             self.index = index
 
@@ -262,7 +302,7 @@ def _sine_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def random_within_ball(center: Subspace, radius: float, rng: np.random.Generator) -> Subspace:
-    """Subspace at a uniform geodesic distance in (0, radius] from ``center``."""
+    """Subspace at a geodesic distance drawn uniformly from [0.1 * radius, radius) from ``center``."""
     raw = rng.standard_normal((center.ambient_dim, center.sub_dim))
     tangent = raw - center.basis @ (center.basis.T @ raw)
     norm = float(np.linalg.norm(tangent))

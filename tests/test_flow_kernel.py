@@ -178,6 +178,21 @@ class TestOracleAgreement:
         worst = float(check.detail.split()[1])
         assert 1.5 * eps < worst < 2.5 * eps
 
+    def test_a_nan_deviation_fails_the_property(self, monkeypatch):
+        # a NaN compares false with everything, and used to pass as "worst 0.000e+00"
+        original = verify_module._flow_bases
+
+        def with_nan(*args):
+            bases = original(*args)
+            bases[0, 2, 0] = np.nan  # the midpoint basis, so the endpoint checks stay finite
+            return bases
+
+        monkeypatch.setattr(verify_module, "_flow_bases", with_nan)
+        check = geodesic_suite(seed=0, instances=3)[0]
+        assert check.name == "geodesic_orthonormal_along_flow"
+        assert not check.passed
+        assert check.detail == "worst nan vs tolerance 1e-08 at instance seed (0, 0)"
+
     def test_injected_cross_sign_fault_is_caught_by_the_suite(self):
         checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}
         assert not checks["kernel_matches_quadrature"].passed

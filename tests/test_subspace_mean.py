@@ -19,7 +19,7 @@ from driftalign import (
     principal_angles,
     update_mean,
 )
-from driftalign.subspaces import ORTHONORMALITY_TOL
+from driftalign.subspaces import ORTHONORMALITY_TOL, Subspace, principal_system
 from driftalign.verify import (
     _sine_angles,
     exp_tangent,
@@ -30,10 +30,26 @@ from driftalign.verify import (
 )
 
 verify_module = importlib.import_module("driftalign.verify")
+subspaces_module = importlib.import_module("driftalign.subspaces")
+
+LOG_SHAPES = [(10, 3), (16, 4), (40, 10), (30, 1), (7, 3), (12, 5)]
 
 
 def perturbed(base, scale, rng):
     return orthonormalize(base.basis + scale * rng.standard_normal(base.basis.shape))
+
+
+def reference_log_tangent(base, target):
+    """The log map through the library's principal system, as log_tangent computed it before the closed form."""
+    s = principal_system(base, target)
+    return -(s.tail * s.angles) @ s.a_rot.T
+
+
+def tangent_at(base, length, rng):
+    """A random tangent at ``base`` of Frobenius norm ``length``."""
+    raw = rng.standard_normal(base.basis.shape)
+    tangent = raw - base.basis @ (base.basis.T @ raw)
+    return tangent * (length / np.linalg.norm(tangent))
 
 
 class TestRunningMean:
@@ -131,6 +147,43 @@ class TestTangentMaps:
         tangent = log_tangent(base, target)
         assert abs(np.linalg.norm(tangent) - geodesic_distance(base, target)) < 1e-8
 
+    @pytest.mark.parametrize("d, k", LOG_SHAPES)
+    def test_closed_form_matches_the_principal_system_log(self, d, k):
+        # random pairs, and the same targets under a rotated basis: the tangent depends only on the span
+        rng = np.random.default_rng(100 * d + k)
+        worst = 0.0
+        for _ in range(10):
+            base = random_subspace(d, k, rng)
+            target = random_subspace(d, k, rng)
+            rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
+            for t in (target, Subspace(target.basis @ rotation)):
+                worst = max(worst, float(np.abs(log_tangent(base, t) - reference_log_tangent(base, t)).max()))
+        assert worst < 1e-11
+
+    @pytest.mark.parametrize("d, k", [(10, 3), (16, 4)])
+    def test_tiny_angles_keep_their_direction(self, d, k):
+        # principal_system fills a direction whose sine is below 1e-9 arbitrarily; the closed form does not
+        rng = np.random.default_rng(12 + d)
+        for _ in range(5):
+            base = random_subspace(d, k, rng)
+            target = exp_tangent(base, tangent_at(base, 1e-9, rng))
+            recovered = exp_tangent(base, log_tangent(base, target))
+            assert _sine_angles(recovered.basis, target.basis).max() < 1e-13
+
+    def test_right_angle_is_outside_the_domain(self):
+        # (e0, e1, e2) vs (e0, e1, e5): B^T T is exactly singular, and numpy's LinAlgError is a ValueError
+        eye = np.eye(8)
+        base = Subspace(eye[:, [0, 1, 2]])
+        target = Subspace(eye[:, [0, 1, 5]])
+        with pytest.raises(DomainError, match="principal angle is pi/2"):
+            log_tangent(base, target)
+
+    @pytest.mark.parametrize("other", [(12, 3), (10, 2)])
+    def test_mismatched_shapes_rejected(self, other):
+        rng = np.random.default_rng(13)
+        with pytest.raises(DimensionMismatch, match="different spaces"):
+            log_tangent(random_subspace(10, 3, rng), random_subspace(*other, rng))
+
 
 class TestKarcherMean:
     def test_two_point_mean_matches_midpoint(self):
@@ -156,6 +209,32 @@ class TestKarcherMean:
         pts = [perturbed(a, 0.2, rng) for _ in range(4)]
         with pytest.raises(NoConvergence, match="still >= 0e\\+00 after 3 iterations"):
             karcher_mean(pts)
+
+    def test_no_call_reaches_the_principal_system(self, monkeypatch):
+        # the oracle must not share the online path's factorisation, and it steps once per unconverged iteration
+        rng = np.random.default_rng(14)
+        center = random_subspace(10, 3, rng)
+        cloud = [exp_tangent(center, tangent_at(center, 0.3, rng)) for _ in range(8)]
+        calls = {"principal_system": 0, "_shared_factors": 0, "log_tangent": 0, "exp_tangent": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        # verify does not import principal_system; raising=False still counts a call if it ever does
+        monkeypatch.setattr(verify_module, "principal_system", counted("principal_system", principal_system),
+                            raising=False)
+        monkeypatch.setattr(subspaces_module, "_shared_factors",
+                            counted("_shared_factors", subspaces_module._shared_factors))
+        for name in ("log_tangent", "exp_tangent"):
+            monkeypatch.setattr(verify_module, name, counted(name, getattr(verify_module, name)))
+        karcher_mean(cloud)
+        assert calls["principal_system"] == calls["_shared_factors"] == 0
+        iterations, rest = divmod(calls["log_tangent"], 8)
+        assert rest == 0 and iterations > 1
+        assert calls["exp_tangent"] == iterations - 1
 
     def test_no_subspaces_rejected(self):
         with pytest.raises(InsufficientData, match="need at least one subspace"):
