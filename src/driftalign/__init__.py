@@ -26,7 +26,6 @@ from .errors import (
 )
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .pipeline import (
-    VARIANT_ALIASES,
     VARIANT_FLAGS,
     AccuracyTrace,
     BatchDiagnostics,
@@ -84,7 +83,6 @@ __all__ = [
     "Subspace",
     "SvmParams",
     "TransformKernel",
-    "VARIANT_ALIASES",
     "VARIANT_FLAGS",
     "apply_transform",
     "evaluate",

@@ -35,7 +35,7 @@ from .errors import (
     NumericalHealthError,
     SchemaMismatch,
 )
-from .subspaces import _is_integer, _read_only, _real
+from .subspaces import _count, _read_only, _real
 
 Array = np.ndarray
 
@@ -153,11 +153,7 @@ class KnnParams:
     n_neighbors: int = 1
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.n_neighbors):
-            raise ConfigError(f"n_neighbors must be an integer, got {self.n_neighbors!r}")
-        if self.n_neighbors < 1:
-            raise ConfigError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
-        object.__setattr__(self, "n_neighbors", int(self.n_neighbors))
+        object.__setattr__(self, "n_neighbors", _count("n_neighbors", self.n_neighbors, 1))
 
 
 @dataclass(frozen=True)
@@ -174,14 +170,9 @@ class SvmParams:
             raise ConfigError(f"regularization must be finite, got {lam}")
         if lam <= 0.0:
             raise ConfigError(f"regularization must be positive, got {lam}")
-        for name in ("epochs", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "regularization", lam)
+        object.__setattr__(self, "epochs", _count("epochs", self.epochs, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
 
 
 @dataclass(frozen=True, eq=False)

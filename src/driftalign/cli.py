@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .classifiers import KnnParams, SvmParams
 from .errors import ConfigError, DataError, NumericalError
-from .pipeline import VARIANT_ALIASES, VARIANT_FLAGS, AccuracyTrace, PipelineConfig, run_stream
+from .pipeline import VARIANT_FLAGS, AccuracyTrace, PipelineConfig, run_stream
 from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
 from .verify import run_all
 
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--variant",
         required=True,
-        choices=tuple(VARIANT_FLAGS) + tuple(VARIANT_ALIASES),
+        choices=tuple(VARIANT_FLAGS),
         help="ablation variant to run",
     )
     run.set_defaults(func=cmd_run)

@@ -33,7 +33,7 @@ from .classifiers import (
 from .errors import ConfigError, DimensionMismatch, NumericalError, SchemaMismatch
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
-from .subspaces import Array, Subspace, _is_integer, _read_only, pca_subspace
+from .subspaces import Array, Subspace, _count, _read_only, pca_subspace
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -44,13 +44,6 @@ VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
     "gfk_gmean_fb": (True, True, True),
 }
 
-# Short spellings accepted for the longer ladder names.
-VARIANT_ALIASES: dict[str, str] = {
-    "fb": "gfk_fb",
-    "gmean": "gfk_gmean",
-    "gmean_fb": "gfk_gmean_fb",
-}
-
 STEP_NAMES = ("pca", "mean", "gfk", "predict")
 
 
@@ -58,8 +51,8 @@ STEP_NAMES = ("pca", "mean", "gfk", "predict")
 class PipelineConfig:
     """Subspace dimension (an integer >= 1), variant and classifier for one pipeline run.
 
-    ``variant`` is a VARIANT_FLAGS name or one of its VARIANT_ALIASES; it is
-    stored as the canonical name. ``classifier``'s type names the model.
+    ``variant`` is one of the five VARIANT_FLAGS names, the ladder steps.
+    ``classifier``'s type names the model.
     """
 
     sub_dim: int
@@ -67,24 +60,15 @@ class PipelineConfig:
     classifier: KnnParams | SvmParams = KnnParams()
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.sub_dim):
-            raise ConfigError(f"sub_dim must be an integer, got {self.sub_dim!r}")
-        if self.sub_dim < 1:
-            raise ConfigError(f"sub_dim must be >= 1, got {self.sub_dim}")
-        object.__setattr__(self, "sub_dim", int(self.sub_dim))
-        canonical = VARIANT_ALIASES.get(self.variant, self.variant)
-        if canonical not in VARIANT_FLAGS:
-            raise ConfigError(
-                f"unknown variant {self.variant!r}; expected one of {list(VARIANT_FLAGS)} "
-                f"or an alias {list(VARIANT_ALIASES)}"
-            )
-        object.__setattr__(self, "variant", canonical)
+        object.__setattr__(self, "sub_dim", _count("sub_dim", self.sub_dim, 1))
+        if self.variant not in VARIANT_FLAGS:
+            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {list(VARIANT_FLAGS)}")
         if not isinstance(self.classifier, (KnnParams, SvmParams)):
             raise ConfigError(f"classifier must be KnnParams or SvmParams, got {self.classifier!r}")
 
 
 def variant_config(name: str, sub_dim: int, classifier: str = "knn") -> PipelineConfig:
-    """Config for a named variant or alias, with the default KnnParams ("knn") or SvmParams ("svm")."""
+    """Config for a VARIANT_FLAGS name, with the default KnnParams ("knn") or SvmParams ("svm")."""
     defaults = {"knn": KnnParams(), "svm": SvmParams()}
     if classifier not in defaults:
         raise ConfigError(f"classifier must be 'knn' or 'svm', got {classifier!r}")
@@ -104,8 +88,8 @@ class MiniBatch:
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 2:
-            raise DimensionMismatch(f"batch needs at least 2 rows, got shape {x.shape}")
+        if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
+            raise DimensionMismatch(f"batch needs at least 2 rows and 1 column, got shape {x.shape}")
         _check_entries(x, "batch has")
         object.__setattr__(self, "x", _read_only(x))
         if self.true_labels is not None:
@@ -161,8 +145,12 @@ def process_batch(
     step skips the batch: the result is (None, state, diagnostics), with the
     same state object and "<ClassName>: <message>" as diagnostics.error, so
     the stream goes on as if the batch had been left out. Any other error
-    propagates.
+    propagates; a batch whose width is not the source's raises
+    DimensionMismatch before any step.
     """
+    d = state.source_subspace.ambient_dim
+    if batch.x.shape[1] != d:
+        raise DimensionMismatch(f"batch has {batch.x.shape[1]} features, source has {d}")
     cfg = state.config
     gfk, gmean, feedback = VARIANT_FLAGS[cfg.variant]
     timings = dict.fromkeys(STEP_NAMES, 0.0)

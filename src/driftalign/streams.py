@@ -18,7 +18,7 @@ import numpy as np
 from .classifiers import LabeledSet, _class_count, _class_labels
 from .errors import ConfigError, DimensionMismatch, InsufficientData, ParseError, SchemaMismatch
 from .pipeline import MiniBatch
-from .subspaces import _is_integer, _real
+from .subspaces import _count, _real
 
 Array = np.ndarray
 
@@ -48,17 +48,8 @@ class StreamSpec:
     source_size: int = 500
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "batch_count", "seed", "source_size"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.batch_count < 1:
-            raise ConfigError(f"batch_count must be >= 1, got {self.batch_count}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.source_size < 4:
-            raise ConfigError(f"source_size must be >= 4, got {self.source_size}")
+        for name, minimum in (("batch_size", 2), ("batch_count", 1), ("seed", 0), ("source_size", 4)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
 
 
 @dataclass(frozen=True)
@@ -73,11 +64,11 @@ class CsvSchema:
         fraction = _real("source_fraction", self.source_fraction)
         if not 0.0 < fraction < 1.0:
             raise ConfigError(f"source_fraction must lie in (0, 1), got {fraction}")
-        if not _is_integer(self.batch_size):
-            raise ConfigError(f"batch_size must be an integer, got {self.batch_size!r}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        batch_size = _count("batch_size", self.batch_size, 2)
+        if not isinstance(self.has_header, bool):
+            raise ConfigError(f"has_header must be a bool, got {self.has_header!r}")
         object.__setattr__(self, "source_fraction", fraction)
+        object.__setattr__(self, "batch_size", batch_size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,13 +218,8 @@ def gen_rotating_drift(
     (e1, e3) plane, so the source-trained layout degrades monotonically while
     the class geometry stays intact.
     """
-    for name, value in (("classes", classes), ("d", d)):
-        if not _is_integer(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {classes}")
-    if d < 4:
-        raise ConfigError(f"need ambient dimension >= 4, got {d}")
+    classes = _count("classes", classes, 2)
+    d = _count("d", d, 4)
     total_rotation = _real("total_rotation", total_rotation)
     if not 0.0 <= total_rotation <= math.pi / 2:
         raise ConfigError(f"total_rotation must lie in [0, pi/2], got {total_rotation}")

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, DimensionMismatch
-from .subspaces import Subspace, _is_integer, evaluate, geodesic
+from .errors import DimensionMismatch
+from .subspaces import Subspace, _count, evaluate, geodesic
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,11 +21,7 @@ class MeanSubspaceState:
     count: int
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.count):
-            raise ConfigError(f"count must be an integer, got {self.count!r}")
-        if self.count < 1:
-            raise ConfigError(f"count must be >= 1, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _count("count", self.count, 1))
 
 
 def init_mean(first: Subspace) -> MeanSubspaceState:

@@ -70,6 +70,15 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _count(name: str, value: object, minimum: int) -> int:
+    """Setting ``name`` as a Python int; ConfigError unless it is a Python or numpy integer >= minimum."""
+    if not _is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 def _real(name: str, value: object) -> float:
     """Setting ``name`` as a float; ConfigError unless it is a Python or numpy integer or float.
 
@@ -179,7 +188,7 @@ class GeodesicFlow:
 def _as_matrix(m: object, what: str) -> Array:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionViolation(f"{what} must be a nonempty 2-d array, got shape {getattr(a, 'shape', None)}")
+        raise DimensionMismatch(f"{what} must be a nonempty 2-d array, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteData(f"{what} has non-finite entries")
     return a

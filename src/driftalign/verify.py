@@ -46,6 +46,7 @@ from .subspaces import (
     _as_matrix,
     _check_half_dim,
     _check_pair,
+    _count,
     _flow_bases,
     _flow_frame,
     _is_integer,
@@ -277,14 +278,9 @@ def _check(name: str, worst: _Worst, tol: float, seed: int) -> PropertyCheck:
 
 def _check_settings(seed: int, instances: int) -> None:
     """ConfigError unless seed is an integer >= 0 and instances an integer >= 1."""
-    for name, value in (("seed", seed), ("instances", instances)):
-        if not _is_integer(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    _count("seed", seed, 0)
     # Zero instances would report every property as passed without checking it.
-    if instances < 1:
-        raise ConfigError(f"instances must be >= 1, got {instances}")
+    _count("instances", instances, 1)
 
 
 def _instance_rng(seed: int, index: int) -> np.random.Generator:

@@ -261,16 +261,16 @@ class TestTraceSchema:
         names = [v["name"] for v in payload["variants"]]
         assert names == ["pca", "gfk", "gfk_fb", "gfk_gmean", "gfk_gmean_fb"]
 
-    def test_variant_aliases_resolve(self, tmp_path):
+    def test_short_variant_names_are_usage_errors(self, tmp_path, capsys):
+        # fb, gmean and gmean_fb were once aliases; each ladder step has one name
         out = tmp_path / "alias.json"
         code = run_cli(
             "run", "--gen", "rotating", "--batch", "30", "--batch-count", "4",
             "--source-size", "120", "--variant", "gmean_fb", "--out", str(out),
         )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["variants"][0]["name"] == "gfk_gmean_fb"
-        assert payload["config"]["variant"] == "gfk_gmean_fb"
+        assert code == 1
+        assert "invalid choice: 'gmean_fb'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_running_equals_mean_of_per_batch_prefixes(self, tmp_path):
         out = tmp_path / "trace.json"

@@ -1,6 +1,7 @@
 """CSV ingestion and the two synthetic stream generators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,12 @@ class TestLoadCsv:
         with pytest.raises(ConfigError, match="batch_size must be an integer, got 2.5"):
             CsvSchema(source_fraction=0.5, batch_size=2.5)
 
+    @pytest.mark.parametrize("has_header", ["no", 0, 1, None, np.bool_(True)])
+    def test_has_header_must_be_a_bool(self, has_header):
+        # "no" was taken as true, and the first data row was skipped
+        with pytest.raises(ConfigError, match=f"has_header must be a bool, got {re.escape(repr(has_header))}"):
+            CsvSchema(source_fraction=0.2, batch_size=50, has_header=has_header)
+
     @pytest.mark.parametrize(
         "label, message",
         [("nan", "label nan is not an integer"), ("inf", "label inf is not an integer"),
@@ -267,10 +274,14 @@ class TestRotatingGenerator:
     def test_numpy_integer_settings_give_the_same_stream(self):
         spec = StreamSpec(batch_size=20, batch_count=2, seed=4, source_size=60)
         plain = gen_rotating_drift(spec, classes=3, d=8)
-        numpy_ints = gen_rotating_drift(spec, classes=np.int64(3), d=np.int64(8))
-        assert numpy_ints.source.x.tobytes() == plain.source.x.tobytes()
-        for a, b in zip(numpy_ints.stream, plain.stream):
-            assert a.x.tobytes() == b.x.tobytes()
+        numpy_spec = StreamSpec(batch_size=np.int64(20), batch_count=np.int64(2), seed=np.int64(4),
+                                source_size=np.int64(60))
+        for numpy_ints in (gen_rotating_drift(spec, classes=np.int64(3), d=np.int64(8)),
+                           gen_rotating_drift(numpy_spec, classes=3, d=8)):
+            assert numpy_ints.source.x.tobytes() == plain.source.x.tobytes()
+            for a, b in zip(numpy_ints.stream, plain.stream, strict=True):
+                assert a.x.tobytes() == b.x.tobytes()
+                assert a.true_labels.tobytes() == b.true_labels.tobytes()
 
     def test_zero_rotation_keeps_batches_in_the_source_law(self):
         spec = StreamSpec(batch_size=50, batch_count=4, seed=7, source_size=200)

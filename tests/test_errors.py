@@ -14,7 +14,10 @@ from driftalign import (
     CsvSchema,
     DataError,
     DriftAlignError,
+    KnnParams,
+    MeanSubspaceState,
     NumericalError,
+    PipelineConfig,
     StreamSpec,
     Subspace,
     SvmParams,
@@ -26,6 +29,7 @@ from driftalign import (
     variant_config,
 )
 from driftalign.cli import main
+from driftalign.verify import geodesic_suite
 
 cli_module = importlib.import_module("driftalign.cli")
 errors_module = importlib.import_module("driftalign.errors")
@@ -44,6 +48,9 @@ OTHER_RAISES = {
 # (module, function) of each except clause that may name ValueError: float()
 # reports an unparseable CSV cell with one, which load_csv turns into a ParseError.
 VALUE_ERROR_HANDLERS = {("streams.py", "load_csv")}
+# (module, function) of each use of _is_integer. Integer settings go through
+# _count; pca_subspace and quadrature_kernel keep their one-message checks.
+INTEGER_CHECKERS = {("subspaces.py", "_count"), ("subspaces.py", "pca_subspace"), ("verify.py", "quadrature_kernel")}
 
 
 def subclasses(cls):
@@ -110,17 +117,28 @@ def test_a_plain_value_error_propagates_out_of_the_cli(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
-def raises_and_handlers(tree):
-    """(innermost enclosing function or None, node) for each raise statement and except clause."""
+def enclosed(tree, wanted):
+    """(innermost enclosing function or None, node) for each node that wanted(node) accepts."""
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-            if isinstance(child, (ast.Raise, ast.ExceptHandler)):
+            if wanted(child):
                 yield function, child
             yield from visit(child, inner)
 
     yield from visit(tree, None)
+
+
+def raises_and_handlers(tree):
+    """(innermost enclosing function or None, node) for each raise statement and except clause."""
+    return enclosed(tree, lambda node: isinstance(node, (ast.Raise, ast.ExceptHandler)))
+
+
+def integer_checks(tree):
+    """(innermost enclosing function or None, node) for each use of _is_integer, called or passed on."""
+    return enclosed(tree, lambda node: (isinstance(node, ast.Name) and node.id == "_is_integer")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_is_integer"))
 
 
 def named_classes(node):
@@ -183,6 +201,23 @@ def test_the_lint_reads_raises_and_handlers():
     assert named_classes(raised.exc) == ["ValueError"]
     assert named_classes(handler.type) == ["KeyError", "ValueError"]
     assert named_classes(bare.exc) == []
+
+
+def test_integer_settings_are_checked_only_by_count():
+    sites = {(path.name, function) for path in SOURCES
+             for function, _ in integer_checks(ast.parse(path.read_text()))}
+    assert sites == INTEGER_CHECKERS
+
+
+def test_the_lint_reads_every_use_of_is_integer():
+    source = (
+        "from .subspaces import _is_integer\n"
+        "def f(x):\n"
+        "    return _is_integer(x)\n"
+        "g = subspaces._is_integer\n"
+        "h = list(map(_is_integer, []))\n"
+    )
+    assert [(f, node.lineno) for f, node in integer_checks(ast.parse(source))] == [("f", 3), (None, 4), (None, 5)]
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +283,39 @@ def test_float_settings_are_stored_as_python_floats():
         assert type(SvmParams(regularization=value).regularization) is float
         assert type(CsvSchema(source_fraction=value, batch_size=5).source_fraction) is float
     assert SvmParams(regularization=np.int64(2)).regularization == 2.0
+
+
+def stream_bytes(bundle):
+    arrays = [bundle.source.x, bundle.source.y]
+    for batch in bundle.stream:
+        arrays += [batch.x, batch.true_labels]
+    return b"".join(a.tobytes() for a in arrays)
+
+
+SPEC = {"batch_size": 10, "batch_count": 2, "seed": 0, "source_size": 40}
+SPEC_OBJ = StreamSpec(**SPEC)
+# Each integer setting: a valid value, and what a run keeps of the setting. A
+# constructor stores it, so a numpy integer must come back as a Python int;
+# the generator and the suite keep only their results, which must not change.
+INTEGER_SETTINGS = {
+    "PipelineConfig.sub_dim": (3, lambda value: PipelineConfig(sub_dim=value).sub_dim),
+    "KnnParams.n_neighbors": (3, lambda value: KnnParams(n_neighbors=value).n_neighbors),
+    "SvmParams.epochs": (2, lambda value: SvmParams(epochs=value).epochs),
+    "SvmParams.seed": (3, lambda value: SvmParams(seed=value).seed),
+    **{f"StreamSpec.{name}": (SPEC[name], lambda value, name=name: getattr(StreamSpec(**{**SPEC, name: value}), name))
+       for name in SPEC},
+    "CsvSchema.batch_size": (5, lambda value: CsvSchema(source_fraction=0.5, batch_size=value).batch_size),
+    "MeanSubspaceState.count": (2, lambda value: MeanSubspaceState(Subspace(np.eye(6)[:, :2]), value).count),
+    "gen_rotating_drift.classes": (3, lambda value: stream_bytes(gen_rotating_drift(SPEC_OBJ, classes=value))),
+    "gen_rotating_drift.d": (8, lambda value: stream_bytes(gen_rotating_drift(SPEC_OBJ, d=value))),
+    "verify.seed": (5, lambda value: geodesic_suite(value, 1)),
+    "verify.instances": (2, lambda value: geodesic_suite(0, value)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_SETTINGS))
+def test_numpy_integer_settings_act_as_python_ints(name):
+    value, kept = INTEGER_SETTINGS[name]
+    plain, numpy_int = kept(value), kept(np.int64(value))
+    assert numpy_int == plain
+    assert type(numpy_int) is type(plain)

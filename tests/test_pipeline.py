@@ -23,7 +23,6 @@ from driftalign import (
     SharedFactorFailure,
     StreamSpec,
     SvmParams,
-    VARIANT_ALIASES,
     VARIANT_FLAGS,
     apply_transform,
     gen_rotating_drift,
@@ -50,17 +49,17 @@ def tiny_bundle(seed):
     return gen_rotating_drift(spec, classes=2, d=10, total_rotation=math.pi / 3)
 
 
-# Every name a config accepts: the ladder and its aliases.
-ALL_VARIANT_NAMES = st.sampled_from(sorted(VARIANT_FLAGS) + sorted(VARIANT_ALIASES))
+# Every name a config accepts: the five ladder steps.
+ALL_VARIANT_NAMES = st.sampled_from(sorted(VARIANT_FLAGS))
 
 # (variant name, step it calls): update_mean for the gmean variants, flow_kernel
 # for the gfk ones. The pca variant calls neither; its one numerical failure, a
 # rank-deficient batch, is covered by the flat-batch property.
 INJECTION_SITES = st.sampled_from([
     (name, site)
-    for name in sorted(VARIANT_FLAGS) + sorted(VARIANT_ALIASES)
+    for name in sorted(VARIANT_FLAGS)
     for site, flag in (("flow_kernel", 0), ("update_mean", 1))
-    if VARIANT_FLAGS[VARIANT_ALIASES.get(name, name)][flag]
+    if VARIANT_FLAGS[name][flag]
 ])
 
 
@@ -70,18 +69,18 @@ class TestConfig:
         assert VARIANT_FLAGS["pca"] == (False, False, False)
         assert VARIANT_FLAGS["gfk_gmean_fb"] == (True, True, True)
 
-    @pytest.mark.parametrize("alias", sorted(VARIANT_ALIASES))
-    def test_alias_yields_the_flags_of_its_canonical_name(self, alias):
-        config = variant_config(alias, sub_dim=3)
-        assert config == variant_config(VARIANT_ALIASES[alias], sub_dim=3)
-        assert config.variant == VARIANT_ALIASES[alias]
-
-    def test_config_stores_the_canonical_variant_name(self):
-        assert PipelineConfig(sub_dim=3, variant="gmean_fb").variant == "gfk_gmean_fb"
-        assert PipelineConfig(sub_dim=3).variant == "pca"
+    @pytest.mark.parametrize("name", ["fb", "gmean", "gmean_fb"])
+    def test_short_variant_names_are_rejected(self, name):
+        # these were aliases of the gfk_ names; the error lists only the ladder
+        expected = f"unknown variant {name!r}; expected one of {list(VARIANT_FLAGS)}"
+        for make in (lambda: PipelineConfig(sub_dim=3, variant=name), lambda: variant_config(name, sub_dim=3)):
+            with pytest.raises(ConfigError) as info:
+                make()
+            assert str(info.value) == expected
 
     def test_config_fields_are_the_variant_and_its_parameters(self):
         assert list(PipelineConfig.__dataclass_fields__) == ["sub_dim", "variant", "classifier"]
+        assert PipelineConfig(sub_dim=3).variant == "pca"
         assert PipelineConfig(sub_dim=3).classifier == KnnParams()
         assert PipelineConfig(sub_dim=3, classifier=SvmParams(epochs=5)).classifier == SvmParams(epochs=5)
 
@@ -131,6 +130,8 @@ class TestConfig:
     def test_minibatch_needs_two_finite_rows(self):
         with pytest.raises(DimensionMismatch):
             MiniBatch(x=np.ones((1, 5)))
+        with pytest.raises(DimensionMismatch, match=r"got shape \(50, 0\)"):
+            MiniBatch(x=np.ones((50, 0)))
         bad = np.ones((3, 5))
         bad[0, 0] = np.inf
         with pytest.raises(NonFiniteData):
@@ -232,6 +233,21 @@ class TestCausalityAndMetric:
 
 
 class TestFailureHandling:
+    @pytest.mark.parametrize("width", [5, 12])
+    @pytest.mark.parametrize("name", ["pca", "gfk", "gfk_gmean_fb"])
+    def test_batch_of_the_wrong_width_is_a_data_error_before_any_step(self, name, width, monkeypatch):
+        # a 5-column batch raised DimensionViolation, a ConfigError, from PCA's k < d/2 check
+        bundle = small_bundle(batch_count=1)
+        state = init_pipeline(bundle.source, variant_config(name, sub_dim=3))
+        _, state, _ = process_batch(state, bundle.stream[0])
+        calls = []
+        for site in ("apply_transform", "pca_subspace", "update_mean", "flow_kernel", "predict"):
+            monkeypatch.setattr(pipeline_module, site, lambda *args, site=site: calls.append(site))
+        wrong = MiniBatch(x=np.random.default_rng(0).standard_normal((50, width)))
+        with pytest.raises(DimensionMismatch, match=f"batch has {width} features, source has 10"):
+            process_batch(state, wrong)
+        assert calls == []
+
     def test_rank_deficient_batch_is_skipped_without_state_change(self):
         bundle = small_bundle()
         cfg = variant_config("gfk_gmean", sub_dim=3)

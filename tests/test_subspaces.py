@@ -489,6 +489,12 @@ class TestPcaSubspace:
         with pytest.raises(RankDeficient):
             pca_subspace(np.ones((1, 6)), 2)
 
+    @pytest.mark.parametrize("shape", [(6,), (0, 6), (6, 0), ()], ids=["1-d", "no_rows", "no_columns", "scalar"])
+    def test_data_that_is_not_a_nonempty_matrix_is_a_data_error(self, shape):
+        # these raised DimensionViolation, a ConfigError, though the rows are at fault
+        with pytest.raises(DimensionMismatch, match="data matrix must be a nonempty 2-d array"):
+            pca_subspace(np.ones(shape), 1)
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_data_rejected(self, bad):
         x = np.random.default_rng(4).standard_normal((20, 6))
