@@ -77,13 +77,18 @@ def _check_query_rows(a: Array) -> None:
 
 
 def _class_labels(y: Array) -> Array:
-    """Nonempty 1-d labels y as a read-only int64 copy; SchemaMismatch for a non-integer or negative label."""
-    if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == y.astype(np.int64)):
-            raise SchemaMismatch("labels must be integers")
-    y = y.astype(np.int64)
+    """Nonempty 1-d labels y as a read-only int64 copy.
+
+    SchemaMismatch unless y has an integer or float dtype and every label is a
+    whole number in [0, 2**63), checked before the cast, which would wrap or warn.
+    """
+    if y.dtype.kind not in "iuf" or (y.dtype.kind == "f" and not (np.isfinite(y) & (y == np.trunc(y))).all()):
+        raise SchemaMismatch("labels must be integers")
     if y.min() < 0:
-        raise SchemaMismatch(f"labels must be >= 0, got {y.min()}")
+        raise SchemaMismatch(f"labels must be >= 0, got {int(y.min())}")
+    if y.max() >= 2**63:
+        raise SchemaMismatch(f"labels must be below 2**63, got {int(y.max())}")
+    y = y.astype(np.int64)
     y.setflags(write=False)
     return y
 

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import time
 from typing import Sequence
 
 from .classifiers import KnnParams, SvmParams
@@ -158,24 +157,19 @@ def _config_payload(args: argparse.Namespace, command: str) -> dict:
     }
 
 
-def _variant_payload(
-    name: str,
-    classifier: str,
-    trace: AccuracyTrace,
-    seconds_total: float,
-    zero_timings: bool,
-) -> dict:
+def _variant_payload(name: str, classifier: str, trace: AccuracyTrace, zero_timings: bool) -> dict:
+    seconds_per_step = {
+        step: (0.0 if zero_timings else seconds)
+        for step, seconds in sorted(trace.step_seconds.items())
+    }
     return {
         "name": name,
         "classifier": classifier,
         "per_batch": list(trace.per_batch),
         "running": list(trace.running),
         "final": trace.final,
-        "seconds_total": 0.0 if zero_timings else seconds_total,
-        "seconds_per_step": {
-            step: (0.0 if zero_timings else seconds)
-            for step, seconds in sorted(trace.step_seconds.items())
-        },
+        "seconds_total": sum(seconds_per_step.values()),
+        "seconds_per_step": seconds_per_step,
     }
 
 
@@ -185,17 +179,12 @@ def _run_variants(args: argparse.Namespace, command: str, names: Sequence[str]) 
         params = KnnParams(n_neighbors=args.knn_neighbors)
     else:
         params = SvmParams(regularization=args.svm_lambda, epochs=args.svm_epochs, seed=args.svm_seed)
-    variants = []
-    for name in names:
-        config = PipelineConfig(sub_dim=args.k, variant=name, classifier=params)
-        t0 = time.perf_counter()
-        trace = run_stream(bundle.source, bundle.stream, config)
-        seconds_total = time.perf_counter() - t0
-        variants.append(_variant_payload(config.variant, args.classifier, trace, seconds_total, args.zero_timings))
+    configs = [PipelineConfig(sub_dim=args.k, variant=name, classifier=params) for name in names]
+    traces = run_stream(bundle.source, bundle.stream, configs)
+    variants = [_variant_payload(n, args.classifier, t, args.zero_timings) for n, t in zip(names, traces)]
     report_config = _config_payload(args, command)
     if command == "run":
-        # the canonical name, as the built config stored it
-        report_config["variant"] = variants[0]["name"]
+        report_config["variant"] = args.variant
     payload = {"config": report_config, "variants": variants}
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -15,7 +15,8 @@ applied to the raw batch before PCA).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -204,7 +205,7 @@ class AccuracyTrace:
 
     per_batch: tuple[float | None, ...]
     running: tuple[float | None, ...]
-    step_seconds: dict[str, float] = field(default_factory=dict)
+    step_seconds: dict[str, float]
 
     @property
     def final(self) -> float | None:
@@ -213,36 +214,39 @@ class AccuracyTrace:
 
 def run_stream(
     source: LabeledSet,
-    stream: list[MiniBatch] | tuple[MiniBatch, ...],
-    config: PipelineConfig,
-) -> AccuracyTrace:
-    """Drive the pipeline over a whole stream and score each batch.
+    stream: Iterable[MiniBatch],
+    configs: Sequence[PipelineConfig],
+) -> tuple[AccuracyTrace, ...]:
+    """Drive every config over one read of the stream and score each batch.
 
-    Every batch must carry true labels; they are used for scoring only and
-    never reach the pipeline steps.
+    The configs share sub_dim and classifier, so the source fit is made once
+    and each config's state starts from it. ``stream`` is any iterable of
+    MiniBatch; each batch goes through the configs in order before the next is
+    read, and must carry true labels, used for scoring only. Returns one
+    AccuracyTrace per config, in config order.
     """
-    state = init_pipeline(source, config)
-    per_batch: list[float | None] = []
-    running: list[float | None] = []
-    step_totals = dict.fromkeys(STEP_NAMES, 0.0)
-    scored_sum = 0.0
-    scored_n = 0
+    shared = {(cfg.sub_dim, cfg.classifier) for cfg in configs}
+    if len(shared) != 1:
+        pairs = sorted(map(repr, shared))
+        raise ConfigError(f"run_stream needs configs that share one sub_dim and classifier, got {pairs}")
+    fitted = init_pipeline(source, configs[0])
+    states = [replace(fitted, config=cfg) for cfg in configs]
+    per_batch: list[list[float | None]] = [[] for _ in configs]
+    step_totals = [dict.fromkeys(STEP_NAMES, 0.0) for _ in configs]
     for batch in stream:
         if batch.true_labels is None:
             raise SchemaMismatch("stream batches must carry true_labels for scoring")
-        predictions, state, diag = process_batch(state, batch)
-        for name in STEP_NAMES:
-            step_totals[name] += diag.step_seconds.get(name, 0.0)
-        if predictions is None:
-            per_batch.append(None)
-        else:
-            accuracy = float(np.mean(predictions == batch.true_labels))
-            per_batch.append(accuracy)
-            scored_sum += accuracy
-            scored_n += 1
-        running.append(scored_sum / scored_n if scored_n else None)
-    return AccuracyTrace(
-        per_batch=tuple(per_batch),
-        running=tuple(running),
-        step_seconds=step_totals,
-    )
+        for i, state in enumerate(states):
+            predictions, states[i], diag = process_batch(state, batch)
+            for name in STEP_NAMES:
+                step_totals[i][name] += diag.step_seconds.get(name, 0.0)
+            per_batch[i].append(None if predictions is None else float(np.mean(predictions == batch.true_labels)))
+    traces = []
+    for accuracies, totals in zip(per_batch, step_totals):
+        running, scored_sum, scored_n = [], 0.0, 0
+        for accuracy in accuracies:
+            if accuracy is not None:
+                scored_sum, scored_n = scored_sum + accuracy, scored_n + 1
+            running.append(scored_sum / scored_n if scored_n else None)
+        traces.append(AccuracyTrace(per_batch=tuple(accuracies), running=tuple(running), step_seconds=totals))
+    return tuple(traces)

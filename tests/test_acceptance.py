@@ -57,11 +57,8 @@ def reference_stream(total_rotation):
 
 
 def ladder_finals(bundle):
-    finals = {}
-    for name in LADDER:
-        trace = run_stream(bundle.source, bundle.stream, variant_config(name, sub_dim=3))
-        finals[name] = 100.0 * trace.final
-    return finals
+    traces = run_stream(bundle.source, bundle.stream, [variant_config(name, sub_dim=3) for name in LADDER])
+    return {name: 100.0 * trace.final for name, trace in zip(LADDER, traces)}
 
 
 def test_criterion_1_geodesic_suite():
@@ -107,8 +104,8 @@ def test_criterion_3_running_mean_suite():
 def test_criterion_4_causality_and_metric():
     bundle = reference_stream(math.pi / 3)
     cfg = variant_config("gfk_gmean_fb", sub_dim=3)
-    full = run_stream(bundle.source, bundle.stream, cfg)
-    prefix = run_stream(bundle.source, bundle.stream[:20], cfg)
+    (full,) = run_stream(bundle.source, bundle.stream, [cfg])
+    (prefix,) = run_stream(bundle.source, bundle.stream[:20], [cfg])
     causal = full.per_batch[:20] == prefix.per_batch and full.running[:20] == prefix.running
 
     scored = []
@@ -159,8 +156,11 @@ def test_criterion_5_directional_ablation():
 def test_criterion_6_waveform_sanity():
     spec = StreamSpec(batch_size=100, batch_count=6, seed=0, source_size=500)
     bundle = gen_waveform(spec, "w21")
-    fb = 100.0 * run_stream(bundle.source, bundle.stream, variant_config("gfk_gmean_fb", sub_dim=10)).final
-    held_out = 100.0 * run_stream(bundle.source, bundle.stream, variant_config("pca", sub_dim=10)).final
+    adapted, plain = run_stream(
+        bundle.source, bundle.stream, [variant_config("gfk_gmean_fb", sub_dim=10), variant_config("pca", sub_dim=10)]
+    )
+    fb = 100.0 * adapted.final
+    held_out = 100.0 * plain.final
     gap = abs(fb - held_out)
     pins_ok = (
         abs(fb - REFERENCE_WAVEFORM_FINALS["gfk_gmean_fb"]) <= WAVEFORM_PIN_TOL

@@ -1,5 +1,6 @@
 """Nearest-neighbour and linear hinge-loss classifiers."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -102,10 +103,21 @@ class TestLabeledSet:
         assert data.n_features == 4
         assert data.n_classes == 3
 
+    # From 2**70 on, each label must be rejected before the int64 cast, which
+    # raises OverflowError, ValueError or TypeError, warns, or wraps to -1.
     @pytest.mark.parametrize("y, match", [
         ([0.5, 1.7, -0.2, 1.0], "must be integers"),
-        ([0, 1, -1, 1], "must be >= 0"),
-    ], ids=["fractional", "negative"])
+        ([0, 1, -1, 1], "must be >= 0, got -1$"),
+        ([0, 1, 2**70, 1], "must be integers"),
+        (["0", "1", "a", "1"], "must be integers"),
+        ([0, 1, None, 1], "must be integers"),
+        ([0, 1, math.nan, 1], "must be integers"),
+        ([0, 1, math.inf, 1], "must be integers"),
+        ([0, 1, -math.inf, 1], "must be integers"),
+        ([0, 1, 1e30, 1], r"must be below 2\*\*63, got 1000000000000000019884624838656$"),
+        ([0, 1, 2**63, 1], r"must be below 2\*\*63, got 9223372036854775808$"),
+        (np.array([0, 1, 2**64 - 1, 1], dtype=np.uint64), r"must be below 2\*\*63, got 18446744073709551615$"),
+    ], ids=["fractional", "negative", "2**70", "string", "none", "nan", "inf", "-inf", "1e30", "2**63", "uint64_max"])
     def test_non_integer_or_negative_labels_rejected(self, y, match):
         with pytest.raises(SchemaMismatch, match=match):
             LabeledSet(x=np.eye(4), y=np.array(y))

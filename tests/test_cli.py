@@ -18,13 +18,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def readme_commands():
-    """(argv, expected exit code) for every `driftalign` line of README's sh blocks.
+def readme_commands(text):
+    """(argv, expected exit code) for every `driftalign` line of the sh blocks in README text.
 
     A trailing comment of the form `exits N` documents a nonzero exit code.
     """
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S):
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
         for line in block.replace("\\\n", " ").splitlines():
             command, _, comment = line.partition("#")
             if not command.startswith("driftalign "):
@@ -337,12 +337,39 @@ class TestReadmePrimitives:
 
 class TestReadmeCommands:
     def test_readme_documents_every_subcommand(self):
-        documented = {argv[0] for argv, _ in readme_commands()}
+        documented = {argv[0] for argv, _ in readme_commands(README.read_text())}
         assert documented == {"run", "ablate", "verify"}
 
     @pytest.mark.parametrize(
-        "argv,expected", readme_commands(), ids=lambda v: " ".join(v) if isinstance(v, list) else None
+        "argv,expected", readme_commands(README.read_text()),
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
     def test_readme_command_exits_as_documented(self, tmp_path, monkeypatch, argv, expected):
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == expected
+
+
+LADDER_SECTION = README.read_text().split("\n## What each step does\n", 1)[1].split("\n## ", 1)[0]
+
+
+def ladder_finals_table():
+    """{--gen value: (header names, finals in percent as printed)} from README's "What each step does" table."""
+    header = re.search(r"^\| `--gen` \|(.*)\|$", LADDER_SECTION, flags=re.M).group(1)
+    names = [cell.strip() for cell in header.split("|")]
+    rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", LADDER_SECTION, flags=re.M)
+    return {gen: (names, [cell.strip() for cell in cells.split("|")]) for gen, cells in rows}
+
+
+class TestReadmeLadder:
+    def test_each_ablate_command_has_a_table_row(self):
+        gens = [argv[argv.index("--gen") + 1] for argv, _ in readme_commands(LADDER_SECTION)]
+        assert gens == ["rotating", "waveform21", "waveform40"]
+        assert sorted(ladder_finals_table()) == sorted(gens)
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in readme_commands(LADDER_SECTION)], ids=" ".join)
+    def test_ablate_prints_the_readme_finals(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert argv[0] == "ablate" and run_cli(*argv) == 0
+        printed = re.findall(r"^(\w+) +knn +final accuracy (\S+)$", capsys.readouterr().out, flags=re.M)
+        names, percents = ladder_finals_table()[argv[argv.index("--gen") + 1]]
+        assert printed == [(name, f"{float(p) / 100:.4f}") for name, p in zip(names, percents, strict=True)]

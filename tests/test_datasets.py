@@ -296,7 +296,7 @@ class TestRotatingGenerator:
     def test_full_right_angle_ruins_the_late_stream(self):
         spec = StreamSpec(batch_size=50, batch_count=12, seed=0, source_size=300)
         bundle = gen_rotating_drift(spec, total_rotation=math.pi / 2)
-        trace = run_stream(bundle.source, bundle.stream, variant_config("pca", sub_dim=3))
+        (trace,) = run_stream(bundle.source, bundle.stream, [variant_config("pca", sub_dim=3)])
         assert trace.per_batch[-1] < trace.per_batch[0]
 
     def test_multiclass_layout(self):

@@ -34,6 +34,7 @@ from driftalign import (
     variant_config,
 )
 from driftalign.classifiers import MAX_ABS_ENTRY
+from driftalign.cli import main as cli_main
 from driftalign.subspaces import pca_subspace
 
 pipeline_module = importlib.import_module("driftalign.pipeline")
@@ -116,7 +117,8 @@ class TestConfig:
     @pytest.mark.parametrize("labels, match", [
         ([0.5, 1.7, -0.2, 1.0], "must be integers"),
         ([0, 1, -1, 1], "must be >= 0"),
-    ], ids=["fractional", "negative"])
+        ([0, 1, math.nan, 1], "must be integers"),
+    ], ids=["fractional", "negative", "nan"])
     def test_minibatch_rejects_labels_it_would_change(self, labels, match):
         # astype(int64) used to store [0.5, 1.7, -0.2, 1.0] as [0, 1, 0, 1]
         with pytest.raises(SchemaMismatch, match=match):
@@ -201,8 +203,8 @@ class TestCausalityAndMetric:
     def test_truncated_rerun_reproduces_the_prefix(self, name):
         bundle = small_bundle()
         cfg = variant_config(name, sub_dim=3)
-        full = run_stream(bundle.source, bundle.stream, cfg)
-        half = run_stream(bundle.source, bundle.stream[:5], cfg)
+        (full,) = run_stream(bundle.source, bundle.stream, [cfg])
+        (half,) = run_stream(bundle.source, bundle.stream[:5], [cfg])
         assert full.per_batch[:5] == half.per_batch  # bit-for-bit, no tolerance
         assert full.running[:5] == half.running
 
@@ -211,14 +213,21 @@ class TestCausalityAndMetric:
     def test_any_prefix_of_any_stream_reproduces_the_full_run(self, name, seed, prefix):
         bundle = tiny_bundle(seed)
         cfg = variant_config(name, sub_dim=3)
-        full = run_stream(bundle.source, bundle.stream, cfg)
-        part = run_stream(bundle.source, bundle.stream[:prefix], cfg)
+        (full,) = run_stream(bundle.source, bundle.stream, [cfg])
+        (part,) = run_stream(bundle.source, bundle.stream[:prefix], [cfg])
         assert full.per_batch[:prefix] == part.per_batch
         assert full.running[:prefix] == part.running
+        # a ladder run steps every rung exactly as a run of that rung alone
+        configs = [variant_config(rung, sub_dim=3) for rung in VARIANT_FLAGS]
+        ladder = run_stream(bundle.source, bundle.stream, configs)
+        for config, trace in zip(configs, ladder, strict=True):
+            (alone,) = run_stream(bundle.source, bundle.stream, [config])
+            assert trace.per_batch == alone.per_batch  # bit-for-bit, no tolerance
+            assert trace.running == alone.running
 
     def test_running_metric_matches_brute_force(self):
         bundle = small_bundle()
-        trace = run_stream(bundle.source, bundle.stream, variant_config("gfk_gmean_fb", sub_dim=3))
+        (trace,) = run_stream(bundle.source, bundle.stream, [variant_config("gfk_gmean_fb", sub_dim=3)])
         scored = []
         for i, value in enumerate(trace.per_batch):
             if value is not None:
@@ -229,7 +238,57 @@ class TestCausalityAndMetric:
         bundle = small_bundle()
         naked = (MiniBatch(x=bundle.stream[0].x),)
         with pytest.raises(SchemaMismatch):
-            run_stream(bundle.source, naked, variant_config("pca", sub_dim=3))
+            run_stream(bundle.source, naked, [variant_config("pca", sub_dim=3)])
+
+
+class TestOnePass:
+    def count_training(self, monkeypatch):
+        calls = []
+
+        def counted(data, params):
+            calls.append(params)
+            return train(data, params)
+
+        monkeypatch.setattr(pipeline_module, "train", counted)
+        return calls
+
+    def test_an_svm_ladder_trains_once(self, monkeypatch):
+        calls = self.count_training(monkeypatch)
+        bundle = small_bundle(batch_count=3)
+        params = SvmParams(epochs=5)
+        configs = [PipelineConfig(sub_dim=3, variant=name, classifier=params) for name in VARIANT_FLAGS]
+        traces = run_stream(bundle.source, bundle.stream, configs)
+        assert calls == [params]
+        assert len(traces) == len(VARIANT_FLAGS)
+        assert all(len(trace.per_batch) == 3 for trace in traces)
+
+    def test_ablate_trains_once(self, monkeypatch, tmp_path):
+        calls = self.count_training(monkeypatch)
+        code = cli_main([
+            "ablate", "--gen", "rotating", "--batch", "30", "--batch-count", "3", "--source-size", "120",
+            "--classifier", "svm", "--svm-epochs", "2", "--out", str(tmp_path / "ladder.json"),
+        ])
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_a_generator_stream_gives_the_same_traces(self):
+        bundle = small_bundle(batch_count=4)
+        configs = [variant_config(name, sub_dim=3) for name in VARIANT_FLAGS]
+        from_tuple = run_stream(bundle.source, bundle.stream, configs)
+        from_generator = run_stream(bundle.source, (batch for batch in bundle.stream), configs)
+        assert [(t.per_batch, t.running) for t in from_generator] == [(t.per_batch, t.running) for t in from_tuple]
+
+    @pytest.mark.parametrize("configs", [
+        [],
+        [variant_config("pca", sub_dim=3), variant_config("gfk", sub_dim=2)],
+        [variant_config("pca", sub_dim=3), variant_config("gfk", sub_dim=3, classifier="svm")],
+        [variant_config("pca", sub_dim=3), PipelineConfig(sub_dim=3, variant="gfk", classifier=KnnParams(3))],
+    ], ids=["empty", "sub_dim", "classifier_type", "classifier_params"])
+    def test_configs_must_share_sub_dim_and_classifier(self, configs, monkeypatch):
+        calls = self.count_training(monkeypatch)
+        with pytest.raises(ConfigError, match="run_stream needs configs that share one sub_dim and classifier"):
+            run_stream(small_bundle(batch_count=1).source, (), configs)
+        assert calls == []
 
 
 class TestFailureHandling:
@@ -339,7 +398,7 @@ class TestFailureHandling:
         bundle = small_bundle(batch_count=4)
         flat = MiniBatch(x=np.ones((20, 10)), true_labels=np.zeros(20, dtype=int))
         stream = (bundle.stream[0], flat, bundle.stream[1])
-        trace = run_stream(bundle.source, stream, variant_config("gfk", sub_dim=3))
+        (trace,) = run_stream(bundle.source, stream, [variant_config("gfk", sub_dim=3)])
         assert trace.per_batch[1] is None
         assert trace.running[1] == trace.running[0]
         expected = (trace.per_batch[0] + trace.per_batch[2]) / 2.0
@@ -366,6 +425,6 @@ class TestStateShape:
 
     def test_step_timings_cover_the_four_steps(self):
         bundle = small_bundle(batch_count=3)
-        trace = run_stream(bundle.source, bundle.stream, variant_config("gfk_gmean_fb", sub_dim=3))
+        (trace,) = run_stream(bundle.source, bundle.stream, [variant_config("gfk_gmean_fb", sub_dim=3)])
         assert set(trace.step_seconds) == {"pca", "mean", "gfk", "predict"}
         assert len(trace.per_batch) == 3
