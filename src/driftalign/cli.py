@@ -186,7 +186,7 @@ def _run_variants(args: argparse.Namespace, command: str, names: Sequence[str]) 
     if command == "run":
         report_config["variant"] = args.variant
     payload = {"config": report_config, "variants": variants}
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     for entry in variants:

@@ -38,7 +38,7 @@ class DomainError(ConfigError):
 
 
 class ParseError(DataError):
-    """A CSV cell could not be read as a number."""
+    """A CSV record could not be read, or a cell could not be read as a number."""
 
 
 class SchemaMismatch(DataError):

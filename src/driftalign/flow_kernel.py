@@ -54,8 +54,8 @@ class TransformKernel:
 
     def __post_init__(self) -> None:
         s, w = _read_only(self.frame), _read_only(self.weights)
-        if s.ndim != 2 or w.shape != (s.shape[1], s.shape[1]):
-            raise DimensionViolation(f"need a d x m frame and m x m weights, got {s.shape} and {w.shape}")
+        if s.ndim != 2 or s.shape[1] < 1 or w.shape != (s.shape[1], s.shape[1]):
+            raise DimensionViolation(f"need a d x m frame, m >= 1, and m x m weights, got {s.shape} and {w.shape}")
         dev = _gram_deviation(s)
         if not dev < ORTHONORMALITY_TOL:
             raise NumericalHealthError(f"kernel frame is not orthonormal (max Gram deviation {dev:.3e})")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,8 +101,8 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
     rows: list[list[float]] = []
     labels: list[int] = []
     expected = None
-    with open(path, newline="") as fh:
-        for r, record in enumerate(csv.reader(fh), start=1):
+    with open(path, newline="", encoding="utf-8") as fh:
+        for r, record in enumerate(_records(fh), start=1):
             if r == 1 and schema.has_header:
                 continue
             if not record:
@@ -147,6 +148,15 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
     if not batches:
         raise InsufficientData(f"no full batches of size {bs} after the source split")
     return DatasetBundle(source=source, stream=tuple(batches))
+
+
+def _records(fh: Iterable[str]) -> Iterator[list[str]]:
+    """csv.reader's records, with a malformed one raised as a ParseError naming its row."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
 
 
 def _triangular_waves() -> Array:

@@ -14,18 +14,18 @@ of A's full d x (d - k) complement is ever formed.
 Checks, and which imply which. Every value type validates what it stores:
 Subspace (finite, then Gram deviation below ORTHONORMALITY_TOL),
 PrincipalSystem (angles in [0, pi/2]; a_rot, tail and b_rot orthonormal) and
-GeodesicFlow (tail orthogonal to the base). principal_system adds the two
-overshoot checks and the reconstruction check, in one pass: a pair it cannot
-reproduce raises SharedFactorFailure. Each deviation is compared as
-``not dev < tol``, so a NaN entry, which makes its deviation NaN, fails the
-check it reaches; that is why the factors need no finiteness test of their
-own, while Subspace tests finiteness first to keep inf * 0 out of its Gram
-product. No check stands in for another at a looser tolerance: the
-reconstruction bound (1e-8) does not imply orthonormality at 1e-10, and
-orthonormal a_rot and base do not make the head orthonormal at 1e-10, so the
-flow kernel checks its frame again. In flow_kernel, an orthonormal frame and
-symmetric weights make the weights' eigenvalues exactly the kernel's nonzero
-spectrum, so the 2k x 2k spectrum check covers the d x d kernel.
+GeodesicFlow (tail orthogonal to the base). principal_angles adds the two
+overshoot checks, principal_system the reconstruction check too, in one pass: a
+pair it cannot reproduce raises SharedFactorFailure. Each deviation is compared
+as ``not dev < tol``, so a NaN entry, which makes its deviation NaN, fails the
+check it reaches; that is why the factors need no finiteness test of their own,
+while Subspace tests finiteness first to keep inf * 0 out of its Gram product.
+No check stands in for another at a looser tolerance: the reconstruction bound
+(1e-8) does not imply orthonormality at 1e-10, and orthonormal a_rot and base
+do not make the head orthonormal at 1e-10, so the flow kernel checks its frame
+again. In flow_kernel, an orthonormal frame and symmetric weights make the
+weights' eigenvalues exactly the kernel's nonzero spectrum, so the 2k x 2k
+spectrum check covers the d x d kernel.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ class PrincipalSystem:
 
     def __post_init__(self) -> None:
         th = _read_only(self.angles)
-        if th.ndim != 1:
-            raise DimensionViolation("angles must be a length-k vector")
+        if th.ndim != 1 or th.shape[0] < 1:
+            raise DimensionViolation("angles must be a length-k vector, k >= 1")
         if not (0.0 <= th.min() and th.max() <= np.pi / 2):
             raise DomainError("principal angles must lie in [0, pi/2]")
         object.__setattr__(self, "angles", th)
@@ -209,14 +209,12 @@ def _check_pair(a: Subspace, b: Subspace) -> None:
 
 
 def principal_angles(a: Subspace, b: Subspace) -> Array:
-    """Principal angles between two equal-shape subspaces, ascending, in [0, pi/2]."""
+    """Principal angles between two equal-shape subspaces, ascending, in [0, pi/2].
+
+    Accurate at 0 and at pi/2, from one SVD, for any k < d; ``principal_system(a, b).angles`` to the bit.
+    """
     _check_pair(a, b)
-    sv = np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)
-    if sv[0] > 1.0 + COSINE_OVERSHOOT_TOL:
-        raise NumericalHealthError(f"cosine {sv[0]:.12f} exceeds 1 by more than {COSINE_OVERSHOOT_TOL}")
-    # Singular values are never negative, so of np.clip(sv, 0.0, 1.0) only the
-    # upper bound can act; np.minimum gives the same bits, -0.0 included.
-    return np.arccos(np.minimum(sv, 1.0))
+    return _angle_factors(a.basis, b.basis)[0]
 
 
 def geodesic_distance(a: Subspace, b: Subspace) -> float:
@@ -247,8 +245,8 @@ def _signed_qr(m: Array) -> Array:
     return q * np.where(r.diagonal() < 0.0, -1.0, 1.0)
 
 
-def _shared_factors(a: Array, b: Array) -> PrincipalSystem:
-    k = a.shape[1]
+def _angle_factors(a: Array, b: Array) -> tuple[Array, ...]:
+    """(angles, sines, cosines, u, v, ab, residual, aligned) of d x k bases' spans, 1 <= k < d, angles ascending."""
     ab = a.T @ b
     residual = b - a @ ab
     # The residual's SVD is backward stable whatever the angle spectrum, so it
@@ -266,9 +264,8 @@ def _shared_factors(a: Array, b: Array) -> PrincipalSystem:
     sines = np.minimum(sv, 1.0)[::-1]
     u = u[:, ::-1]
     v = wt.T[:, ::-1]
-    # In-source directions: columns of A^T B V are orthogonal with norms
-    # cos(angle); normalize where resolvable, extend orthonormally elsewhere.
-    # The column norms are formed as np.linalg.norm(aligned, axis=0) forms them.
+    # Columns of A^T B V are orthogonal with norms cos(angle), formed as
+    # np.linalg.norm(aligned, axis=0) forms them.
     aligned = ab @ v
     cosines = np.sqrt(np.add.reduce(aligned * aligned, axis=0))
     top = cosines.max()
@@ -278,6 +275,13 @@ def _shared_factors(a: Array, b: Array) -> PrincipalSystem:
     # arccos loses half the digits at small angles and arcsin does near pi/2;
     # each branch is used where it is well-conditioned.
     angles = np.where(sines**2 <= 0.5, np.arcsin(sines), np.arccos(cosines))
+    return angles, sines, cosines, u, v, ab, residual, aligned
+
+
+def _shared_factors(a: Array, b: Array) -> PrincipalSystem:
+    k = a.shape[1]
+    angles, sines, cosines, u, v, ab, residual, aligned = _angle_factors(a, b)
+    # In-source directions: A^T B V normalized where resolvable, extended elsewhere.
     a_rot = np.zeros((k, k))
     # Larger-cosine columns carry less relative noise; they are orthogonalized
     # first so they are not contaminated, then put back in place.

@@ -15,7 +15,9 @@ it.
 
 Each suite draws deterministic random instances, measures the worst deviation
 per property, and reports one PropertyCheck per property. Failures name the
-instance seed so any single case can be replayed in isolation.
+instance seed so any single case can be replayed in isolation. Angles are
+measured with the library's ``principal_angles``, which is accurate to
+rounding at 0 and at pi/2, so the mean laws are held near rounding.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .subspaces import (
     RANK_REL_TOL,
     Array,
     Subspace,
+    _angle_factors,
     _as_matrix,
     _check_half_dim,
     _check_pair,
@@ -53,6 +56,7 @@ from .subspaces import (
     _signed_qr,
     geodesic,
     geodesic_distance,
+    principal_angles,
 )
 
 # Grids skip combinations that violate the k < d/2 requirement.
@@ -62,9 +66,12 @@ KERNEL_GRID = tuple((d, k) for d, k in itertools.product((10, 30), (1, 3, 5)) if
 FLOW_ORTHONORMALITY_TOL = 1e-8
 ENDPOINT_ANGLE_TOL = 1e-7
 RECONSTRUCTION_CHECK_TOL = 1e-9
-STEP_SIZE_TOL = 1e-8
 FIXED_POINT_TOL = 1e-8
-TWO_POINT_TOL = 1e-6
+# The step-size law and the two-point midpoint are exact, and principal_angles
+# resolves angles near 0 to rounding, so both are held near rounding: seeds
+# 0-39 measured at most 1.9e-16 and 5.0e-15.
+STEP_SIZE_TOL = 1e-12
+TWO_POINT_TOL = 1e-12
 KERNEL_QUADRATURE_TOL = 1e-8
 # Gauss-Legendre points of the quadrature oracle. An n-point rule is exact
 # for polynomials of degree 2n - 1, and the integrand's trig polynomials of
@@ -287,16 +294,6 @@ def _instance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def _sine_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Principal angles between the spans of bases a and b, via their sines.
-
-    Numerically exact for tiny angles, where the arccos route loses half the
-    digits; used wherever tolerances are tighter than that loss.
-    """
-    residual = b - a @ (a.T @ b)
-    return np.arcsin(np.clip(np.linalg.svd(residual, compute_uv=False), 0.0, 1.0))
-
-
 def random_within_ball(center: Subspace, radius: float, rng: np.random.Generator) -> Subspace:
     """Subspace at a geodesic distance drawn uniformly from [0.1 * radius, radius) from ``center``."""
     raw = rng.standard_normal((center.ambient_dim, center.sub_dim))
@@ -324,8 +321,11 @@ def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
         bases = _flow_bases(*_flow_frame(flow), flow.system.angles, ts)
         for basis in bases.transpose(1, 0, 2):
             worst_orth.track(float(np.max(np.abs(basis.T @ basis - np.eye(k)))), idx)
-        worst_end.track(float(_sine_angles(bases[:, 0, :], a.basis).max()), idx)
-        worst_end.track(float(_sine_angles(bases[:, -1, :], b.basis).max()), idx)
+        for basis, end in ((bases[:, 0, :], a), (bases[:, -1, :], b)):
+            try:  # a basis off orthonormal can overshoot a cosine: a failed property, not an error
+                worst_end.track(float(_angle_factors(basis, end.basis)[0].max()), idx)
+            except NumericalHealthError:
+                worst_end.track(math.nan, idx)
         system = flow.system
         cos_part = (system.a_rot * np.cos(system.angles)) @ system.b_rot.T
         sin_part = (system.tail * np.sin(system.angles)) @ system.b_rot.T
@@ -358,7 +358,7 @@ def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
         state = init_mean(center)
         for _ in range(50):
             state = update_mean(state, center)
-        worst_fixed.track(float(_sine_angles(state.mean.basis, center.basis).max()), idx)
+        worst_fixed.track(float(principal_angles(state.mean, center).max()), idx)
 
         state = init_mean(center)
         for _ in range(idx % 4):

@@ -1,8 +1,11 @@
 """Command line interface: exit codes, report schema, reproducible bytes."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,9 @@ BAD_INPUTS = [
                  "data error: row 6, column 5: label inf is not an integer", id="csv-label-inf"),
     pytest.param(lambda tmp: csv_label_args(tmp, "1e300"), 2,
                  "data error: row 6, column 5: label 1e+300 does not fit in 64 bits", id="csv-label-1e300"),
+    # a cell beyond csv.field_size_limit() raised csv.Error, a traceback that exited 1
+    pytest.param(lambda tmp: csv_label_args(tmp, "1" * 200_000), 2,
+                 "data error: row 6: field larger than field limit (131072)", id="csv-cell-200000-chars"),
 ]
 
 
@@ -148,6 +154,22 @@ class TestExitCodes:
         code = run_cli("run", "--csv", str(data), "--variant", "pca", "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
+
+    def test_utf8_csv_is_read_under_the_c_locale(self, tmp_path):
+        # the CSV and the report were opened in the locale's encoding, so this header exited 2 under LC_ALL=C;
+        # the EncodingWarning filter makes any open() in the package that omits its encoding fail this run
+        data = tmp_path / "utf8.csv"
+        rows = two_class_csv(tmp_path / "rows.csv").read_text()
+        data.write_text("f1,température,f3,f4,label\n" + rows, encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(Path(driftalign.__file__).resolve().parents[1])}
+        argv = [
+            sys.executable, "-X", "utf8=0", "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "driftalign", "run", "--csv", str(data), "--skip-header", "--source-frac", "0.3",
+            "--batch", "20", "--k", "1", "--variant", "gfk", "--out", str(tmp_path / "x.json"),
+        ]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "x.json").read_text(encoding="utf-8"))["variants"][0]["final"] > 0.9
 
     @pytest.mark.parametrize("where", ["directory", "missing_parent", "empty"])
     def test_unwritable_out_is_a_usage_error_before_the_stream_is_read(self, tmp_path, capsys, where):

@@ -172,11 +172,14 @@ class TestOracleAgreement:
         # a Subspace rejects a Gram deviation of 2e-9, so the suite must measure bases it never validates
         original = verify_module._flow_bases
         monkeypatch.setattr(verify_module, "_flow_bases", lambda *a: original(*a) * (1.0 + eps))
-        check = geodesic_suite(seed=0, instances=9)[0]
+        check, endpoint = geodesic_suite(seed=0, instances=9)[:2]
         assert check.name == "geodesic_orthonormal_along_flow"
         assert check.passed is passed
         worst = float(check.detail.split()[1])
         assert 1.5 * eps < worst < 2.5 * eps
+        # at 5e-8 the endpoint cosines overshoot 1: a failed property, not a NumericalHealthError
+        assert endpoint.name == "geodesic_endpoint_recovery"
+        assert endpoint.passed is passed
 
     def test_a_nan_deviation_fails_the_property(self, monkeypatch):
         # a NaN compares false with everything, and used to pass as "worst 0.000e+00"
@@ -366,9 +369,13 @@ class TestKernelProperties:
         with pytest.raises(NumericalHealthError, match=r"leaves \[0, 1\]"):
             TransformKernel(frame=self.FRAME, weights=w)
 
-    def test_rejects_mismatched_factor_shapes(self):
+    @pytest.mark.parametrize(
+        "frame_cols, weights", [(4, np.eye(3)), (0, np.zeros((0, 0)))], ids=["mismatched", "empty"]
+    )
+    def test_rejects_mismatched_factor_shapes(self, frame_cols, weights):
+        # the empty pair used to escape as numpy's zero-size reduction ValueError
         with pytest.raises(DimensionViolation):
-            TransformKernel(frame=self.FRAME, weights=np.eye(3))
+            TransformKernel(frame=self.FRAME[:, :frame_cols], weights=weights)
 
     def test_kernel_matrix_is_read_only(self):
         source, target = kernel_pair(8, 2, 10)
