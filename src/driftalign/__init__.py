@@ -40,11 +40,9 @@ from .pipeline import (
 from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
 from .subspaces import (
-    GeodesicFlow,
     PrincipalSystem,
     Subspace,
     evaluate,
-    geodesic,
     geodesic_distance,
     pca_subspace,
     principal_angles,
@@ -62,7 +60,6 @@ __all__ = [
     "DimensionViolation",
     "DomainError",
     "DriftAlignError",
-    "GeodesicFlow",
     "InsufficientData",
     "KnnParams",
     "LabeledSet",
@@ -89,7 +86,6 @@ __all__ = [
     "flow_kernel",
     "gen_rotating_drift",
     "gen_waveform",
-    "geodesic",
     "geodesic_distance",
     "init_mean",
     "init_pipeline",

@@ -27,7 +27,7 @@ from .subspaces import (
     _flow_frame,
     _gram_deviation,
     _read_only,
-    geodesic,
+    principal_system,
 )
 
 # Angles below this use the analytic limits of the integral weights.
@@ -102,8 +102,8 @@ def _integral_weights(angles: Array) -> tuple[Array, Array]:
 
 def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
     """Closed-form kernel for the flow from ``source`` to ``target``."""
-    flow = geodesic(source, target)
-    diag, cross = _integral_weights(flow.system.angles)
+    system = principal_system(source, target)
+    diag, cross = _integral_weights(system.angles)
     # W = [[diag(w_cos), diag(w_cross)], [diag(w_cross), diag(w_sin)]], written
     # as its three nonzero diagonals into the flat view of one 2k x 2k array.
     k = cross.shape[0]
@@ -113,7 +113,7 @@ def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
     flat[:: n + 1] = diag  # (i, i)
     flat[k : n * k : n + 1] = cross  # (i, k + i), i < k
     flat[n * k :: n + 1] = cross  # (k + i, i), i < k
-    return TransformKernel(frame=np.concatenate(_flow_frame(flow), axis=1), weights=weights)
+    return TransformKernel(frame=np.concatenate(_flow_frame(system), axis=1), weights=weights)
 
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:

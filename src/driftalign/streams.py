@@ -96,16 +96,20 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
 
     Rows keep file order: the first ceil(source_fraction * N) rows become the
     labelled source, the rest are chunked into full batches of batch_size
-    (a trailing partial batch is dropped).
+    (a trailing partial batch is dropped). Blank lines are skipped, and the
+    header, if any, is the first non-blank record. Errors name a record by
+    the file line it starts on.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
     expected = None
+    header = schema.has_header
     with open(path, newline="", encoding="utf-8") as fh:
-        for r, record in enumerate(_records(fh), start=1):
-            if r == 1 and schema.has_header:
-                continue
+        for r, record in _records(fh):
             if not record:
+                continue
+            if header:
+                header = False
                 continue
             if expected is None:
                 expected = len(record)
@@ -150,13 +154,21 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
     return DatasetBundle(source=source, stream=tuple(batches))
 
 
-def _records(fh: Iterable[str]) -> Iterator[list[str]]:
-    """csv.reader's records, with a malformed one raised as a ParseError naming its row."""
+def _records(fh: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """csv.reader's records, each with the line it starts on, which names it as its row.
+
+    A quoted cell may span lines, so a record starts on the line after the
+    one the previous record ended on. A malformed record is a ParseError
+    naming that line too.
+    """
     reader = csv.reader(fh)
+    start = 1
     try:
-        yield from reader
+        for record in reader:
+            yield start, record
+            start = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(f"row {reader.line_num}: {exc}") from None
+        raise ParseError(f"row {start}: {exc}") from None
 
 
 def _triangular_waves() -> Array:

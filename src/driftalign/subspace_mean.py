@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch
-from .subspaces import Subspace, _count, evaluate, geodesic
+from .subspaces import Subspace, _count, evaluate, principal_system
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,14 +35,9 @@ def update_mean(state: MeanSubspaceState, new: Subspace) -> MeanSubspaceState:
     current mean to ``new``, i.e. it moves distance d/(count+1) when ``new``
     is at geodesic distance d. The rule is order-dependent from the third
     subspace on; see :func:`driftalign.verify.karcher_mean` for the
-    order-free reference.
+    order-free reference. A ``new`` of another shape than the mean raises
+    DimensionMismatch, from :func:`principal_system`.
     """
-    if state.mean.basis.shape != new.basis.shape:
-        raise DimensionMismatch(
-            f"new subspace is ({new.ambient_dim}, {new.sub_dim}), "
-            f"mean is ({state.mean.ambient_dim}, {state.mean.sub_dim})"
-        )
     new_count = state.count + 1
-    flow = geodesic(state.mean, new)
-    return MeanSubspaceState(mean=evaluate(flow, 1.0 / new_count), count=new_count)
+    return MeanSubspaceState(mean=evaluate(principal_system(state.mean, new), 1.0 / new_count), count=new_count)
 

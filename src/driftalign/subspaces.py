@@ -9,12 +9,13 @@ The central construction is :func:`principal_system`, a paired decomposition
 of A^T B and of the residual B - A A^T B sharing one right factor. It yields
 the k directions orthogonal to A that the pair opens into, which is all that
 geodesics between subspaces and the flow kernel built on them need; no basis
-of A's full d x (d - k) complement is ever formed.
+of A's full d x (d - k) complement is ever formed. The returned
+PrincipalSystem carries A as its base, so it is the geodesic from A to B.
 
 Checks, and which imply which. Every value type validates what it stores:
-Subspace (finite, then Gram deviation below ORTHONORMALITY_TOL),
-PrincipalSystem (angles in [0, pi/2]; a_rot, tail and b_rot orthonormal) and
-GeodesicFlow (tail orthogonal to the base). principal_angles adds the two
+Subspace (finite, then Gram deviation below ORTHONORMALITY_TOL) and
+PrincipalSystem (angles in [0, pi/2]; a_rot, tail and b_rot orthonormal; a
+d x k base, then the tail orthogonal to it). principal_angles adds the two
 overshoot checks, principal_system the reconstruction check too, in one pass: a
 pair it cannot reproduce raises SharedFactorFailure. Each deviation is compared
 as ``not dev < tol``, so a NaN entry, which makes its deviation NaN, fails the
@@ -136,18 +137,20 @@ class Subspace:
 
 @dataclass(frozen=True, eq=False)
 class PrincipalSystem:
-    """Aligned factors of a subspace pair.
+    """Geodesic from a base subspace A to a subspace B, in the pair's aligned factors.
 
-    For a pair (A, B) the factors satisfy
+    With A = ``base``, the factors satisfy
 
         A^T B         =  a_rot @ diag(cos(angles)) @ b_rot.T
         B - A A^T B   = -(tail * sin(angles)) @ b_rot.T
 
     so the columns of A @ a_rot and B @ b_rot are the principal vectors and
     the d x k orthonormal ``tail``, orthogonal to A, holds the directions the
-    pair opens into.
+    pair opens into. The geodesic, parameterized on [0, 1], is
+    A a_rot cos(t angles) - tail sin(t angles); see :func:`evaluate`.
     """
 
+    base: Subspace
     a_rot: Array   # k x k
     tail: Array    # d x k
     b_rot: Array   # k x k
@@ -170,17 +173,10 @@ class PrincipalSystem:
             if not dev < ORTHONORMALITY_TOL:
                 raise NumericalHealthError(f"{name} is not orthonormal (max Gram deviation {dev:.3e})")
             object.__setattr__(self, name, m)
-
-
-@dataclass(frozen=True, eq=False)
-class GeodesicFlow:
-    """Constant-speed geodesic through a subspace pair, parameterized on [0, 1]."""
-
-    base: Subspace
-    system: PrincipalSystem
-
-    def __post_init__(self) -> None:
-        cross = float(abs(self.system.tail.T @ self.base.basis).max())
+        base = self.base.basis
+        if base.shape != self.tail.shape:
+            raise DimensionViolation(f"base must be {self.tail.shape[0]} x {k}, got shape {base.shape}")
+        cross = float(abs(self.tail.T @ base).max())
         if not cross < ORTHONORMALITY_TOL:
             raise NumericalHealthError(f"tail is not orthogonal to base (max {cross:.3e})")
 
@@ -278,26 +274,22 @@ def _angle_factors(a: Array, b: Array) -> tuple[Array, ...]:
     return angles, sines, cosines, u, v, ab, residual, aligned
 
 
-def _shared_factors(a: Array, b: Array) -> PrincipalSystem:
+def _shared_factors(base: Subspace, other: Subspace) -> PrincipalSystem:
+    a = base.basis
     k = a.shape[1]
-    angles, sines, cosines, u, v, ab, residual, aligned = _angle_factors(a, b)
-    # In-source directions: A^T B V normalized where resolvable, extended elsewhere.
+    angles, sines, cosines, u, v, ab, residual, aligned = _angle_factors(a, other.basis)
+    # In-source directions: A^T B V normalized where resolvable, extended
+    # elsewhere. The n resolved columns have the n largest cosines, and
+    # larger-cosine columns carry less relative noise; they are orthogonalized
+    # first, largest first, so they are not contaminated, then put back in place.
+    resolved = cosines > RESIDUAL_COLUMN_TOL
+    n = int(np.count_nonzero(resolved))
+    order = np.argsort(cosines, kind="stable")[::-1][:n]
+    fixed = _signed_qr(aligned[:, order] / cosines[order])
     a_rot = np.zeros((k, k))
-    # Larger-cosine columns carry less relative noise; they are orthogonalized
-    # first so they are not contaminated, then put back in place.
-    if cosines.min() > RESIDUAL_COLUMN_TOL:
-        # Every column resolvable, the case of any pair with no right angle.
-        order = np.argsort(cosines, kind="stable")[::-1]
-        a_rot[:, order] = _signed_qr(aligned[:, order] / cosines[order])
-    else:
-        resolvable = np.flatnonzero(cosines > RESIDUAL_COLUMN_TOL)
-        fixed = np.zeros((k, 0))
-        if resolvable.size:
-            order = resolvable[np.argsort(cosines[resolvable], kind="stable")[::-1]]
-            fixed = _signed_qr(aligned[:, order] / cosines[order])
-            a_rot[:, order] = fixed
-        open_slots = np.flatnonzero(~(cosines > RESIDUAL_COLUMN_TOL))
-        a_rot[:, open_slots] = _orthonormal_extension(fixed, open_slots.size)
+    a_rot[:, order] = fixed
+    if n < k:
+        a_rot[:, ~resolved] = _orthonormal_extension(fixed, k - n)
     # The flow leaves the base along minus the residual's left factor; one
     # more projection off A removes what rounding left in A's span. Sines
     # ascend, so the unresolved columns come first (there are some exactly
@@ -307,7 +299,7 @@ def _shared_factors(a: Array, b: Array) -> PrincipalSystem:
     if sines[0] <= RESIDUAL_COLUMN_TOL:
         unresolved = int(np.count_nonzero(sines <= RESIDUAL_COLUMN_TOL))
         tail[:, :unresolved] = _orthonormal_extension(np.hstack([a, tail[:, unresolved:]]), unresolved)
-    system = PrincipalSystem(a_rot=a_rot, tail=tail, b_rot=v, angles=angles)
+    system = PrincipalSystem(base=base, a_rot=a_rot, tail=tail, b_rot=v, angles=angles)
     # Both products must be reproduced. A^T B and the residual are the arrays
     # formed above, so each side is compared with what the factors were cut from.
     cos_part = (system.a_rot * np.cos(system.angles)) @ system.b_rot.T
@@ -326,9 +318,10 @@ def principal_system(a: Subspace, b: Subspace) -> PrincipalSystem:
         b: other subspace, same shape as ``a``.
 
     Returns:
-        The aligned rotations, the opening directions and the principal
-        angles. Angles ascend; columns of ``tail`` whose sine is not
-        numerically resolvable are an arbitrary orthonormal extension.
+        The geodesic from ``a`` to ``b``: base ``a``, the aligned rotations,
+        the opening directions and the principal angles. Angles ascend;
+        columns of ``tail`` whose sine is not numerically resolvable are an
+        arbitrary orthonormal extension.
 
     Raises:
         SharedFactorFailure: the factors do not reproduce A^T B and the
@@ -339,30 +332,26 @@ def principal_system(a: Subspace, b: Subspace) -> PrincipalSystem:
     """
     _check_pair(a, b)
     _check_half_dim(*a.basis.shape)
-    return _shared_factors(a.basis, b.basis)
+    return _shared_factors(a, b)
 
 
-def geodesic(a: Subspace, b: Subspace) -> GeodesicFlow:
-    """Geodesic flow with Psi(0) spanning ``a`` and Psi(1) spanning ``b``."""
-    return GeodesicFlow(base=a, system=principal_system(a, b))
+def evaluate(system: PrincipalSystem, t: float) -> Subspace:
+    """Point at parameter t in [0, 1] on the geodesic ``system`` spans.
 
-
-def evaluate(flow: GeodesicFlow, t: float) -> Subspace:
-    """Point on the flow at parameter t in [0, 1].
-
-    The principal angles between evaluate(flow, 0) and evaluate(flow, t) are
-    exactly t times the pair's angles, so t is arc-length fraction.
+    ``evaluate(principal_system(a, b), t)`` spans ``a`` at t=0 and ``b`` at
+    t=1. The principal angles between the points at 0 and at t are exactly t
+    times the pair's angles, so t is arc-length fraction.
     """
     t = _real("flow parameter", t)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"flow parameter must lie in [0, 1], got {t}")
-    head, tail = _flow_frame(flow)
-    return Subspace(_flow_bases(head, tail, flow.system.angles, np.array([t]))[:, 0, :])
+    head, tail = _flow_frame(system)
+    return Subspace(_flow_bases(head, tail, system.angles, np.array([t]))[:, 0, :])
 
 
-def _flow_frame(flow: GeodesicFlow) -> tuple[Array, Array]:
+def _flow_frame(system: PrincipalSystem) -> tuple[Array, Array]:
     """Principal vectors at the base (head) and the directions they open into (tail)."""
-    return flow.base.basis @ flow.system.a_rot, flow.system.tail
+    return system.base.basis @ system.a_rot, system.tail
 
 
 def _flow_bases(head: Array, tail: Array, angles: Array, ts: Array) -> Array:

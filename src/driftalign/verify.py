@@ -54,9 +54,9 @@ from .subspaces import (
     _flow_frame,
     _is_integer,
     _signed_qr,
-    geodesic,
     geodesic_distance,
     principal_angles,
+    principal_system,
 )
 
 # Grids skip combinations that violate the k < d/2 requirement.
@@ -224,9 +224,9 @@ def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
     beta = i / np.sqrt(4.0 * i * i - 1.0)
     x, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
     root_weights = np.abs(v[0]) / np.linalg.norm(v[0])
-    flow = geodesic(source, target)
-    head, tail = _flow_frame(flow)
-    bases = _flow_bases(head, tail, flow.system.angles, 0.5 * (x + 1.0))
+    system = principal_system(source, target)
+    head, tail = _flow_frame(system)
+    bases = _flow_bases(head, tail, system.angles, 0.5 * (x + 1.0))
     _check_bases(bases)
     scaled = (bases * root_weights[:, None]).reshape(head.shape[0], -1)
     g = scaled @ scaled.T
@@ -315,10 +315,10 @@ def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
         rng = _instance_rng(seed, idx)
         a = random_subspace(d, k, rng)
         b = random_subspace(d, k, rng)
-        flow = geodesic(a, b)
+        system = principal_system(a, b)
         # Unvalidated, as in quadrature_kernel: a Subspace would raise at a Gram
         # deviation of 1e-10, before this suite's own tolerance could report it.
-        bases = _flow_bases(*_flow_frame(flow), flow.system.angles, ts)
+        bases = _flow_bases(*_flow_frame(system), system.angles, ts)
         for basis in bases.transpose(1, 0, 2):
             worst_orth.track(float(np.max(np.abs(basis.T @ basis - np.eye(k)))), idx)
         for basis, end in ((bases[:, 0, :], a), (bases[:, -1, :], b)):
@@ -326,7 +326,6 @@ def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
                 worst_end.track(float(_angle_factors(basis, end.basis)[0].max()), idx)
             except NumericalHealthError:
                 worst_end.track(math.nan, idx)
-        system = flow.system
         cos_part = (system.a_rot * np.cos(system.angles)) @ system.b_rot.T
         sin_part = (system.tail * np.sin(system.angles)) @ system.b_rot.T
         ab = a.basis.T @ b.basis

@@ -1,5 +1,6 @@
 """CSV ingestion and the two synthetic stream generators."""
 
+import csv
 import math
 import re
 
@@ -69,6 +70,28 @@ class TestLoadCsv:
         f.write_text("a,b,c,label\n" + "\n".join(",".join(map(str, r)) for r in body) + "\n")
         bundle = load_csv(f, CsvSchema(source_fraction=0.3, batch_size=5, has_header=True))
         assert bundle.source.n_rows == 9
+
+    def test_header_is_the_first_non_blank_line(self, tmp_path):
+        # a blank first line used to be taken as the header, and the header then failed as data
+        f = tmp_path / "data.csv"
+        body = grid_rows(30)
+        f.write_text("\n\na,b,c,label\n" + "\n".join(",".join(map(str, r)) for r in body) + "\n")
+        bundle = load_csv(f, CsvSchema(source_fraction=0.3, batch_size=5, has_header=True))
+        assert bundle.source.n_rows == 9
+        np.testing.assert_array_equal(bundle.source.x[0], body[0][:-1])
+
+    @pytest.mark.parametrize("record, message", [
+        ("1,x,1", "row 4, column 2: 'x' is not a number"),
+        ('1,"\n' + "9" * 200_000 + '",1', f"row 4: field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["bad_cell", "csv_error"])
+    def test_rows_are_named_by_the_line_they_start_on(self, tmp_path, record, message):
+        # the quoted cell of the first data record spans lines 2 and 3, so the next record starts on line 4;
+        # cell errors used to count records (row 3) and a csv.Error the line it was detected on (row 5)
+        f = tmp_path / "data.csv"
+        f.write_text('a,b,y\n1,"2\n",0\n' + record + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(f, CsvSchema(source_fraction=0.5, batch_size=2, has_header=True))
+        assert str(exc.value) == message
 
     def test_bad_cell_reports_one_based_row_and_column(self, tmp_path):
         f = tmp_path / "data.csv"

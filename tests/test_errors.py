@@ -23,8 +23,8 @@ from driftalign import (
     SvmParams,
     evaluate,
     gen_rotating_drift,
-    geodesic,
     init_pipeline,
+    principal_system,
     process_batch,
     variant_config,
 )
@@ -254,7 +254,7 @@ def test_process_batch_skips_numerical_errors_and_propagates_the_rest(cls, site,
 # Each float setting or argument, used with a given value.
 REAL_SETTINGS = {
     "flow parameter": lambda value: evaluate(
-        geodesic(Subspace(np.eye(6)[:, :2]), Subspace(np.eye(6)[:, 1:3])), value
+        principal_system(Subspace(np.eye(6)[:, :2]), Subspace(np.eye(6)[:, 1:3])), value
     ),
     "regularization": lambda value: SvmParams(regularization=value),
     "source_fraction": lambda value: CsvSchema(source_fraction=value, batch_size=5),

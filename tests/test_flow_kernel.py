@@ -18,8 +18,8 @@ from driftalign import (
     apply_transform,
     evaluate,
     flow_kernel,
-    geodesic,
     init_mean,
+    principal_system,
     update_mean,
 )
 from driftalign.flow_kernel import SMALL_ANGLE
@@ -56,22 +56,22 @@ def right_angle_pair():
 
 def per_node_quadrature(source, target, nodes):
     """Composite Simpson rule with one validated evaluate() call per node."""
-    flow = geodesic(source, target)
+    system = principal_system(source, target)
     acc = np.zeros((source.ambient_dim, source.ambient_dim))
     h = 1.0 / nodes
     for j in range(nodes + 1):
         w = 1.0 if j in (0, nodes) else (4.0 if j % 2 else 2.0)
-        phi = evaluate(flow, j * h).basis
+        phi = evaluate(system, j * h).basis
         acc += w * (phi @ phi.T)
     g = acc * (h / 3.0)
     return 0.5 * (g + g.T)
 
 
-def flow_formula(flow, t):
+def flow_formula(system, t):
     """The flow point as evaluate() computed it before the batched evaluator."""
-    th = flow.system.angles
-    head = flow.base.basis @ flow.system.a_rot
-    return head * np.cos(t * th) - flow.system.tail * np.sin(t * th)
+    th = system.angles
+    head = system.base.basis @ system.a_rot
+    return head * np.cos(t * th) - system.tail * np.sin(t * th)
 
 
 class TestCanonicalValues:
@@ -266,7 +266,7 @@ class TestOracleAgreement:
         source, target = kernel_pair(10, 3, 8)
         kernel = flow_kernel(source, target)
         wrong = flip_cross_sign(kernel)
-        th = geodesic(source, target).system.angles
+        th = principal_system(source, target).angles
         k = th.shape[0]
         assert np.array_equal(wrong.weights[:k, k:], np.diag((1.0 - np.cos(2.0 * th)) / (4.0 * th)))
         assert np.array_equal(wrong.weights[k:, :k], wrong.weights[:k, k:])
@@ -279,16 +279,16 @@ class TestFlowEvaluation:
     @pytest.mark.parametrize("d,k,seed", [(6, 1, 18), (10, 3, 19), (30, 5, 20), (40, 2, 21)])
     def test_evaluate_is_bit_identical_to_the_flow_formula(self, d, k, seed):
         rng = np.random.default_rng(seed)
-        flow = geodesic(random_subspace(d, k, rng), random_subspace(d, k, rng))
+        system = principal_system(random_subspace(d, k, rng), random_subspace(d, k, rng))
         for t in (0.0, 1e-9, 0.1, 1.0 / 3.0, 0.5, 0.77, 1.0):
-            assert np.array_equal(evaluate(flow, t).basis, flow_formula(flow, t))
+            assert np.array_equal(evaluate(system, t).basis, flow_formula(system, t))
 
     def test_parameter_outside_the_unit_interval_rejected(self):
         source, target = kernel_pair(8, 2, 22)
-        flow = geodesic(source, target)
+        system = principal_system(source, target)
         for t in (1.5, -0.1):
             with pytest.raises(DomainError):
-                evaluate(flow, t)
+                evaluate(system, t)
 
 
 def reference_weights(angles):
@@ -309,9 +309,9 @@ class TestWeightAssembly:
         for _ in range(10):
             source, target = random_subspace(d, k, rng), random_subspace(d, k, rng)
             kernel = flow_kernel(source, target)
-            flow = geodesic(source, target)
-            assert kernel.weights.tobytes() == reference_weights(flow.system.angles).tobytes()
-            frame = np.hstack([source.basis @ flow.system.a_rot, flow.system.tail])
+            system = principal_system(source, target)
+            assert kernel.weights.tobytes() == reference_weights(system.angles).tobytes()
+            frame = np.hstack([source.basis @ system.a_rot, system.tail])
             assert kernel.frame.tobytes() == frame.tobytes()
 
     def test_small_angles_take_the_limits(self):
@@ -320,7 +320,7 @@ class TestWeightAssembly:
         source = random_subspace(11, 3, rng)
         shared = orthonormalize(np.hstack([source.basis[:, :1], rng.standard_normal((11, 2))]))
         for target in (source, shared):
-            angles = geodesic(source, target).system.angles
+            angles = principal_system(source, target).angles
             assert (angles < SMALL_ANGLE).any()
             weights = flow_kernel(source, target).weights
             assert weights.tobytes() == reference_weights(angles).tobytes()

@@ -12,7 +12,6 @@ from driftalign import (
     DimensionMismatch,
     DimensionViolation,
     DomainError,
-    GeodesicFlow,
     NonFiniteData,
     NumericalHealthError,
     PrincipalSystem,
@@ -22,7 +21,6 @@ from driftalign import (
     TransformKernel,
     evaluate,
     flow_kernel,
-    geodesic,
     geodesic_distance,
     pca_subspace,
     principal_angles,
@@ -245,7 +243,7 @@ class TestChecksStillFire:
         factors = {"a_rot": sys.a_rot, "tail": sys.tail, "b_rot": sys.b_rot}
         factors[name] = 1.001 * factors[name]
         with pytest.raises(NumericalHealthError) as exc:
-            PrincipalSystem(angles=sys.angles, **factors)
+            PrincipalSystem(base=a, angles=sys.angles, **factors)
         assert str(exc.value) == gram_message(name, factors[name])
 
     def test_nan_factor_is_not_orthonormal(self):
@@ -255,7 +253,7 @@ class TestChecksStillFire:
         tail = sys.tail.copy()
         tail[4, 1] = np.nan
         with pytest.raises(NumericalHealthError, match="tail is not orthonormal"):
-            PrincipalSystem(a_rot=sys.a_rot, tail=tail, b_rot=sys.b_rot, angles=sys.angles)
+            PrincipalSystem(base=a, a_rot=sys.a_rot, tail=tail, b_rot=sys.b_rot, angles=sys.angles)
 
     @pytest.mark.parametrize("bad", [-1e-3, math.pi / 2 + 1e-9, np.nan])
     def test_angle_outside_the_quarter_turn(self, bad):
@@ -265,13 +263,14 @@ class TestChecksStillFire:
         angles = sys.angles.copy()
         angles[1] = bad
         with pytest.raises(DomainError) as exc:
-            PrincipalSystem(a_rot=sys.a_rot, tail=sys.tail, b_rot=sys.b_rot, angles=angles)
+            PrincipalSystem(base=a, a_rot=sys.a_rot, tail=sys.tail, b_rot=sys.b_rot, angles=angles)
         assert str(exc.value) == "principal angles must lie in [0, pi/2]"
 
     def test_empty_system(self):
         # zero angles used to escape as numpy's zero-size reduction ValueError
         with pytest.raises(DimensionViolation, match="length-k vector, k >= 1"):
-            PrincipalSystem(a_rot=np.zeros((0, 0)), tail=np.zeros((5, 0)), b_rot=np.zeros((0, 0)), angles=np.zeros(0))
+            PrincipalSystem(base=Subspace(np.eye(5)[:, :2]), a_rot=np.zeros((0, 0)), tail=np.zeros((5, 0)),
+                            b_rot=np.zeros((0, 0)), angles=np.zeros(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_basis(self, bad):
@@ -291,9 +290,23 @@ class TestChecksStillFire:
         a, b = random_pairs(10, 3, 1, seed=32)[0]
         sys = principal_system(a, b)
         with pytest.raises(NumericalHealthError) as exc:
-            GeodesicFlow(base=b, system=sys)
+            PrincipalSystem(base=b, a_rot=sys.a_rot, tail=sys.tail, b_rot=sys.b_rot, angles=sys.angles)
         cross = float(np.max(np.abs(sys.tail.T @ b.basis)))
         assert str(exc.value) == f"tail is not orthogonal to base (max {cross:.3e})"
+
+    @pytest.mark.parametrize("d,k", [(12, 3), (10, 2)])
+    def test_base_of_the_wrong_shape(self, d, k):
+        # a 12 x 3 base used to escape as numpy's matmul ValueError, and a
+        # 10 x 2 base as the misleading "tail is not orthogonal to base"
+        sys = principal_system(*random_pairs(10, 3, 1, seed=35)[0])
+        base = random_subspace(d, k, np.random.default_rng(36))
+        with pytest.raises(DimensionViolation) as exc:
+            PrincipalSystem(base=base, a_rot=sys.a_rot, tail=sys.tail, b_rot=sys.b_rot, angles=sys.angles)
+        assert str(exc.value) == f"base must be 10 x 3, got shape ({d}, {k})"
+
+    def test_principal_system_carries_its_base(self):
+        a, b = random_pairs(10, 3, 1, seed=37)[0]
+        assert principal_system(a, b).base is a
 
     def test_non_orthonormal_kernel_frame(self):
         kernel = flow_kernel(*random_pairs(10, 3, 1, seed=33)[0])
@@ -451,13 +464,13 @@ class TestGeodesic:
         rng = np.random.default_rng(13)
         a = random_subspace(12, 3, rng)
         b = random_subspace(12, 3, rng)
-        flow = geodesic(a, b)
-        assert principal_angles(evaluate(flow, 0.0), a).max() < 1e-13
-        assert principal_angles(evaluate(flow, 1.0), b).max() < 1e-13
+        system = principal_system(a, b)
+        assert principal_angles(evaluate(system, 0.0), a).max() < 1e-13
+        assert principal_angles(evaluate(system, 1.0), b).max() < 1e-13
 
     def test_midpoint_bisects_planar_rotation(self):
         a, b = planar_pair(7, 1.0)
-        mid = evaluate(geodesic(a, b), 0.5)
+        mid = evaluate(principal_system(a, b), 0.5)
         np.testing.assert_allclose(principal_angles(a, mid), [0.5], atol=1e-9)
         np.testing.assert_allclose(principal_angles(mid, b), [0.5], atol=1e-9)
 
@@ -465,23 +478,23 @@ class TestGeodesic:
         rng = np.random.default_rng(14)
         a = random_subspace(16, 5, rng)
         b = random_subspace(16, 5, rng)
-        flow = geodesic(a, b)
+        system = principal_system(a, b)
         for t in (0.25, 0.5, 0.75):
-            s = evaluate(flow, t)
+            s = evaluate(system, t)
             np.testing.assert_allclose(s.basis.T @ s.basis, np.eye(5), atol=1e-8)
 
     def test_parameter_outside_unit_interval_rejected(self):
         rng = np.random.default_rng(15)
-        flow = geodesic(random_subspace(8, 2, rng), random_subspace(8, 2, rng))
+        system = principal_system(random_subspace(8, 2, rng), random_subspace(8, 2, rng))
         for t in (-0.01, 1.01, 2.0):
             with pytest.raises(DomainError):
-                evaluate(flow, t)
+                evaluate(system, t)
 
     def test_arc_length_is_proportional(self):
         a, b = planar_pair(9, 1.2)
-        flow = geodesic(a, b)
+        system = principal_system(a, b)
         for t in (0.25, 0.5, 0.75):
-            np.testing.assert_allclose(principal_angles(a, evaluate(flow, t)), [1.2 * t], atol=1e-9)
+            np.testing.assert_allclose(principal_angles(a, evaluate(system, t)), [1.2 * t], atol=1e-9)
 
 
 class TestPcaSubspace:
