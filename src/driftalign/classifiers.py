@@ -6,11 +6,15 @@ stochastic subgradient descent on the hinge loss with step size 1/(lambda t).
 
 The k-NN rule takes the k training rows nearest in squared Euclidean distance;
 a distance tie goes to the lower training row, a vote tie to the lower class.
-It never sorts a row of distances: with one neighbour, ``argmin`` returns the
-first minimum, which is the lower row; with k > 1, ``partition`` finds the
-k-th smallest distance, every row strictly below it is taken, and the rows
-equal to it fill the remaining places in index order. That is exactly the set
-a stable sort would put first.
+It ranks the rows p of a query q by |p|^2 - 2 q.p, the squared distance
+less |q|^2, which is the same for every row, in one M x N array. Where the
+arithmetic is exact, as on integer rows, the ties are those of the distance;
+a near-tie within rounding follows the rounding of |p|^2 - 2 q.p. It never
+sorts a row: with one neighbour, ``argmin`` returns the first minimum, which
+is the lower row; with k > 1, ``partition`` finds the k-th smallest value,
+every row strictly below it is taken, and the rows equal to it fill the
+remaining places in index order. That is exactly the set a stable sort would
+put first.
 
 Each SVM step does only the floating-point operations of the plain formula,
 in its order: eta = 1/(lambda t), margin = sign * w.row, w *= 1 - eta lambda,
@@ -35,15 +39,15 @@ from .errors import (
     NumericalHealthError,
     SchemaMismatch,
 )
-from .subspaces import _count, _read_only, _real
+from .subspaces import _count, _read_only, _real, _real_rows
 
 Array = np.ndarray
 
 # Largest entry magnitude accepted in training rows and stream batches. The
-# k-NN distances |q|^2 + |p|^2 - 2 q.p overflow once entries pass about
-# 1e154, and inf - inf then makes them NaN. With every entry within this
-# bound, and so every row within sqrt(d) times it, the distances stay finite
-# for fewer than about 4e7 features.
+# k-NN ranking |p|^2 - 2 q.p overflows once entries pass about 1e154, and
+# inf - inf then makes it NaN. With every entry within this bound, and so
+# every row within sqrt(d) times it, |p|^2 - 2 q.p stays below 3d * 1e300,
+# which is finite for fewer than about 6e7 features.
 MAX_ABS_ENTRY = 1e150
 # Most missing labels a contiguity error names; it counts the rest.
 MAX_NAMED_MISSING = 10
@@ -126,7 +130,7 @@ class LabeledSet:
     y: Array
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
+        x = _real_rows(self.x, "x")
         y = np.asarray(self.y)
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise DimensionMismatch(f"x must be a nonempty 2-d array, got shape {x.shape}")
@@ -254,10 +258,11 @@ def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
 def predict(model, x: object) -> Array:
     """Predicted labels for query rows x (M x d).
 
-    Raises NonFiniteData for a NaN or infinite entry, or a row longer than
-    sqrt(d) * MAX_ABS_ENTRY, where the k-NN distances could overflow.
+    Raises SchemaMismatch for complex rows, and NonFiniteData for a NaN or
+    infinite entry, or a row longer than sqrt(d) * MAX_ABS_ENTRY, where the
+    k-NN ranking could overflow.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a = _real_rows(x, "queries")
     if a.ndim != 2:
         raise DimensionMismatch(f"queries must be a 2-d array, got shape {a.shape}")
     _check_query_rows(a)
@@ -276,31 +281,30 @@ def predict(model, x: object) -> Array:
 
 def _knn_predict(model: KnnModel, queries: Array) -> Array:
     train_x, train_y, k = model.train_x, model.train_y, model.n_neighbors
-    # Squared distances |q|^2 + |p|^2 - 2 q.p, built in place with the same
-    # operations in the same order as q_sq + p_sq - 2.0 * (q @ p.T), so the
-    # rounding, and with it every distance tie, is that of the plain formula,
-    # while at most two M x N float arrays are alive at a time.
-    q_sq = np.sum(queries**2, axis=1)[:, None]
-    p_sq = np.sum(train_x**2, axis=1)[None, :]
-    d_sq = q_sq + p_sq
-    cross = queries @ train_x.T
-    cross *= 2.0
-    d_sq -= cross
-    del cross
+    # Rank by |p|^2 - 2 q.p: |q|^2 is the same for every training row of a
+    # query, so it cannot change which rows are nearest, and a near-tie
+    # follows the rounding of this sum. p_sq is summed first, so its N x d
+    # temporary is freed before the product; scaling by -2.0, a power of two,
+    # is exact. One M x N float array is alive, and the broadcast add uses
+    # only numpy's fixed ufunc buffer.
+    p_sq = np.sum(train_x**2, axis=1)
+    d = queries @ train_x.T
+    d *= -2.0
+    d += p_sq
     if k == 1:
         # argmin returns the first minimum: distance ties go to the lower row.
-        return train_y[np.argmin(d_sq, axis=1)]
-    # The k-th smallest distance of each row; the copy lets the partitioned
+        return train_y[np.argmin(d, axis=1)]
+    # The k-th smallest value of each row; the copy lets the partitioned
     # array go at once.
-    kth = np.partition(d_sq, k - 1, axis=1)[:, k - 1 : k].copy()
-    chosen = d_sq < kth
-    # Rows at the k-th distance fill the places left, in training-row order.
-    at = d_sq == kth
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k].copy()
+    chosen = d < kth
+    # Rows at the k-th value fill the places left, in training-row order.
+    at = d == kth
     room = k - np.count_nonzero(chosen, axis=1, keepdims=True)
     chosen |= at & (np.cumsum(at, axis=1, dtype=np.int32) <= room)
     # Each query now has exactly k neighbours, and flatnonzero lists them
     # query by query.
-    m, n = d_sq.shape
+    m, n = d.shape
     votes = train_y[np.flatnonzero(chosen) % n].reshape(m, k)
     c = model.n_classes
     counts = np.bincount((np.arange(m)[:, None] * c + votes).ravel(), minlength=m * c)

@@ -27,6 +27,7 @@ from .subspaces import (
     _flow_frame,
     _gram_deviation,
     _read_only,
+    _real_rows,
     principal_system,
 )
 
@@ -118,7 +119,7 @@ def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:
     """Right-multiply row-data x (N x d) by the kernel, through its d x 2k frame."""
-    a = np.asarray(x, dtype=np.float64)
+    a = _real_rows(x, "data")
     if a.ndim != 2 or a.shape[1] != kernel.ambient_dim:
         raise DimensionMismatch(
             f"data has {a.shape[1] if a.ndim == 2 else '?'} columns, kernel expects {kernel.ambient_dim}"

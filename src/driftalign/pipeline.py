@@ -34,7 +34,7 @@ from .classifiers import (
 from .errors import ConfigError, DimensionMismatch, NumericalError, SchemaMismatch
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
-from .subspaces import Array, Subspace, _count, _read_only, pca_subspace
+from .subspaces import Array, Subspace, _count, _read_only, _real_rows, pca_subspace
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -88,7 +88,7 @@ class MiniBatch:
     true_labels: Array | None = None
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
+        x = _real_rows(self.x, "batch")
         if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
             raise DimensionMismatch(f"batch needs at least 2 rows and 1 column, got shape {x.shape}")
         _check_entries(x, "batch has")

@@ -43,6 +43,7 @@ from .errors import (
     NonFiniteData,
     NumericalHealthError,
     RankDeficient,
+    SchemaMismatch,
     SharedFactorFailure,
 )
 
@@ -181,8 +182,19 @@ class PrincipalSystem:
             raise NumericalHealthError(f"tail is not orthogonal to base (max {cross:.3e})")
 
 
+def _real_rows(x: object, what: str) -> Array:
+    """x as a float64 array; SchemaMismatch naming ``what`` if it is complex.
+
+    The dtype is checked before the cast, which would keep only the real part.
+    """
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
+        raise SchemaMismatch(f"{what} must be real, got dtype {a.dtype}")
+    return np.asarray(a, dtype=np.float64)
+
+
 def _as_matrix(m: object, what: str) -> Array:
-    a = np.asarray(m, dtype=np.float64)
+    a = _real_rows(m, what)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionMismatch(f"{what} must be a nonempty 2-d array, got shape {a.shape}")
     if not np.isfinite(a).all():

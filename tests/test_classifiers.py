@@ -163,6 +163,11 @@ class TestLabeledSet:
         with pytest.raises(NonFiniteData):
             LabeledSet(x=x, y=np.array([0, 1, 0]))
 
+    def test_complex_features_rejected(self):
+        # the float64 cast kept the real part and only warned
+        with pytest.raises(SchemaMismatch, match="x must be real, got dtype complex128"):
+            LabeledSet(x=np.eye(3) + 1j, y=np.array([0, 1, 0]))
+
     def test_arrays_are_read_only(self):
         data = LabeledSet(x=np.eye(3), y=np.array([0, 1, 0]))
         with pytest.raises(ValueError):
@@ -261,6 +266,19 @@ class TestKnn:
                 assert got.dtype == np.int64
                 assert np.array_equal(got, stable_sort_knn(model, queries)), (k, data.x, data.y, queries)
 
+    def test_labels_equal_the_stable_sort_rule_at_a_large_offset(self):
+        # a common shift of 0 or +-2**20 per column makes |q|^2 dominate the
+        # distance, yet every value stays an exact integer, and so does every tie
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            data, queries = lattice_case(rng)
+            shift = rng.choice([-(2.0**20), 0.0, 2.0**20], size=data.n_features)
+            data = LabeledSet(x=data.x + shift, y=data.y)
+            queries = queries + shift
+            for k in range(1, 10):
+                model = train(data, KnnParams(n_neighbors=k))
+                assert np.array_equal(predict(model, queries), stable_sort_knn(model, queries)), (k, shift)
+
     def test_labels_equal_the_stable_sort_rule_on_continuous_rows(self):
         rng = np.random.default_rng(21)
         data = blobs(rng, 250, 10, 1.0)
@@ -275,10 +293,12 @@ class TestKnn:
             out = predict(train(data, KnnParams(n_neighbors=k)), np.zeros((0, 4)))
             assert out.shape == (0,)
 
-    @pytest.mark.parametrize("k, bound", [(1, 2.5), (3, 3.0)])
-    def test_predict_memory_stays_near_two_distance_matrices(self, k, bound):
+    @pytest.mark.parametrize("k, bound", [(1, 1.5), (3, 3.0)])
+    def test_predict_memory_stays_near_one_distance_matrix(self, k, bound):
         # one M x N float64 matrix is 200 kB at 50 queries x 500 rows; the
-        # stable sort with four such temporaries peaked at about 605 kB
+        # stable sort with four such temporaries peaked at about 605 kB. With
+        # one neighbour predict holds that one matrix (a peak of 1.35 of it);
+        # with three, the partitioned copy and the masks join it (2.55)
         m, n, d = 50, 500, 10
         rng = np.random.default_rng(22)
         model = train(blobs(rng, n // 2, d, 1.0), KnnParams(n_neighbors=k))
@@ -317,6 +337,16 @@ class TestMagnitudeBound:
         queries = np.array([[MAX_ABS_ENTRY, 0.0], [-MAX_ABS_ENTRY, 0.0], [0.9, 0.0], [0.0, -MAX_ABS_ENTRY]])
         with np.errstate(all="raise"):
             assert predict(model, queries).tolist() == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("kind", ["knn", "svm"])
+def test_complex_queries_rejected(kind):
+    # predict(model, q + 1e3j) returned exactly predict(model, q)
+    rng = np.random.default_rng(9)
+    model = train(blobs(rng, 10, 3, 4.0), PARAMS[kind])
+    queries = rng.standard_normal((4, 3))
+    with pytest.raises(SchemaMismatch, match="queries must be real"):
+        predict(model, queries + 1e3j)
 
 
 @pytest.mark.parametrize("kind", ["knn", "svm"])

@@ -13,6 +13,7 @@ from driftalign import (
     DimensionViolation,
     DomainError,
     NumericalHealthError,
+    SchemaMismatch,
     Subspace,
     TransformKernel,
     apply_transform,
@@ -402,6 +403,11 @@ class TestApplyTransform:
         kernel = flow_kernel(source, target)
         with pytest.raises(DimensionMismatch):
             apply_transform(np.ones((4, 8)), kernel)
+
+    def test_complex_rows_rejected(self):
+        kernel = flow_kernel(*kernel_pair(9, 2, 13))
+        with pytest.raises(SchemaMismatch, match="data must be real"):
+            apply_transform(np.ones((4, 9)) + 1j, kernel)
 
     def test_stream_path_builds_no_d_by_d_array(self):
         # mean update, kernel build and apply at d=1000 stay far below one

@@ -139,6 +139,12 @@ class TestConfig:
         with pytest.raises(NonFiniteData):
             MiniBatch(x=bad)
 
+    @pytest.mark.parametrize("x", [np.ones((3, 6)) + 1j, [[1.0, 2.0], [3.0, 4.0 + 0j]]], ids=["array", "list"])
+    def test_complex_batch_is_a_data_error(self, x):
+        # the array was accepted as all ones; the list raised a TypeError
+        with pytest.raises(SchemaMismatch, match="batch must be real"):
+            MiniBatch(x=x)
+
     def test_non_finite_batch_is_a_data_error(self):
         bad = np.ones((3, 5))
         bad[1, 2] = np.nan

@@ -16,6 +16,7 @@ from driftalign import (
     NumericalHealthError,
     PrincipalSystem,
     RankDeficient,
+    SchemaMismatch,
     SharedFactorFailure,
     Subspace,
     TransformKernel,
@@ -536,6 +537,11 @@ class TestPcaSubspace:
         x[7, 3] = bad
         with pytest.raises(NonFiniteData, match="data matrix has non-finite entries"):
             pca_subspace(x, 2)
+
+    def test_complex_data_rejected(self):
+        x = np.random.default_rng(4).standard_normal((20, 6))
+        with pytest.raises(SchemaMismatch, match="data matrix must be real"):
+            pca_subspace(x + 1j * x[::-1], 2)
 
     @pytest.mark.parametrize("k", [2.5, -1, 0, "3", True], ids=["float", "negative", "zero", "str", "bool"])
     def test_k_must_be_a_positive_integer(self, k):
