@@ -139,7 +139,7 @@ class LabeledSet:
             raise DimensionMismatch(f"y must have one label per row, got {y.shape} for {x.shape[0]} rows")
         y = _class_labels(y)
         _class_count(y)
-        object.__setattr__(self, "x", _read_only(x))
+        object.__setattr__(self, "x", _read_only(x, "x"))
         object.__setattr__(self, "y", y)
 
     @property
@@ -252,15 +252,15 @@ def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
             biases[cls] = w[d]
     if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
         raise NumericalHealthError(f"SVM training with regularization {lam} gave non-finite weights")
-    return LinearSvmModel(weights=_read_only(weights), biases=_read_only(biases))
+    return LinearSvmModel(weights=_read_only(weights, "weights"), biases=_read_only(biases, "biases"))
 
 
 def predict(model, x: object) -> Array:
     """Predicted labels for query rows x (M x d).
 
-    Raises SchemaMismatch for complex rows, and NonFiniteData for a NaN or
-    infinite entry, or a row longer than sqrt(d) * MAX_ABS_ENTRY, where the
-    k-NN ranking could overflow.
+    Raises SchemaMismatch for rows that are not bool, integer or float, and
+    NonFiniteData for a NaN or infinite entry, or a row longer than sqrt(d) *
+    MAX_ABS_ENTRY, where the k-NN ranking could overflow.
     """
     a = _real_rows(x, "queries")
     if a.ndim != 2:

@@ -54,7 +54,7 @@ class TransformKernel:
     weights: Array
 
     def __post_init__(self) -> None:
-        s, w = _read_only(self.frame), _read_only(self.weights)
+        s, w = _read_only(self.frame, "frame"), _read_only(self.weights, "weights")
         if s.ndim != 2 or s.shape[1] < 1 or w.shape != (s.shape[1], s.shape[1]):
             raise DimensionViolation(f"need a d x m frame, m >= 1, and m x m weights, got {s.shape} and {w.shape}")
         dev = _gram_deviation(s)

@@ -92,7 +92,7 @@ class MiniBatch:
         if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
             raise DimensionMismatch(f"batch needs at least 2 rows and 1 column, got shape {x.shape}")
         _check_entries(x, "batch has")
-        object.__setattr__(self, "x", _read_only(x))
+        object.__setattr__(self, "x", _read_only(x, "batch"))
         if self.true_labels is not None:
             y = np.asarray(self.true_labels)
             if y.shape != (x.shape[0],):

@@ -19,7 +19,7 @@ import numpy as np
 from .classifiers import LabeledSet, _class_count, _class_labels
 from .errors import ConfigError, DimensionMismatch, InsufficientData, ParseError, SchemaMismatch
 from .pipeline import MiniBatch
-from .subspaces import _count, _real
+from .subspaces import _count, _real, _real_rows
 
 Array = np.ndarray
 
@@ -132,7 +132,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
             labels.append(int(label))
     if not rows:
         raise InsufficientData(f"no data rows in {path}")
-    x = np.asarray(rows, dtype=np.float64)
+    x = _real_rows(rows, "rows")
     y = _class_labels(np.asarray(labels, dtype=np.int64))
     n_classes = _class_count(y)
 

@@ -12,21 +12,26 @@ geodesics between subspaces and the flow kernel built on them need; no basis
 of A's full d x (d - k) complement is ever formed. The returned
 PrincipalSystem carries A as its base, so it is the geodesic from A to B.
 
-Checks, and which imply which. Every value type validates what it stores:
-Subspace (finite, then Gram deviation below ORTHONORMALITY_TOL) and
-PrincipalSystem (angles in [0, pi/2]; a_rot, tail and b_rot orthonormal; a
-d x k base, then the tail orthogonal to it). principal_angles adds the two
-overshoot checks, principal_system the reconstruction check too, in one pass: a
-pair it cannot reproduce raises SharedFactorFailure. Each deviation is compared
-as ``not dev < tol``, so a NaN entry, which makes its deviation NaN, fails the
-check it reaches; that is why the factors need no finiteness test of their own,
-while Subspace tests finiteness first to keep inf * 0 out of its Gram product.
-No check stands in for another at a looser tolerance: the reconstruction bound
-(1e-8) does not imply orthonormality at 1e-10, and orthonormal a_rot and base
-do not make the head orthonormal at 1e-10, so the flow kernel checks its frame
-again. In flow_kernel, an orthonormal frame and symmetric weights make the
-weights' eigenvalues exactly the kernel's nonzero spectrum, so the 2k x 2k
-spectrum check covers the d x d kernel.
+Checks, and which imply which. Every array enters the package through one
+gate, _real_rows, which admits bool, integer and float dtypes and raises
+SchemaMismatch naming the array for any other (complex, string, object) before
+casting to float64; _read_only is that gate plus a read-only copy. Every value
+type validates what it stores: Subspace (finite, then Gram deviation below
+ORTHONORMALITY_TOL), the only basis check, which the quadrature oracle also
+applies to each node's basis, and PrincipalSystem (angles in [0, pi/2]; a_rot,
+tail and b_rot orthonormal; a d x k base, then the tail orthogonal to it).
+principal_angles adds the two overshoot checks, principal_system the
+reconstruction check too, in one pass: a pair it cannot reproduce raises
+SharedFactorFailure. Each deviation is compared as ``not dev < tol``, so a NaN
+entry, which makes its deviation NaN, fails the check it reaches; that is why
+the factors need no finiteness test of their own, while Subspace tests
+finiteness first to keep inf * 0 out of its Gram product. No check stands in
+for another at a looser tolerance: the reconstruction bound (1e-8) does not
+imply orthonormality at 1e-10, and orthonormal a_rot and base do not make the
+head orthonormal at 1e-10, so the flow kernel checks its frame again. In
+flow_kernel, an orthonormal frame and symmetric weights make the weights'
+eigenvalues exactly the kernel's nonzero spectrum, so the 2k x 2k spectrum
+check covers the d x d kernel.
 """
 
 from __future__ import annotations
@@ -61,8 +66,23 @@ RECONSTRUCTION_TOL = 1e-8
 COSINE_OVERSHOOT_TOL = 1e-8
 
 
-def _read_only(a: Array) -> Array:
-    out = np.array(a, dtype=np.float64)
+def _real_rows(x: object, what: str) -> Array:
+    """x as a float64 array, a view when it already is one; the only float cast in the package.
+
+    SchemaMismatch naming ``what`` unless x's dtype kind is bool, integer or
+    float. The kind is checked before the cast, which would keep only the
+    real part of complex input, parse strings, and fail on object arrays
+    with numpy's own errors.
+    """
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise SchemaMismatch(f"{what} must be real, got dtype {a.dtype}")
+    return np.asarray(a, dtype=np.float64)
+
+
+def _read_only(x: object, what: str) -> Array:
+    """A read-only float64 copy of x, through the _real_rows gate, in x's memory layout."""
+    out = np.array(_real_rows(x, what))
     out.setflags(write=False)
     return out
 
@@ -114,7 +134,7 @@ class Subspace:
     basis: Array
 
     def __post_init__(self) -> None:
-        b = np.asarray(self.basis, dtype=np.float64)
+        b = _real_rows(self.basis, "basis")
         if b.ndim != 2:
             raise DimensionViolation(f"basis must be a 2-d array, got shape {b.shape}")
         d, k = b.shape
@@ -125,7 +145,7 @@ class Subspace:
         dev = _gram_deviation(b)
         if not dev < ORTHONORMALITY_TOL:
             raise NumericalHealthError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
-        object.__setattr__(self, "basis", _read_only(b))
+        object.__setattr__(self, "basis", _read_only(b, "basis"))
 
     @property
     def ambient_dim(self) -> int:
@@ -158,7 +178,7 @@ class PrincipalSystem:
     angles: Array  # k, ascending, in [0, pi/2]
 
     def __post_init__(self) -> None:
-        th = _read_only(self.angles)
+        th = _read_only(self.angles, "angles")
         if th.ndim != 1 or th.shape[0] < 1:
             raise DimensionViolation("angles must be a length-k vector, k >= 1")
         if not (0.0 <= th.min() and th.max() <= np.pi / 2):
@@ -166,7 +186,7 @@ class PrincipalSystem:
         object.__setattr__(self, "angles", th)
         k = th.shape[0]
         for name in ("a_rot", "tail", "b_rot"):
-            m = _read_only(getattr(self, name))
+            m = _read_only(getattr(self, name), name)
             rows = m.shape[0] if name == "tail" and m.ndim == 2 else k
             if m.shape != (rows, k):
                 raise DimensionViolation(f"{name} must be {rows} x {k}, got shape {m.shape}")
@@ -180,17 +200,6 @@ class PrincipalSystem:
         cross = float(abs(self.tail.T @ base).max())
         if not cross < ORTHONORMALITY_TOL:
             raise NumericalHealthError(f"tail is not orthogonal to base (max {cross:.3e})")
-
-
-def _real_rows(x: object, what: str) -> Array:
-    """x as a float64 array; SchemaMismatch naming ``what`` if it is complex.
-
-    The dtype is checked before the cast, which would keep only the real part.
-    """
-    a = np.asarray(x)
-    if a.dtype.kind == "c":
-        raise SchemaMismatch(f"{what} must be real, got dtype {a.dtype}")
-    return np.asarray(a, dtype=np.float64)
 
 
 def _as_matrix(m: object, what: str) -> Array:

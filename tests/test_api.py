@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import driftalign
-from driftalign import Subspace, TransformKernel
+from driftalign import LabeledSet, MiniBatch, Subspace, TransformKernel
 
 PACKAGE = Path(driftalign.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -79,6 +82,67 @@ def test_tracer_patches_reach_the_package():
     assert unbound <= UNBOUND_TRACER_PATCHES
 
 
+def float_type(node):
+    """True if node spells a float type: float, np.float32, "f8" and the like."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            return np.dtype(node.value).kind == "f"
+        except TypeError:
+            return False
+    name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+    return name in {"float", "float16", "float32", "float64", "half", "single", "double", "longdouble"}
+
+
+def float_casts(tree):
+    """Line numbers of the casts to a float type: np.asarray or np.array with a float dtype, and .astype."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        position = {"asarray": 1, "array": 1, "astype": 0}.get(node.func.attr)
+        if position is None:
+            continue
+        types = node.args[position : position + 1] + [kw.value for kw in node.keywords if kw.arg == "dtype"]
+        if any(float_type(t) for t in types):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_cast_lint_reads_every_float_spelling():
+    source = (
+        "np.asarray(x, dtype=np.float64)\n"
+        "np.array(x, float)\n"
+        "x.astype(np.float32)\n"
+        "x.astype(dtype='f8')\n"
+        "np.asarray(y, dtype=np.int64)\n"
+        "y.astype(np.int64)\n"
+        "np.array(x)\n"
+        "np.zeros(3, dtype=np.float64)\n"
+    )
+    assert float_casts(ast.parse(source)) == [1, 2, 3, 4]
+
+
+def test_only_the_gate_casts_to_float():
+    # every array enters through subspaces._real_rows, which checks the dtype kind before it casts
+    gate = next(node for node in ast.parse((PACKAGE / "subspaces.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_real_rows")
+    allowed = [f"subspaces.py:{line}" for line in float_casts(gate)]
+    found = [f"{path.name}:{line}" for path in SOURCES for line in float_casts(ast.parse(path.read_text()))]
+    assert len(allowed) == 1
+    assert found == allowed
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int32, np.float32])
+def test_the_gate_stores_the_float64_cast(dtype):
+    rows = np.random.default_rng(2).standard_normal((4, 3)).astype(dtype)
+    basis = np.eye(6, 2, dtype=dtype)
+    stored = [(LabeledSet(x=rows, y=np.array([0, 1, 0, 1])).x, rows), (MiniBatch(x=rows).x, rows),
+              (Subspace(basis).basis, basis)]
+    for out, given in stored:
+        assert out.dtype == np.float64
+        assert out.tobytes() == np.asarray(given, dtype=np.float64).tobytes()
+
+
 def test_public_api_is_pinned():
     assert set(driftalign.__all__) == PUBLIC_API
     assert len(driftalign.__all__) == len(PUBLIC_API) == 49
@@ -111,8 +175,7 @@ def test_no_verify_name_is_public():
 
 def test_library_modules_hold_no_oracle():
     # the oracles live in verify; the value types build no dense d x d matrix
-    moved = {"karcher_mean", "log_tangent", "exp_tangent", "quadrature_kernel",
-             "_check_bases", "orthonormalize", "random_subspace"}
+    moved = {"karcher_mean", "log_tangent", "exp_tangent", "quadrature_kernel", "orthonormalize", "random_subspace"}
     for name in ("subspaces", "subspace_mean", "flow_kernel"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
         assert defined_names(tree) & moved == set(), name

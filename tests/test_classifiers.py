@@ -163,10 +163,10 @@ class TestLabeledSet:
         with pytest.raises(NonFiniteData):
             LabeledSet(x=x, y=np.array([0, 1, 0]))
 
-    def test_complex_features_rejected(self):
-        # the float64 cast kept the real part and only warned
-        with pytest.raises(SchemaMismatch, match="x must be real, got dtype complex128"):
-            LabeledSet(x=np.eye(3) + 1j, y=np.array([0, 1, 0]))
+    def test_complex_features_rejected(self, non_real):
+        # the float64 cast kept the real part and only warned, and parsed strings
+        with pytest.raises(SchemaMismatch, match="x must be real, got dtype"):
+            LabeledSet(x=non_real(np.eye(3)), y=np.array([0, 1, 0]))
 
     def test_arrays_are_read_only(self):
         data = LabeledSet(x=np.eye(3), y=np.array([0, 1, 0]))
@@ -340,13 +340,13 @@ class TestMagnitudeBound:
 
 
 @pytest.mark.parametrize("kind", ["knn", "svm"])
-def test_complex_queries_rejected(kind):
-    # predict(model, q + 1e3j) returned exactly predict(model, q)
+def test_complex_queries_rejected(kind, non_real):
+    # predict(model, q + 1j) returned exactly predict(model, q)
     rng = np.random.default_rng(9)
     model = train(blobs(rng, 10, 3, 4.0), PARAMS[kind])
     queries = rng.standard_normal((4, 3))
     with pytest.raises(SchemaMismatch, match="queries must be real"):
-        predict(model, queries + 1e3j)
+        predict(model, non_real(queries))
 
 
 @pytest.mark.parametrize("kind", ["knn", "svm"])

@@ -378,6 +378,13 @@ class TestKernelProperties:
         with pytest.raises(DimensionViolation):
             TransformKernel(frame=self.FRAME[:, :frame_cols], weights=weights)
 
+    @pytest.mark.parametrize("name", ["frame", "weights"])
+    def test_non_real_factor_rejected(self, name, non_real):
+        factors = {"frame": self.FRAME, "weights": self.WEIGHTS}
+        factors[name] = non_real(factors[name])
+        with pytest.raises(SchemaMismatch, match=f"^{name} must be real"):
+            TransformKernel(**factors)
+
     def test_kernel_matrix_is_read_only(self):
         source, target = kernel_pair(8, 2, 10)
         kernel = flow_kernel(source, target)
@@ -404,10 +411,10 @@ class TestApplyTransform:
         with pytest.raises(DimensionMismatch):
             apply_transform(np.ones((4, 8)), kernel)
 
-    def test_complex_rows_rejected(self):
+    def test_complex_rows_rejected(self, non_real):
         kernel = flow_kernel(*kernel_pair(9, 2, 13))
         with pytest.raises(SchemaMismatch, match="data must be real"):
-            apply_transform(np.ones((4, 9)) + 1j, kernel)
+            apply_transform(non_real(np.ones((4, 9))), kernel)
 
     def test_stream_path_builds_no_d_by_d_array(self):
         # mean update, kernel build and apply at d=1000 stay far below one

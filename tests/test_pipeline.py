@@ -139,9 +139,15 @@ class TestConfig:
         with pytest.raises(NonFiniteData):
             MiniBatch(x=bad)
 
-    @pytest.mark.parametrize("x", [np.ones((3, 6)) + 1j, [[1.0, 2.0], [3.0, 4.0 + 0j]]], ids=["array", "list"])
+    @pytest.mark.parametrize(
+        "x",
+        [np.ones((3, 6)) + 1j, [[1.0, 2.0], [3.0, 4.0 + 0j]], [["1", "2"], ["3", "4"]], [[b"1", b"2"], [b"3", b"4"]],
+         np.array([[1.0, 2.0], [3.0, 4j]], dtype=object), np.ones((3, 6), dtype=object)],
+        ids=["array", "list", "str", "bytes", "object_complex", "object_float"],
+    )
     def test_complex_batch_is_a_data_error(self, x):
-        # the array was accepted as all ones; the list raised a TypeError
+        # the array was accepted as all ones; the list and the object complex
+        # raised a TypeError; strings, bytes and object floats were cast
         with pytest.raises(SchemaMismatch, match="batch must be real"):
             MiniBatch(x=x)
 

@@ -12,6 +12,7 @@ from driftalign import (
     InsufficientData,
     MeanSubspaceState,
     NoConvergence,
+    SchemaMismatch,
     evaluate,
     geodesic_distance,
     init_mean,
@@ -117,6 +118,13 @@ class TestTangentMaps:
         base = random_subspace(9, 2, rng)
         recovered = exp_tangent(base, np.zeros((9, 2)))
         assert principal_angles(recovered, base).max() < 1e-14
+
+    def test_non_real_tangent_rejected(self, non_real):
+        rng = np.random.default_rng(5)
+        base = random_subspace(12, 3, rng)
+        tangent = log_tangent(base, perturbed(base, 0.15, rng))
+        with pytest.raises(SchemaMismatch, match="^tangent must be real"):
+            exp_tangent(base, non_real(tangent))
 
     def test_tangent_along_the_base_rejected(self):
         # a multiple of the base itself is no tangent; it used to be polished back to the base

@@ -1,5 +1,6 @@
 """Geometry layer: orthonormalization, principal angles, geodesics, PCA."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,10 @@ class TestSubspaceType:
         with pytest.raises(ValueError):
             s.basis[0, 0] = 7.0
 
+    def test_non_real_basis_rejected(self, non_real):
+        with pytest.raises(SchemaMismatch, match="^basis must be real"):
+            Subspace(non_real(np.eye(6)[:, :2]))
+
 
 class TestOrthonormalize:
     def test_gram_is_identity(self):
@@ -92,6 +97,13 @@ class TestOrthonormalize:
         m[2, 1] = bad
         with pytest.raises(NonFiniteData, match="matrix has non-finite entries"):
             orthonormalize(m)
+
+    # complex was rejected already; the cast parsed strings and object floats
+    @pytest.mark.parametrize("non_real", ["str", "bytes", "object_complex", "object_float"], indirect=True)
+    def test_non_real_matrix_rejected(self, non_real):
+        m = np.random.default_rng(3).standard_normal((8, 3))
+        with pytest.raises(SchemaMismatch, match="^matrix must be real"):
+            orthonormalize(non_real(m))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), d=st.sampled_from([7, 11, 16]), k=st.sampled_from([1, 2, 3]))
@@ -246,6 +258,12 @@ class TestChecksStillFire:
         with pytest.raises(NumericalHealthError) as exc:
             PrincipalSystem(base=a, angles=sys.angles, **factors)
         assert str(exc.value) == gram_message(name, factors[name])
+
+    @pytest.mark.parametrize("name", ["a_rot", "tail", "b_rot", "angles"])
+    def test_non_real_factor_rejected(self, name, non_real):
+        sys = principal_system(*random_pairs(10, 3, 1, seed=30)[0])
+        with pytest.raises(SchemaMismatch, match=f"^{name} must be real"):
+            dataclasses.replace(sys, **{name: non_real(getattr(sys, name))})
 
     def test_nan_factor_is_not_orthonormal(self):
         # a NaN Gram deviation used to compare false and pass
@@ -538,10 +556,10 @@ class TestPcaSubspace:
         with pytest.raises(NonFiniteData, match="data matrix has non-finite entries"):
             pca_subspace(x, 2)
 
-    def test_complex_data_rejected(self):
+    def test_complex_data_rejected(self, non_real):
         x = np.random.default_rng(4).standard_normal((20, 6))
         with pytest.raises(SchemaMismatch, match="data matrix must be real"):
-            pca_subspace(x + 1j * x[::-1], 2)
+            pca_subspace(non_real(x), 2)
 
     @pytest.mark.parametrize("k", [2.5, -1, 0, "3", True], ids=["float", "negative", "zero", "str", "bool"])
     def test_k_must_be_a_positive_integer(self, k):
