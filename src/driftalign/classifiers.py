@@ -39,7 +39,7 @@ from .errors import (
     NumericalHealthError,
     SchemaMismatch,
 )
-from .subspaces import _count, _read_only, _real, _real_rows
+from .subspaces import _array, _count, _read_only, _real, _rows
 
 Array = np.ndarray
 
@@ -80,12 +80,15 @@ def _check_query_rows(a: Array) -> None:
         raise NonFiniteData(f"queries have rows longer than sqrt(d) * {MAX_ABS_ENTRY:.0e}")
 
 
-def _class_labels(y: Array) -> Array:
-    """Nonempty 1-d labels y as a read-only int64 copy.
+def _class_labels(labels: object, n_rows: int, what: str) -> Array:
+    """Labels of shape (n_rows,), n_rows >= 1, as a read-only int64 copy; else DimensionMismatch naming ``what``.
 
-    SchemaMismatch unless y has an integer or float dtype and every label is a
-    whole number in [0, 2**63), checked before the cast, which would wrap or warn.
+    SchemaMismatch unless the labels have an integer or float dtype and every label
+    is a whole number in [0, 2**63), checked before the cast, which would wrap or warn.
     """
+    y = _array(labels, what)
+    if y.shape != (n_rows,):
+        raise DimensionMismatch(f"{what} must have shape ({n_rows},), one label per row, got {y.shape}")
     if y.dtype.kind not in "iuf" or (y.dtype.kind == "f" and not (np.isfinite(y) & (y == np.trunc(y))).all()):
         raise SchemaMismatch("labels must be integers")
     if y.min() < 0:
@@ -130,14 +133,9 @@ class LabeledSet:
     y: Array
 
     def __post_init__(self) -> None:
-        x = _real_rows(self.x, "x")
-        y = np.asarray(self.y)
-        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-            raise DimensionMismatch(f"x must be a nonempty 2-d array, got shape {x.shape}")
+        x = _rows(self.x, "x", 1)
         _check_entries(x, "x has")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise DimensionMismatch(f"y must have one label per row, got {y.shape} for {x.shape[0]} rows")
-        y = _class_labels(y)
+        y = _class_labels(self.y, x.shape[0], "y")
         _class_count(y)
         object.__setattr__(self, "x", _read_only(x, "x"))
         object.__setattr__(self, "y", y)
@@ -199,7 +197,9 @@ class LinearSvmModel:
 
 
 def train(data: LabeledSet, params: KnnParams | SvmParams):
-    """Fit the classifier that ``params`` names on labelled rows."""
+    """Fit the classifier that ``params`` names on labelled rows; TypeError unless data is a LabeledSet."""
+    if not isinstance(data, LabeledSet):
+        raise TypeError(f"training data must be a LabeledSet, got {type(data).__name__}")
     if not isinstance(params, (KnnParams, SvmParams)):
         raise TypeError(f"unknown classifier params type {type(params).__name__}")
     if data.n_classes < 2:
@@ -262,21 +262,19 @@ def predict(model, x: object) -> Array:
     NonFiniteData for a NaN or infinite entry, or a row longer than sqrt(d) *
     MAX_ABS_ENTRY, where the k-NN ranking could overflow.
     """
-    a = _real_rows(x, "queries")
-    if a.ndim != 2:
-        raise DimensionMismatch(f"queries must be a 2-d array, got shape {a.shape}")
+    a = _rows(x, "queries", 0)
     _check_query_rows(a)
-    if isinstance(model, KnnModel):
-        if a.shape[1] != model.train_x.shape[1]:
-            raise DimensionMismatch(f"queries have {a.shape[1]} features, model expects {model.train_x.shape[1]}")
+    if not isinstance(model, (KnnModel, LinearSvmModel)):
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    knn = isinstance(model, KnnModel)
+    width = (model.train_x if knn else model.weights).shape[1]
+    if a.shape[1] != width:
+        raise DimensionMismatch(f"queries have {a.shape[1]} features, model expects {width}")
+    if knn:
         return _knn_predict(model, a)
-    if isinstance(model, LinearSvmModel):
-        if a.shape[1] != model.weights.shape[1]:
-            raise DimensionMismatch(f"queries have {a.shape[1]} features, model expects {model.weights.shape[1]}")
-        scores = a @ model.weights.T + model.biases
-        # argmax returns the first maximum: score ties go to the smaller class.
-        return np.argmax(scores, axis=1).astype(np.int64)
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    scores = a @ model.weights.T + model.biases
+    # argmax returns the first maximum: score ties go to the smaller class.
+    return np.argmax(scores, axis=1).astype(np.int64)
 
 
 def _knn_predict(model: KnnModel, queries: Array) -> Array:

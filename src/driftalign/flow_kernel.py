@@ -19,17 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionViolation, NumericalHealthError
-from .subspaces import (
-    ORTHONORMALITY_TOL,
-    Array,
-    Subspace,
-    _flow_frame,
-    _gram_deviation,
-    _read_only,
-    _real_rows,
-    principal_system,
-)
+from .errors import DimensionMismatch, DimensionViolation, NonFiniteData, NumericalHealthError
+from .subspaces import Array, Subspace, _flow_frame, _orthonormal, _read_only, _rows, principal_system
 
 # Angles below this use the analytic limits of the integral weights.
 SMALL_ANGLE = 1e-8
@@ -57,9 +48,7 @@ class TransformKernel:
         s, w = _read_only(self.frame, "frame"), _read_only(self.weights, "weights")
         if s.ndim != 2 or s.shape[1] < 1 or w.shape != (s.shape[1], s.shape[1]):
             raise DimensionViolation(f"need a d x m frame, m >= 1, and m x m weights, got {s.shape} and {w.shape}")
-        dev = _gram_deviation(s)
-        if not dev < ORTHONORMALITY_TOL:
-            raise NumericalHealthError(f"kernel frame is not orthonormal (max Gram deviation {dev:.3e})")
+        _orthonormal(s, "kernel frame")
         _check_unit_spectrum(w, "kernel weights")
         object.__setattr__(self, "frame", s)
         object.__setattr__(self, "weights", w)
@@ -118,10 +107,10 @@ def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
 
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:
-    """Right-multiply row-data x (N x d) by the kernel, through its d x 2k frame."""
-    a = _real_rows(x, "data")
-    if a.ndim != 2 or a.shape[1] != kernel.ambient_dim:
-        raise DimensionMismatch(
-            f"data has {a.shape[1] if a.ndim == 2 else '?'} columns, kernel expects {kernel.ambient_dim}"
-        )
+    """Right-multiply finite row-data x (N x d) by the kernel, through its d x 2k frame."""
+    a = _rows(x, "data", 0)
+    if a.shape[1] != kernel.ambient_dim:
+        raise DimensionMismatch(f"data has {a.shape[1]} columns, kernel expects {kernel.ambient_dim}")
+    if not np.isfinite(a).all():
+        raise NonFiniteData("data has non-finite entries")
     return ((a @ kernel.frame) @ kernel.weights) @ kernel.frame.T

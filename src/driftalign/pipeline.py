@@ -34,7 +34,7 @@ from .classifiers import (
 from .errors import ConfigError, DimensionMismatch, NumericalError, SchemaMismatch
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
 from .subspace_mean import MeanSubspaceState, init_mean, update_mean
-from .subspaces import Array, Subspace, _count, _read_only, _real_rows, pca_subspace
+from .subspaces import Array, Subspace, _count, _read_only, _rows, pca_subspace
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -88,16 +88,11 @@ class MiniBatch:
     true_labels: Array | None = None
 
     def __post_init__(self) -> None:
-        x = _real_rows(self.x, "batch")
-        if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
-            raise DimensionMismatch(f"batch needs at least 2 rows and 1 column, got shape {x.shape}")
+        x = _rows(self.x, "batch", 2)
         _check_entries(x, "batch has")
         object.__setattr__(self, "x", _read_only(x, "batch"))
         if self.true_labels is not None:
-            y = np.asarray(self.true_labels)
-            if y.shape != (x.shape[0],):
-                raise DimensionMismatch(f"labels must have shape ({x.shape[0]},), got {y.shape}")
-            object.__setattr__(self, "true_labels", _class_labels(y))
+            object.__setattr__(self, "true_labels", _class_labels(self.true_labels, x.shape[0], "labels"))
 
     @property
     def n_rows(self) -> int:

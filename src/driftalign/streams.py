@@ -133,7 +133,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
     if not rows:
         raise InsufficientData(f"no data rows in {path}")
     x = _real_rows(rows, "rows")
-    y = _class_labels(np.asarray(labels, dtype=np.int64))
+    y = _class_labels(labels, x.shape[0], "labels")
     n_classes = _class_count(y)
 
     n_source = math.ceil(schema.source_fraction * x.shape[0])

@@ -12,26 +12,27 @@ geodesics between subspaces and the flow kernel built on them need; no basis
 of A's full d x (d - k) complement is ever formed. The returned
 PrincipalSystem carries A as its base, so it is the geodesic from A to B.
 
-Checks, and which imply which. Every array enters the package through one
-gate, _real_rows, which admits bool, integer and float dtypes and raises
-SchemaMismatch naming the array for any other (complex, string, object) before
-casting to float64; _read_only is that gate plus a read-only copy. Every value
-type validates what it stores: Subspace (finite, then Gram deviation below
-ORTHONORMALITY_TOL), the only basis check, which the quadrature oracle also
-applies to each node's basis, and PrincipalSystem (angles in [0, pi/2]; a_rot,
-tail and b_rot orthonormal; a d x k base, then the tail orthogonal to it).
-principal_angles adds the two overshoot checks, principal_system the
-reconstruction check too, in one pass: a pair it cannot reproduce raises
-SharedFactorFailure. Each deviation is compared as ``not dev < tol``, so a NaN
-entry, which makes its deviation NaN, fails the check it reaches; that is why
-the factors need no finiteness test of their own, while Subspace tests
-finiteness first to keep inf * 0 out of its Gram product. No check stands in
-for another at a looser tolerance: the reconstruction bound (1e-8) does not
-imply orthonormality at 1e-10, and orthonormal a_rot and base do not make the
-head orthonormal at 1e-10, so the flow kernel checks its frame again. In
-flow_kernel, an orthonormal frame and symmetric weights make the weights'
-eigenvalues exactly the kernel's nonzero spectrum, so the 2k x 2k spectrum
-check covers the d x d kernel.
+Checks, and which imply which. Each array invariant has one check: _array
+is the only np.asarray on caller input (a ragged sequence is DimensionMismatch
+naming the array), _real_rows the dtype gate before the only float64 cast
+(bool, integer and float pass; complex, string or object is SchemaMismatch),
+_rows the shape of row data, classifiers._class_labels that of labels, and
+_orthonormal a basis or factor's Gram deviation. Every value type validates
+what it stores: Subspace (finite, then orthonormal), the only basis check,
+which the quadrature oracle also applies to each node's basis, and
+PrincipalSystem (angles in [0, pi/2]; orthonormal a_rot, tail and b_rot; a
+d x k base, then the tail orthogonal to it). principal_angles adds the two
+overshoot checks, principal_system the reconstruction check too, in one pass:
+a pair it cannot reproduce raises SharedFactorFailure. Each deviation is
+compared as ``not dev < tol``, so a NaN entry, which makes its deviation NaN,
+fails the check it reaches; that is why the factors need no finiteness test
+of their own, while Subspace tests finiteness first to keep inf * 0 out of its
+Gram product. No check stands in for another at a looser tolerance: the
+reconstruction bound (1e-8) does not imply orthonormality at 1e-10, and
+orthonormal a_rot and base do not make the head orthonormal at 1e-10, so the
+flow kernel checks its frame again. In flow_kernel, an orthonormal frame and
+symmetric weights make the weights' eigenvalues exactly the kernel's nonzero
+spectrum, so the 2k x 2k spectrum check covers the d x d kernel.
 """
 
 from __future__ import annotations
@@ -66,6 +67,14 @@ RECONSTRUCTION_TOL = 1e-8
 COSINE_OVERSHOOT_TOL = 1e-8
 
 
+def _array(x: object, what: str) -> Array:
+    """np.asarray(x); DimensionMismatch naming ``what`` where numpy rejects a ragged sequence with ValueError."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        raise DimensionMismatch(f"{what} is ragged: its nested sequences differ in length") from None
+
+
 def _real_rows(x: object, what: str) -> Array:
     """x as a float64 array, a view when it already is one; the only float cast in the package.
 
@@ -74,10 +83,18 @@ def _real_rows(x: object, what: str) -> Array:
     real part of complex input, parse strings, and fail on object arrays
     with numpy's own errors.
     """
-    a = np.asarray(x)
+    a = _array(x, what)
     if a.dtype.kind not in "biuf":
         raise SchemaMismatch(f"{what} must be real, got dtype {a.dtype}")
     return np.asarray(a, dtype=np.float64)
+
+
+def _rows(x: object, what: str, min_rows: int) -> Array:
+    """Row data x through the _real_rows gate; DimensionMismatch unless 2-d with >= min_rows rows and >= 1 column."""
+    a = _real_rows(x, what)
+    if a.ndim != 2 or a.shape[0] < min_rows or a.shape[1] < 1:
+        raise DimensionMismatch(f"{what} must be a 2-d array of at least {min_rows} x 1, got shape {a.shape}")
+    return a
 
 
 def _read_only(x: object, what: str) -> Array:
@@ -127,6 +144,13 @@ def _gram_deviation(m: Array) -> float:
     return float(abs(g).max())
 
 
+def _orthonormal(m: Array, what: str) -> None:
+    """NumericalHealthError naming ``what`` unless m's Gram deviation is below ORTHONORMALITY_TOL."""
+    dev = _gram_deviation(m)
+    if not dev < ORTHONORMALITY_TOL:
+        raise NumericalHealthError(f"{what} is not orthonormal (max Gram deviation {dev:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal basis of a k-dimensional subspace of R^d, 1 <= k < d."""
@@ -142,9 +166,7 @@ class Subspace:
             raise DimensionViolation(f"need 1 <= k < d, got d={d}, k={k}")
         if not np.isfinite(b).all():
             raise NumericalHealthError("basis has non-finite entries")
-        dev = _gram_deviation(b)
-        if not dev < ORTHONORMALITY_TOL:
-            raise NumericalHealthError(f"basis is not orthonormal (max Gram deviation {dev:.3e})")
+        _orthonormal(b, "basis")
         object.__setattr__(self, "basis", _read_only(b, "basis"))
 
     @property
@@ -190,9 +212,7 @@ class PrincipalSystem:
             rows = m.shape[0] if name == "tail" and m.ndim == 2 else k
             if m.shape != (rows, k):
                 raise DimensionViolation(f"{name} must be {rows} x {k}, got shape {m.shape}")
-            dev = _gram_deviation(m)
-            if not dev < ORTHONORMALITY_TOL:
-                raise NumericalHealthError(f"{name} is not orthonormal (max Gram deviation {dev:.3e})")
+            _orthonormal(m, name)
             object.__setattr__(self, name, m)
         base = self.base.basis
         if base.shape != self.tail.shape:
@@ -200,15 +220,6 @@ class PrincipalSystem:
         cross = float(abs(self.tail.T @ base).max())
         if not cross < ORTHONORMALITY_TOL:
             raise NumericalHealthError(f"tail is not orthogonal to base (max {cross:.3e})")
-
-
-def _as_matrix(m: object, what: str) -> Array:
-    a = _real_rows(m, what)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatch(f"{what} must be a nonempty 2-d array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFiniteData(f"{what} has non-finite entries")
-    return a
 
 
 def _check_half_dim(d: int, k: int) -> None:
@@ -392,7 +403,9 @@ def pca_subspace(x: object, k: int) -> Subspace:
     Column signs follow the largest-magnitude entry of each basis vector, so
     the result is deterministic across runs and platforms.
     """
-    a = _as_matrix(x, "data matrix")
+    a = _rows(x, "data matrix", 1)
+    if not np.isfinite(a).all():
+        raise NonFiniteData("data matrix has non-finite entries")
     n, d = a.shape
     # Plain Python, as this runs on every batch. A float, bool, string or
     # k < 1 would otherwise escape as a TypeError or IndexError, or run as 1.

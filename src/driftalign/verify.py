@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     InsufficientData,
     NoConvergence,
+    NonFiniteData,
     NumericalHealthError,
     RankDeficient,
 )
@@ -46,14 +47,15 @@ from .subspaces import (
     Array,
     Subspace,
     _angle_factors,
-    _as_matrix,
     _check_half_dim,
     _check_pair,
     _count,
     _flow_bases,
     _flow_frame,
+    _gram_deviation,
     _is_integer,
     _real_rows,
+    _rows,
     _signed_qr,
     geodesic_distance,
     principal_angles,
@@ -91,7 +93,9 @@ KARCHER_MAX_ITER = 200
 
 def orthonormalize(m: object) -> Subspace:
     """Orthonormal basis for the column span of a full-rank d x k matrix."""
-    a = _as_matrix(m, "matrix")
+    a = _rows(m, "matrix", 1)
+    if not np.isfinite(a).all():
+        raise NonFiniteData("matrix has non-finite entries")
     d, k = a.shape
     _check_half_dim(d, k)
     sv = np.linalg.svd(a, compute_uv=False)
@@ -310,7 +314,7 @@ def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
         # deviation of 1e-10, before this suite's own tolerance could report it.
         bases = _flow_bases(*_flow_frame(system), system.angles, ts)
         for basis in bases.transpose(1, 0, 2):
-            worst_orth.track(float(np.max(np.abs(basis.T @ basis - np.eye(k)))), idx)
+            worst_orth.track(_gram_deviation(basis), idx)
         for basis, end in ((bases[:, 0, :], a), (bases[:, -1, :], b)):
             try:  # a basis off orthonormal can overshoot a cosine: a failed property, not an error
                 worst_end.track(float(_angle_factors(basis, end.basis)[0].max()), idx)

@@ -125,12 +125,12 @@ class TestLabeledSet:
     @pytest.mark.parametrize("x", [np.ones(4), np.ones((4, 2, 1)), np.ones((0, 2)), np.ones((4, 0))],
                              ids=["1-d", "3-d", "no_rows", "no_columns"])
     def test_x_must_be_a_nonempty_matrix(self, x):
-        with pytest.raises(DimensionMismatch, match="x must be a nonempty 2-d array"):
+        with pytest.raises(DimensionMismatch, match="x must be a 2-d array of at least 1 x 1"):
             LabeledSet(x=x, y=np.array([0, 1, 0, 1]))
 
     @pytest.mark.parametrize("y", [[0, 1, 0], [[0, 1, 0, 1]]], ids=["too_few", "2-d"])
     def test_one_label_per_row(self, y):
-        with pytest.raises(DimensionMismatch, match="y must have one label per row"):
+        with pytest.raises(DimensionMismatch, match=r"y must have shape \(4,\), one label per row"):
             LabeledSet(x=np.eye(4), y=np.array(y))
 
     def test_integral_float_labels_accepted(self):

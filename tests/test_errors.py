@@ -1,6 +1,7 @@
 """One failure policy: an error's base decides whether a batch is skipped and how the CLI exits."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -13,23 +14,32 @@ from driftalign import (
     ConfigError,
     CsvSchema,
     DataError,
+    DimensionMismatch,
     DriftAlignError,
     KnnParams,
+    LabeledSet,
     MeanSubspaceState,
+    MiniBatch,
     NumericalError,
     PipelineConfig,
     StreamSpec,
     Subspace,
     SvmParams,
+    TransformKernel,
+    apply_transform,
     evaluate,
+    flow_kernel,
     gen_rotating_drift,
     init_pipeline,
+    pca_subspace,
+    predict,
     principal_system,
     process_batch,
+    train,
     variant_config,
 )
 from driftalign.cli import main
-from driftalign.verify import geodesic_suite
+from driftalign.verify import exp_tangent, geodesic_suite, orthonormalize
 
 cli_module = importlib.import_module("driftalign.cli")
 errors_module = importlib.import_module("driftalign.errors")
@@ -46,8 +56,9 @@ OTHER_RAISES = {
     ("cli.py", "_out_path", "ArgumentTypeError"),
 }
 # (module, function) of each except clause that may name ValueError: float()
-# reports an unparseable CSV cell with one, which load_csv turns into a ParseError.
-VALUE_ERROR_HANDLERS = {("streams.py", "load_csv")}
+# reports an unparseable CSV cell with one, which load_csv turns into a ParseError,
+# and np.asarray a ragged nested sequence, which _array turns into a DimensionMismatch.
+VALUE_ERROR_HANDLERS = {("streams.py", "load_csv"), ("subspaces.py", "_array")}
 # (module, function) of each use of _is_integer. Integer settings go through
 # _count; pca_subspace and quadrature_kernel keep their one-message checks.
 INTEGER_CHECKERS = {("subspaces.py", "_count"), ("subspaces.py", "pca_subspace"), ("verify.py", "quadrature_kernel")}
@@ -319,3 +330,72 @@ def test_numpy_integer_settings_act_as_python_ints(name):
     plain, numpy_int = kept(value), kept(np.int64(value))
     assert numpy_int == plain
     assert type(numpy_int) is type(plain)
+
+
+# A valid value of each type the array entry points take alongside an array.
+BASE = Subspace(np.eye(6)[:, :2])
+SYSTEM = principal_system(BASE, Subspace(np.eye(6)[:, 2:4]))
+KERNEL = flow_kernel(BASE, Subspace(np.eye(6)[:, 2:4]))
+MODEL = train(LabeledSet(x=np.eye(6), y=[0, 1, 0, 1, 0, 1]), KnnParams())
+RAGGED = [[1.0, 2.0], [3.0]]
+RAGGED_LABELS = [[0], [1], [2, 3]]
+
+
+@pytest.mark.parametrize("name, call", [
+    ("x", lambda: LabeledSet(x=RAGGED, y=[0, 1])),
+    ("y", lambda: LabeledSet(x=np.eye(3), y=RAGGED_LABELS)),
+    ("batch", lambda: MiniBatch(x=RAGGED)),
+    ("labels", lambda: MiniBatch(x=np.ones((3, 2)), true_labels=RAGGED_LABELS)),
+    ("data matrix", lambda: pca_subspace(RAGGED, 1)),
+    ("data", lambda: apply_transform(RAGGED, KERNEL)),
+    ("queries", lambda: predict(MODEL, RAGGED)),
+    ("basis", lambda: Subspace(RAGGED)),
+    ("matrix", lambda: orthonormalize(RAGGED)),
+    ("tangent", lambda: exp_tangent(BASE, RAGGED)),
+], ids=["LabeledSet.x", "LabeledSet.y", "MiniBatch.x", "MiniBatch.true_labels", "pca_subspace",
+        "apply_transform", "predict", "Subspace", "orthonormalize", "exp_tangent"])
+def test_ragged_input_is_a_dimension_mismatch_naming_the_array(name, call):
+    # numpy's "inhomogeneous shape" ValueError used to escape from np.asarray
+    with pytest.raises(DimensionMismatch) as exc:
+        call()
+    assert str(exc.value) == f"{name} is ragged: its nested sequences differ in length"
+
+
+MALFORMED = {
+    "ragged": RAGGED,
+    "0-d": np.array(1.0),
+    "3-d": np.ones((2, 2, 2)),
+    "empty": np.zeros((0, 0)),
+    "object": np.ones((2, 2), dtype=object),
+}
+# Every public callable that takes an array, with the array in one argument
+# and valid values in the others, and what it may raise: a DriftAlignError,
+# or the TypeError that train and predict raise for an object of the wrong type.
+ARRAY_TAKERS = {
+    "Subspace": (lambda a: Subspace(a), DriftAlignError),
+    **{f"PrincipalSystem.{name}": (lambda a, name=name: dataclasses.replace(SYSTEM, **{name: a}), DriftAlignError)
+       for name in ("a_rot", "tail", "b_rot", "angles")},
+    "TransformKernel.frame": (lambda a: TransformKernel(frame=a, weights=KERNEL.weights), DriftAlignError),
+    "TransformKernel.weights": (lambda a: TransformKernel(frame=KERNEL.frame, weights=a), DriftAlignError),
+    "LabeledSet.x": (lambda a: LabeledSet(x=a, y=[0, 1]), DriftAlignError),
+    "LabeledSet.y": (lambda a: LabeledSet(x=np.eye(2), y=a), DriftAlignError),
+    "MiniBatch.x": (lambda a: MiniBatch(x=a), DriftAlignError),
+    "MiniBatch.true_labels": (lambda a: MiniBatch(x=np.ones((2, 2)), true_labels=a), DriftAlignError),
+    "pca_subspace": (lambda a: pca_subspace(a, 1), DriftAlignError),
+    "apply_transform": (lambda a: apply_transform(a, KERNEL), DriftAlignError),
+    "predict": (lambda a: predict(MODEL, a), DriftAlignError),
+    "predict.model": (lambda a: predict(a, np.ones((2, 6))), TypeError),
+    "train": (lambda a: train(a, KnnParams()), TypeError),
+    "orthonormalize": (lambda a: orthonormalize(a), DriftAlignError),
+    "exp_tangent": (lambda a: exp_tangent(BASE, a), DriftAlignError),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("taker", sorted(ARRAY_TAKERS))
+def test_malformed_arrays_raise_only_documented_errors(taker, kind):
+    # the raise and except lints read only the package's own statements; this
+    # feeds each entry point what numpy itself would reject or mis-shape
+    call, allowed = ARRAY_TAKERS[taker]
+    with pytest.raises(allowed):
+        call(MALFORMED[kind])

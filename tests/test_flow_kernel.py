@@ -12,6 +12,7 @@ from driftalign import (
     DimensionMismatch,
     DimensionViolation,
     DomainError,
+    NonFiniteData,
     NumericalHealthError,
     SchemaMismatch,
     Subspace,
@@ -410,6 +411,14 @@ class TestApplyTransform:
         kernel = flow_kernel(source, target)
         with pytest.raises(DimensionMismatch):
             apply_transform(np.ones((4, 8)), kernel)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        # NaN rows used to come out as NaN rows
+        x = np.ones((4, 9))
+        x[2, 5] = bad
+        with pytest.raises(NonFiniteData, match="^data has non-finite entries$"):
+            apply_transform(x, flow_kernel(*kernel_pair(9, 2, 13)))
 
     def test_complex_rows_rejected(self, non_real):
         kernel = flow_kernel(*kernel_pair(9, 2, 13))

@@ -126,6 +126,13 @@ class TestTangentMaps:
         with pytest.raises(SchemaMismatch, match="^tangent must be real"):
             exp_tangent(base, non_real(tangent))
 
+    @pytest.mark.parametrize("shape", [(10, 2), (12, 3), (30,)])
+    def test_tangent_of_the_wrong_shape_rejected(self, shape):
+        base = random_subspace(10, 3, np.random.default_rng(8))
+        with pytest.raises(DimensionMismatch) as exc:
+            exp_tangent(base, np.zeros(shape))
+        assert str(exc.value) == f"tangent must be 10 x 3, got {shape}"
+
     def test_tangent_along_the_base_rejected(self):
         # a multiple of the base itself is no tangent; it used to be polished back to the base
         rng = np.random.default_rng(8)
@@ -244,6 +251,13 @@ class TestKarcherMean:
     def test_no_subspaces_rejected(self):
         with pytest.raises(InsufficientData, match="need at least one subspace"):
             karcher_mean([])
+
+    @pytest.mark.parametrize("other", [(12, 3), (10, 2)])
+    def test_mixed_shapes_rejected(self, other):
+        rng = np.random.default_rng(15)
+        same = random_subspace(10, 3, rng)
+        with pytest.raises(DimensionMismatch, match="^subspaces must share ambient and subspace dimensions$"):
+            karcher_mean([same, same, random_subspace(*other, rng)])
 
     def test_running_mean_tracks_karcher_inside_a_tight_ball(self):
         # the running rule is order-dependent, so only closeness is asserted

@@ -33,6 +33,7 @@ from driftalign.subspaces import (
     COSINE_OVERSHOOT_TOL,
     ORTHONORMALITY_TOL,
     RESIDUAL_COLUMN_TOL,
+    _angle_factors,
     _orthonormal_extension,
 )
 from driftalign.verify import orthonormalize, random_subspace
@@ -56,6 +57,11 @@ class TestSubspaceType:
     def test_rejects_k_not_below_d(self):
         with pytest.raises(DimensionViolation):
             Subspace(basis=np.eye(3))
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 2, 1)], ids=["1-d", "3-d"])
+    def test_rejects_a_basis_that_is_not_2d(self, shape):
+        with pytest.raises(DimensionViolation, match=rf"^basis must be a 2-d array, got shape \({shape[0]},"):
+            Subspace(basis=np.ones(shape))
 
     def test_basis_is_read_only(self):
         s = Subspace(basis=np.eye(6)[:, :2])
@@ -264,6 +270,24 @@ class TestChecksStillFire:
         sys = principal_system(*random_pairs(10, 3, 1, seed=30)[0])
         with pytest.raises(SchemaMismatch, match=f"^{name} must be real"):
             dataclasses.replace(sys, **{name: non_real(getattr(sys, name))})
+
+    @pytest.mark.parametrize("name, bad, expected", [
+        ("a_rot", np.eye(4), "a_rot must be 3 x 3, got shape (4, 4)"),
+        ("tail", np.eye(10, 2), "tail must be 10 x 3, got shape (10, 2)"),
+        ("b_rot", np.eye(3)[0], "b_rot must be 3 x 3, got shape (3,)"),
+    ])
+    def test_factor_of_the_wrong_shape(self, name, bad, expected):
+        sys = principal_system(*random_pairs(10, 3, 1, seed=30)[0])
+        with pytest.raises(DimensionViolation) as exc:
+            dataclasses.replace(sys, **{name: bad})
+        assert str(exc.value) == expected
+
+    def test_sine_overshoot(self):
+        # only an unvalidated basis reaches it: 1.1 times a basis orthogonal to the other
+        a = np.eye(10)[:, :3]
+        with pytest.raises(NumericalHealthError) as exc:
+            _angle_factors(a, 1.1 * np.eye(10)[:, 3:6])
+        assert str(exc.value) == f"sine 1.100000000000 exceeds 1 by more than {COSINE_OVERSHOOT_TOL}"
 
     def test_nan_factor_is_not_orthonormal(self):
         # a NaN Gram deviation used to compare false and pass
@@ -546,7 +570,7 @@ class TestPcaSubspace:
     @pytest.mark.parametrize("shape", [(6,), (0, 6), (6, 0), ()], ids=["1-d", "no_rows", "no_columns", "scalar"])
     def test_data_that_is_not_a_nonempty_matrix_is_a_data_error(self, shape):
         # these raised DimensionViolation, a ConfigError, though the rows are at fault
-        with pytest.raises(DimensionMismatch, match="data matrix must be a nonempty 2-d array"):
+        with pytest.raises(DimensionMismatch, match="data matrix must be a 2-d array of at least 1 x 1"):
             pca_subspace(np.ones(shape), 1)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
