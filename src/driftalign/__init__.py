@@ -38,14 +38,12 @@ from .pipeline import (
     variant_config,
 )
 from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
-from .subspace_mean import MeanSubspaceState, init_mean, update_mean
+from .subspace_mean import MeanSubspaceState, update_mean
 from .subspaces import (
     PrincipalSystem,
     Subspace,
     evaluate,
-    geodesic_distance,
     pca_subspace,
-    principal_angles,
     principal_system,
 )
 
@@ -86,13 +84,10 @@ __all__ = [
     "flow_kernel",
     "gen_rotating_drift",
     "gen_waveform",
-    "geodesic_distance",
-    "init_mean",
     "init_pipeline",
     "load_csv",
     "pca_subspace",
     "predict",
-    "principal_angles",
     "principal_system",
     "process_batch",
     "run_stream",

@@ -33,7 +33,7 @@ from .classifiers import (
 )
 from .errors import ConfigError, DimensionMismatch, NumericalError, SchemaMismatch
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
-from .subspace_mean import MeanSubspaceState, init_mean, update_mean
+from .subspace_mean import MeanSubspaceState, update_mean
 from .subspaces import Array, Subspace, _count, _read_only, _rows, pca_subspace
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
@@ -163,7 +163,7 @@ def process_batch(
         mean_state = state.mean_state
         if gmean:
             if mean_state is None:
-                mean_state = init_mean(batch_subspace)
+                mean_state = MeanSubspaceState(batch_subspace, 1)
             else:
                 mean_state = update_mean(mean_state, batch_subspace)
             target = mean_state.mean

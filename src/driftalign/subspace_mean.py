@@ -1,8 +1,9 @@
 """Running mean of a subspace stream, updated one subspace at a time.
 
-The online rule moves the current mean 1/(n+1) of the way along the geodesic
-toward the n+1-th subspace, so each batch costs one decomposition and no
-history is kept.
+A stream's mean starts as ``MeanSubspaceState(first, 1)``, the first subspace
+itself. The online rule moves the current mean 1/(n+1) of the way along the
+geodesic toward the n+1-th subspace, so each batch costs one decomposition and
+no history is kept.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ class MeanSubspaceState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "count", _count("count", self.count, 1))
-
-
-def init_mean(first: Subspace) -> MeanSubspaceState:
-    """Mean of a single subspace: the subspace itself."""
-    return MeanSubspaceState(mean=first, count=1)
 
 
 def update_mean(state: MeanSubspaceState, new: Subspace) -> MeanSubspaceState:

@@ -11,6 +11,9 @@ the k directions orthogonal to A that the pair opens into, which is all that
 geodesics between subspaces and the flow kernel built on them need; no basis
 of A's full d x (d - k) complement is ever formed. The returned
 PrincipalSystem carries A as its base, so it is the geodesic from A to B.
+Its first half, _angle_factors, gives the principal angles alone; the online
+path reads angles from its systems, and only driftalign.verify measures them
+for a bare pair (``principal_angles``, ``geodesic_distance``).
 
 Checks, and which imply which. Each array invariant has one check: _array
 is the only np.asarray on caller input (a ragged sequence is DimensionMismatch
@@ -21,7 +24,7 @@ _orthonormal a basis or factor's Gram deviation. Every value type validates
 what it stores: Subspace (finite, then orthonormal), the only basis check,
 which the quadrature oracle also applies to each node's basis, and
 PrincipalSystem (angles in [0, pi/2]; orthonormal a_rot, tail and b_rot; a
-d x k base, then the tail orthogonal to it). principal_angles adds the two
+d x k base, then the tail orthogonal to it). _angle_factors adds the two
 overshoot checks, principal_system the reconstruction check too, in one pass:
 a pair it cannot reproduce raises SharedFactorFailure. Each deviation is
 compared as ``not dev < tol``, so a NaN entry, which makes its deviation NaN,
@@ -234,20 +237,6 @@ def _check_pair(a: Subspace, b: Subspace) -> None:
         raise DimensionMismatch(
             f"subspaces live in different spaces: ({a.ambient_dim}, {a.sub_dim}) vs ({b.ambient_dim}, {b.sub_dim})"
         )
-
-
-def principal_angles(a: Subspace, b: Subspace) -> Array:
-    """Principal angles between two equal-shape subspaces, ascending, in [0, pi/2].
-
-    Accurate at 0 and at pi/2, from one SVD, for any k < d; ``principal_system(a, b).angles`` to the bit.
-    """
-    _check_pair(a, b)
-    return _angle_factors(a.basis, b.basis)[0]
-
-
-def geodesic_distance(a: Subspace, b: Subspace) -> float:
-    """Length of the connecting geodesic: l2 norm of the principal angles."""
-    return float(np.linalg.norm(principal_angles(a, b)))
 
 
 def _orthonormal_extension(cols: Array, m: int) -> Array:

@@ -1,7 +1,8 @@
 """Seeded self-verification: geodesic laws, mean laws, kernel vs quadrature.
 
 This module owns the oracles that check the online path and are not part of
-it: the iterative order-free mean (``karcher_mean`` with its tangent maps
+it: the angle measures ``principal_angles`` and ``geodesic_distance``, the
+iterative order-free mean (``karcher_mean`` with its tangent maps
 ``log_tangent`` and ``exp_tangent``), the Gauss-Legendre quadrature kernel
 (``quadrature_kernel``), and the random-subspace helpers ``orthonormalize``
 and ``random_subspace``. ``log_tangent`` is the closed-form Grassmann
@@ -16,8 +17,10 @@ it.
 Each suite draws deterministic random instances, measures the worst deviation
 per property, and reports one PropertyCheck per property. Failures name the
 instance seed so any single case can be replayed in isolation. Angles are
-measured with the library's ``principal_angles``, which is accurate to
-rounding at 0 and at pi/2, so the mean laws are held near rounding.
+measured with ``principal_angles``, the first half of ``principal_system``
+(``subspaces._angle_factors``): arcsin of the sines where sin^2 <= 1/2 and
+arccos of the cosines elsewhere, so it is accurate to rounding at 0 and at
+pi/2, and the mean laws are held near rounding.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     RankDeficient,
 )
 from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, _check_unit_spectrum, flow_kernel
-from .subspace_mean import init_mean, update_mean
+from .subspace_mean import MeanSubspaceState, update_mean
 from .subspaces import (
     ORTHONORMALITY_TOL,
     RANK_REL_TOL,
@@ -57,8 +60,6 @@ from .subspaces import (
     _real_rows,
     _rows,
     _signed_qr,
-    geodesic_distance,
-    principal_angles,
     principal_system,
 )
 
@@ -89,6 +90,20 @@ ZERO_ANGLE_TOL = 1e-9
 # Both are read at call time.
 KARCHER_TOL = 1e-8
 KARCHER_MAX_ITER = 200
+
+
+def principal_angles(a: Subspace, b: Subspace) -> Array:
+    """Principal angles between two equal-shape subspaces, ascending, in [0, pi/2].
+
+    Accurate at 0 and at pi/2, from one SVD, for any k < d; ``principal_system(a, b).angles`` to the bit.
+    """
+    _check_pair(a, b)
+    return _angle_factors(a.basis, b.basis)[0]
+
+
+def geodesic_distance(a: Subspace, b: Subspace) -> float:
+    """Length of the connecting geodesic: l2 norm of the principal angles."""
+    return float(np.linalg.norm(principal_angles(a, b)))
 
 
 def orthonormalize(m: object) -> Subspace:
@@ -348,12 +363,12 @@ def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
         d, k = (10, 3) if idx % 2 == 0 else (16, 4)
         center = random_subspace(d, k, rng)
 
-        state = init_mean(center)
+        state = MeanSubspaceState(center, 1)
         for _ in range(50):
             state = update_mean(state, center)
         worst_fixed.track(float(principal_angles(state.mean, center).max()), idx)
 
-        state = init_mean(center)
+        state = MeanSubspaceState(center, 1)
         for _ in range(idx % 4):
             state = update_mean(state, random_within_ball(center, 0.3, rng))
         new = random_within_ball(center, 0.4, rng)
@@ -363,11 +378,11 @@ def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
 
         a = random_within_ball(center, 0.4, rng)
         b = random_within_ball(center, 0.4, rng)
-        midpoint = update_mean(init_mean(a), b).mean
+        midpoint = update_mean(MeanSubspaceState(a, 1), b).mean
         worst_two.track(geodesic_distance(midpoint, karcher_mean([a, b])), idx)
 
         cloud = [random_within_ball(center, 0.3, rng) for _ in range(8)]
-        state = init_mean(cloud[0])
+        state = MeanSubspaceState(cloud[0], 1)
         for s in cloud[1:]:
             state = update_mean(state, s)
         reference = karcher_mean(cloud)

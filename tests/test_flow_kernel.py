@@ -12,6 +12,7 @@ from driftalign import (
     DimensionMismatch,
     DimensionViolation,
     DomainError,
+    MeanSubspaceState,
     NonFiniteData,
     NumericalHealthError,
     SchemaMismatch,
@@ -20,7 +21,6 @@ from driftalign import (
     apply_transform,
     evaluate,
     flow_kernel,
-    init_mean,
     principal_system,
     update_mean,
 )
@@ -431,7 +431,7 @@ class TestApplyTransform:
         d, k = 1000, 3
         rng = np.random.default_rng(15)
         source, first, second = (random_subspace(d, k, rng) for _ in range(3))
-        state = init_mean(first)
+        state = MeanSubspaceState(first, 1)
         x = rng.standard_normal((50, d))
         tracemalloc.start()
         try:

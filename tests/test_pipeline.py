@@ -372,7 +372,7 @@ class TestFailureHandling:
     def test_skipping_a_numerical_failure_equals_omitting_the_batch(self, case, error, seed, position):
         name, site = case
         if site == "update_mean":
-            position = max(position, 1)  # the first batch starts the mean with init_mean
+            position = max(position, 1)  # batch 0 starts the mean: MeanSubspaceState(first, 1)
         bundle = tiny_bundle(seed)
         # A batch of the same law, failed by the error injected at ``site``.
         failed = tiny_bundle(seed + 1).stream[0]

@@ -14,17 +14,16 @@ from driftalign import (
     NoConvergence,
     SchemaMismatch,
     evaluate,
-    geodesic_distance,
-    init_mean,
-    principal_angles,
     update_mean,
 )
 from driftalign.subspaces import ORTHONORMALITY_TOL, Subspace, principal_system
 from driftalign.verify import (
     exp_tangent,
+    geodesic_distance,
     karcher_mean,
     log_tangent,
     orthonormalize,
+    principal_angles,
     random_subspace,
 )
 
@@ -55,14 +54,14 @@ class TestRunningMean:
     def test_init_is_the_subspace_itself(self):
         rng = np.random.default_rng(0)
         s = random_subspace(10, 3, rng)
-        state = init_mean(s)
+        state = MeanSubspaceState(s, 1)
         assert state.count == 1
         assert np.array_equal(state.mean.basis, s.basis)
 
     def test_fixed_point_under_repeated_self_updates(self):
         rng = np.random.default_rng(1)
         s = random_subspace(12, 4, rng)
-        state = init_mean(s)
+        state = MeanSubspaceState(s, 1)
         for _ in range(50):
             state = update_mean(state, s)
         assert state.count == 51
@@ -72,7 +71,7 @@ class TestRunningMean:
         rng = np.random.default_rng(2)
         a = random_subspace(11, 3, rng)
         b = random_subspace(11, 3, rng)
-        state = update_mean(init_mean(a), b)
+        state = update_mean(MeanSubspaceState(a, 1), b)
         midpoint = evaluate(principal_system(a, b), 0.5)
         assert principal_angles(state.mean, midpoint).max() < 1e-13
 
@@ -80,7 +79,7 @@ class TestRunningMean:
         # third update moves exactly a quarter of the way: 1/(3+1)
         rng = np.random.default_rng(3)
         center = random_subspace(10, 2, rng)
-        state = init_mean(center)
+        state = MeanSubspaceState(center, 1)
         state = update_mean(state, center)
         state = update_mean(state, center)
         target = perturbed(center, 0.2, rng)
@@ -91,7 +90,7 @@ class TestRunningMean:
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        state = init_mean(random_subspace(10, 3, rng))
+        state = MeanSubspaceState(random_subspace(10, 3, rng), 1)
         with pytest.raises(DimensionMismatch):
             update_mean(state, random_subspace(12, 3, rng))
 
@@ -264,7 +263,7 @@ class TestKarcherMean:
         rng = np.random.default_rng(11)
         center = random_subspace(12, 3, rng)
         pts = [perturbed(center, 0.05, rng) for _ in range(8)]
-        state = init_mean(pts[0])
+        state = MeanSubspaceState(pts[0], 1)
         for p in pts[1:]:
             state = update_mean(state, p)
         reference = karcher_mean(pts)

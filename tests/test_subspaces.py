@@ -23,9 +23,7 @@ from driftalign import (
     TransformKernel,
     evaluate,
     flow_kernel,
-    geodesic_distance,
     pca_subspace,
-    principal_angles,
     principal_system,
 )
 from driftalign.flow_kernel import SYMMETRY_TOL
@@ -36,7 +34,7 @@ from driftalign.subspaces import (
     _angle_factors,
     _orthonormal_extension,
 )
-from driftalign.verify import orthonormalize, random_subspace
+from driftalign.verify import geodesic_distance, orthonormalize, principal_angles, random_subspace
 
 
 def planar_pair(d, phi):
