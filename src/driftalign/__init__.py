@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     DriftAlignError,
     InsufficientData,
-    NoConvergence,
     NonFiniteData,
     NumericalError,
     NumericalHealthError,
@@ -63,7 +62,6 @@ __all__ = [
     "LabeledSet",
     "MeanSubspaceState",
     "MiniBatch",
-    "NoConvergence",
     "NonFiniteData",
     "NumericalError",
     "NumericalHealthError",

@@ -71,7 +71,7 @@ class SharedFactorFailure(NumericalError):
 
 
 class NoConvergence(NumericalError):
-    """Iterative solver hit its iteration cap before meeting tolerance."""
+    """The karcher_mean oracle of driftalign.verify hit its iteration cap before meeting tolerance."""
 
 
 class NumericalHealthError(NumericalError):

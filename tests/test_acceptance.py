@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from conftest import read_transcript, run_command
 from driftalign import (
     StreamSpec,
     gen_rotating_drift,
@@ -17,7 +18,6 @@ from driftalign import (
     run_stream,
     variant_config,
 )
-from driftalign.cli import main as cli_main
 from driftalign.verify import geodesic_suite, kernel_suite, mean_suite
 
 LADDER = ("pca", "gfk", "gfk_fb", "gfk_gmean", "gfk_gmean_fb")
@@ -174,20 +174,21 @@ def test_criterion_6_waveform_sanity():
     )
 
 
-def test_criterion_7_trace_determinism(tmp_path):
+def test_criterion_7_trace_determinism(tmp_path, outputs):
     args = [
         "ablate", "--gen", "rotating", "--batch", "50", "--batch-count", "60",
         "--source-size", "500", "--seed", "0", "--zero-timings",
     ]
-    first = tmp_path / "first.json"
-    second = tmp_path / "second.json"
-    code_a = cli_main(args + ["--out", str(first)])
-    code_b = cli_main(args + ["--out", str(second)])
-    identical = first.read_bytes() == second.read_bytes()
-    schema_ok = set(json.loads(first.read_text())) == {"config", "variants"}
+    # the first execution is the session's golden run of these settings, the second a fresh one
+    first = outputs(args)
+    second = run_command(args, tmp_path)
+    code_a, _, _ = read_transcript(first[".out"])
+    code_b, _, _ = read_transcript(second[".out"])
+    identical = first[".json"] == second[".json"]
+    schema_ok = set(json.loads(first[".json"])) == {"config", "variants"}
     report(
         7,
         code_a == 0 and code_b == 0 and identical and schema_ok,
         f"two ablation executions byte-identical: {identical} "
-        f"({first.stat().st_size} bytes each)",
+        f"({len(first['.json'])} bytes each)",
     )

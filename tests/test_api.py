@@ -29,8 +29,8 @@ UNBOUND_TRACER_PATCHES = {
 PUBLIC_API = {
     "AccuracyTrace", "BatchDiagnostics", "ConfigError", "CsvSchema", "DataError", "DatasetBundle",
     "DimensionMismatch", "DimensionViolation", "DomainError", "DriftAlignError",
-    "InsufficientData", "KnnParams", "LabeledSet", "MeanSubspaceState", "MiniBatch", "NoConvergence",
-    "NonFiniteData", "NumericalError", "NumericalHealthError", "ParseError", "PipelineConfig",
+    "InsufficientData", "KnnParams", "LabeledSet", "MeanSubspaceState", "MiniBatch", "NonFiniteData",
+    "NumericalError", "NumericalHealthError", "ParseError", "PipelineConfig",
     "PipelineState", "PrincipalSystem", "RankDeficient", "SchemaMismatch", "SharedFactorFailure",
     "StreamSpec", "Subspace", "SvmParams", "TransformKernel", "VARIANT_FLAGS",
     "apply_transform", "evaluate", "flow_kernel", "gen_rotating_drift", "gen_waveform",
@@ -145,7 +145,7 @@ def test_the_gate_stores_the_float64_cast(dtype):
 
 def test_public_api_is_pinned():
     assert set(driftalign.__all__) == PUBLIC_API
-    assert len(driftalign.__all__) == len(PUBLIC_API) == 46
+    assert len(driftalign.__all__) == len(PUBLIC_API) == 45
     assert [name for name in driftalign.__all__ if getattr(driftalign, name, None) is None] == []
 
 

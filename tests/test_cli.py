@@ -3,7 +3,6 @@
 import json
 import os
 import re
-import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,29 +11,12 @@ import numpy as np
 import pytest
 
 import driftalign
+from conftest import LADDER_SECTION, README, ladder_finals_table, pinned_form, read_transcript, readme_commands
 from driftalign.cli import main
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def readme_commands(text):
-    """(argv, expected exit code) for every `driftalign` line of the sh blocks in README text.
-
-    A trailing comment of the form `exits N` documents a nonzero exit code.
-    """
-    commands = []
-    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
-        for line in block.replace("\\\n", " ").splitlines():
-            command, _, comment = line.partition("#")
-            if not command.startswith("driftalign "):
-                continue
-            documented = re.search(r"exits (\d)", comment)
-            commands.append((shlex.split(command)[1:], int(documented.group(1)) if documented else 0))
-    return commands
 
 
 def two_class_csv(path, bad_row=None, bad_cell="nan", bad_column=2):
@@ -357,6 +339,14 @@ class TestReadmePrimitives:
         assert not missing, f"README lists names driftalign does not export: {missing}"
 
 
+class TestReadmeQuickStart:
+    def test_quick_start_prints_the_pinned_final(self, capsys):
+        # criterion 5 pins gfk_gmean_fb on this stream at 94.4667
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+        exec(compile(block, str(README), "exec"), {})
+        assert capsys.readouterr().out.splitlines()[0] == "final accuracy 0.9447"
+
+
 class TestReadmeCommands:
     def test_readme_documents_every_subcommand(self):
         documented = {argv[0] for argv, _ in readme_commands(README.read_text())}
@@ -366,20 +356,10 @@ class TestReadmeCommands:
         "argv,expected", readme_commands(README.read_text()),
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
-    def test_readme_command_exits_as_documented(self, tmp_path, monkeypatch, argv, expected):
-        monkeypatch.chdir(tmp_path)
-        assert run_cli(*argv) == expected
-
-
-LADDER_SECTION = README.read_text().split("\n## What each step does\n", 1)[1].split("\n## ", 1)[0]
-
-
-def ladder_finals_table():
-    """{--gen value: (header names, finals in percent as printed)} from README's "What each step does" table."""
-    header = re.search(r"^\| `--gen` \|(.*)\|$", LADDER_SECTION, flags=re.M).group(1)
-    names = [cell.strip() for cell in header.split("|")]
-    rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", LADDER_SECTION, flags=re.M)
-    return {gen: (names, [cell.strip() for cell in cells.split("|")]) for gen, cells in rows}
+    def test_readme_command_exits_as_documented(self, outputs, argv, expected):
+        # the command's golden run, which writes its report to a temporary path instead of --out
+        code, _, _ = read_transcript(outputs(pinned_form(argv))[".out"])
+        assert code == expected
 
 
 class TestReadmeLadder:
@@ -389,9 +369,9 @@ class TestReadmeLadder:
         assert sorted(ladder_finals_table()) == sorted(gens)
 
     @pytest.mark.parametrize("argv", [argv for argv, _ in readme_commands(LADDER_SECTION)], ids=" ".join)
-    def test_ablate_prints_the_readme_finals(self, tmp_path, monkeypatch, capsys, argv):
-        monkeypatch.chdir(tmp_path)
-        assert argv[0] == "ablate" and run_cli(*argv) == 0
-        printed = re.findall(r"^(\w+) +knn +final accuracy (\S+)$", capsys.readouterr().out, flags=re.M)
+    def test_ablate_prints_the_readme_finals(self, outputs, argv):
+        code, stdout, _ = read_transcript(outputs(pinned_form(argv))[".out"])
+        assert argv[0] == "ablate" and code == 0
+        printed = re.findall(r"^(\w+) +knn +final accuracy (\S+)$", stdout, flags=re.M)
         names, percents = ladder_finals_table()[argv[argv.index("--gen") + 1]]
         assert printed == [(name, f"{float(p) / 100:.4f}") for name, p in zip(names, percents, strict=True)]

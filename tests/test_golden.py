@@ -1,19 +1,19 @@
 """Golden outputs: the bytes every documented command writes, and the labels every rung predicts.
 
-Each command below is run once in process. Its --zero-timings report, and a
-transcript of its exit code, stdout and stderr, must equal the files under
-tests/golden/ byte for byte; a mismatch prints a unified diff. The predicted
-labels of every batch of every ladder rung on the reference drift stream are
-pinned by one sha256, since the reports hold accuracies, and a label flip that
-keeps the counts moves no accuracy. The files were recorded with numpy's
-float64 on x86; a change that moves any byte says which and why, and
+Each command below is run once in process, by the session's ``outputs``
+fixture (tests/conftest.py), whose runs the README and criterion 7 checks
+read too. Its --zero-timings report, and a transcript of its exit code,
+stdout and stderr, must equal the files under tests/golden/ byte for byte; a
+mismatch prints a unified diff. The predicted labels of every batch of every
+ladder rung on the reference drift stream are pinned by one sha256, since the
+reports hold accuracies, and a label flip that keeps the counts moves no
+accuracy. The files were recorded with numpy's float64 on x86; a change that
+moves any byte says which and why, and
 ``PYTHONPATH=src python tests/test_golden.py`` rewrites them.
 """
 
-import contextlib
 import difflib
 import hashlib
-import io
 import math
 import sys
 import tempfile
@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import README, pinned_form, readme_commands, run_command, settings
 from driftalign import VARIANT_FLAGS, PipelineConfig, StreamSpec, gen_rotating_drift, init_pipeline, process_batch
-from driftalign.cli import build_parser, main
-from test_cli import README, readme_commands
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -45,27 +44,6 @@ COMMANDS = {
 }
 COMMANDS = {name: line.split() + ([] if line.startswith("verify") else ["--zero-timings"])
              for name, line in COMMANDS.items()}
-
-
-def run_command(argv, workdir):
-    """{golden suffix: bytes} of one in-process run: the report as ".json" if it writes one, and ".out"."""
-    report = Path(workdir) / "report.json"
-    argv = argv if argv[0] == "verify" else [*argv, "--out", str(report)]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    transcript = f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
-    outputs = {".out": transcript.encode()}
-    if report.exists():
-        outputs[".json"] = report.read_bytes()
-        report.unlink()
-    return outputs
-
-
-def settings(argv):
-    """What a command does: its subcommand and parsed arguments, without where the report goes."""
-    parsed = vars(build_parser().parse_args(argv if argv[0] == "verify" else [*argv, "--out", "-"]))
-    return argv[0], tuple(sorted((k, v) for k, v in parsed.items() if k not in ("out", "func")))
 
 
 def ladder_label_digest():
@@ -96,24 +74,9 @@ def golden_diff(name, got):
     return "".join(lines) or f"{name}: bytes differ\n"
 
 
-@pytest.fixture(scope="session")
-def outputs(tmp_path_factory):
-    """Outputs of a command by golden name; commands with equal settings share one run."""
-    workdir = tmp_path_factory.mktemp("golden")
-    runs = {}
-
-    def get(name):
-        key = settings(COMMANDS[name])
-        if key not in runs:
-            runs[key] = run_command(COMMANDS[name], workdir)
-        return runs[key]
-
-    return get
-
-
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_output_is_golden(outputs, name):
-    diff = "".join(golden_diff(name + suffix, data) for suffix, data in sorted(outputs(name).items()))
+    diff = "".join(golden_diff(name + suffix, data) for suffix, data in sorted(outputs(COMMANDS[name]).items()))
     if diff:
         pytest.fail(diff, pytrace=False)
 
@@ -121,10 +84,7 @@ def test_command_output_is_golden(outputs, name):
 def test_every_readme_command_is_pinned():
     pinned = {settings(argv) for argv in COMMANDS.values()}
     for argv, _ in readme_commands(README.read_text()):
-        if "--out" in argv:
-            at = argv.index("--out")
-            argv = [*argv[:at], *argv[at + 2:], "--zero-timings"]
-        assert settings(argv) in pinned, " ".join(argv)
+        assert settings(pinned_form(argv)) in pinned, " ".join(argv)
 
 
 def test_ladder_labels_are_golden():

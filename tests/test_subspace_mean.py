@@ -11,13 +11,13 @@ from driftalign import (
     DomainError,
     InsufficientData,
     MeanSubspaceState,
-    NoConvergence,
     SchemaMismatch,
     evaluate,
     update_mean,
 )
 from driftalign.subspaces import ORTHONORMALITY_TOL, Subspace, principal_system
 from driftalign.verify import (
+    NoConvergence,
     exp_tangent,
     geodesic_distance,
     karcher_mean,
