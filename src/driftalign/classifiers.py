@@ -283,12 +283,22 @@ def _knn_predict(model: KnnModel, queries: Array) -> Array:
     # query, so it cannot change which rows are nearest, and a near-tie
     # follows the rounding of this sum. p_sq is summed first, so its N x d
     # temporary is freed before the product; scaling by -2.0, a power of two,
-    # is exact. One M x N float array is alive, and the broadcast add uses
-    # only numpy's fixed ufunc buffer.
+    # is exact. One M x N float array is alive.
     p_sq = np.sum(train_x**2, axis=1)
     d = queries @ train_x.T
     d *= -2.0
-    d += p_sq
+    # The broadcast add needs no cast, yet numpy allocates its ufunc buffer
+    # for it (8192 elements by default, 64 KB): a quarter of the 1-NN peak
+    # at M=50, N=500. 16 elements is the smallest size numpy accepts, and
+    # the sum is elementwise, so the bits are the same. Only this line runs
+    # under it: the square sum above and the k > 1 casts below use the
+    # buffer, and are slower under 16 elements. The size is restored from
+    # the returned value, since numpy 1.x's errstate does not restore it.
+    old_bufsize = np.setbufsize(16)
+    try:
+        d += p_sq
+    finally:
+        np.setbufsize(old_bufsize)
     if k == 1:
         # argmin returns the first minimum: distance ties go to the lower row.
         return train_y[np.argmin(d, axis=1)]

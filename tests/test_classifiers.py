@@ -293,11 +293,11 @@ class TestKnn:
             out = predict(train(data, KnnParams(n_neighbors=k)), np.zeros((0, 4)))
             assert out.shape == (0,)
 
-    @pytest.mark.parametrize("k, bound", [(1, 1.5), (3, 3.0)])
+    @pytest.mark.parametrize("k, bound", [(1, 1.1), (3, 3.0)])
     def test_predict_memory_stays_near_one_distance_matrix(self, k, bound):
         # one M x N float64 matrix is 200 kB at 50 queries x 500 rows; the
         # stable sort with four such temporaries peaked at about 605 kB. With
-        # one neighbour predict holds that one matrix (a peak of 1.35 of it);
+        # one neighbour predict holds that one matrix (a peak of 1.03 of it);
         # with three, the partitioned copy and the masks join it (2.55)
         m, n, d = 50, 500, 10
         rng = np.random.default_rng(22)
@@ -310,6 +310,23 @@ class TestKnn:
         finally:
             tracemalloc.stop()
         assert peak < bound * m * n * 8
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("size", [None, 4096], ids=["default", "4096"])
+    def test_predict_leaves_the_ufunc_buffer_size_as_it_found_it(self, k, size):
+        # predict shrinks numpy's ufunc buffer for one add; without the
+        # restore the size would stay at 16 for every later numpy call
+        rng = np.random.default_rng(24)
+        model = train(blobs(rng, 20, 4, 1.0), KnnParams(n_neighbors=k))
+        queries = rng.standard_normal((7, 4))
+        before = np.setbufsize(size) if size else None
+        try:
+            expected = np.getbufsize()
+            predict(model, queries)
+            assert np.getbufsize() == expected
+        finally:
+            if size:
+                np.setbufsize(before)
 
 
 class TestMagnitudeBound:

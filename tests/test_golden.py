@@ -9,12 +9,16 @@ ladder rung on the reference drift stream are pinned by one sha256, since the
 reports hold accuracies, and a label flip that keeps the counts moves no
 accuracy. The files were recorded with numpy's float64 on x86; a change that
 moves any byte says which and why, and
-``PYTHONPATH=src python tests/test_golden.py`` rewrites them.
+``PYTHONPATH=src python tests/test_golden.py`` rewrites them. One ablate
+command also runs in two subprocesses, under one and two OpenBLAS threads,
+and both reports must equal its golden file.
 """
 
 import difflib
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -23,6 +27,7 @@ import numpy as np
 import pytest
 
 from conftest import README, pinned_form, readme_commands, run_command, settings
+import driftalign
 from driftalign import VARIANT_FLAGS, PipelineConfig, StreamSpec, gen_rotating_drift, init_pipeline, process_batch
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -91,6 +96,24 @@ def test_ladder_labels_are_golden():
     diff = golden_diff("ladder_labels.sha256", ladder_label_digest().encode())
     if diff:
         pytest.fail(diff, pytrace=False)
+
+
+def test_ablate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a BLAS that splits a product over threads may sum it in another order;
+    # the report must not see that
+    argv = [sys.executable, "-m", "driftalign", *COMMANDS["ablate_waveform40"]]
+    stdouts = []
+    for threads in ("1", "2"):
+        report = tmp_path / f"threads{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(driftalign.__file__).resolve().parents[1])}
+        result = subprocess.run([*argv, "--out", str(report)], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        diff = golden_diff("ablate_waveform40.json", report.read_bytes())
+        if diff:
+            pytest.fail(f"OPENBLAS_NUM_THREADS={threads}\n{diff}", pytrace=False)
+        stdouts.append(result.stdout)
+    assert stdouts[0] == stdouts[1]
 
 
 if __name__ == "__main__":
