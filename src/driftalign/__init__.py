@@ -37,13 +37,14 @@ from .pipeline import (
     variant_config,
 )
 from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
-from .subspace_mean import MeanSubspaceState, update_mean
 from .subspaces import (
+    MeanSubspaceState,
     PrincipalSystem,
     Subspace,
     evaluate,
     pca_subspace,
     principal_system,
+    update_mean,
 )
 
 __all__ = [

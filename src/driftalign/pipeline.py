@@ -33,8 +33,7 @@ from .classifiers import (
 )
 from .errors import ConfigError, DimensionMismatch, NumericalError, SchemaMismatch
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
-from .subspace_mean import MeanSubspaceState, update_mean
-from .subspaces import Array, Subspace, _count, _read_only, _rows, pca_subspace
+from .subspaces import Array, MeanSubspaceState, Subspace, _count, _read_only, _rows, pca_subspace, update_mean
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -234,7 +233,7 @@ def run_stream(
         for i, state in enumerate(states):
             predictions, states[i], diag = process_batch(state, batch)
             for name in STEP_NAMES:
-                step_totals[i][name] += diag.step_seconds.get(name, 0.0)
+                step_totals[i][name] += diag.step_seconds[name]
             per_batch[i].append(None if predictions is None else float(np.mean(predictions == batch.true_labels)))
     traces = []
     for accuracies, totals in zip(per_batch, step_totals):

@@ -4,6 +4,7 @@ A subspace is represented by an orthonormal d x k basis matrix; any two bases
 with the same column span denote the same point. Principal angles are in
 radians, stored ascending (descending cosines). Everything is float64 and
 deterministic; tolerances are module constants so the contracts stay testable.
+The stream's running mean, :func:`update_mean`, is one point on a geodesic.
 
 The central construction is :func:`principal_system`, a paired decomposition
 of A^T B and of the residual B - A A^T B sharing one right factor. It yields
@@ -368,6 +369,33 @@ def evaluate(system: PrincipalSystem, t: float) -> Subspace:
         raise DomainError(f"flow parameter must lie in [0, 1], got {t}")
     head, tail = _flow_frame(system)
     return Subspace(_flow_bases(head, tail, system.angles, np.array([t]))[:, 0, :])
+
+
+@dataclass(frozen=True, eq=False)
+class MeanSubspaceState:
+    """Current mean subspace together with how many subspaces it averages."""
+
+    mean: Subspace
+    count: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "count", _count("count", self.count, 1))
+
+
+def update_mean(state: MeanSubspaceState, new: Subspace) -> MeanSubspaceState:
+    """Fold one more subspace into the running mean.
+
+    A stream's mean starts as ``MeanSubspaceState(first, 1)``, the first
+    subspace itself. The updated mean sits at parameter 1/(count+1) on the
+    geodesic from the current mean to ``new``, i.e. it moves distance
+    d/(count+1) when ``new`` is at geodesic distance d, so each subspace costs
+    one decomposition and no history is kept. The rule is order-dependent
+    from the third subspace on; see :func:`driftalign.verify.karcher_mean`
+    for the order-free reference. A ``new`` of another shape than the mean
+    raises DimensionMismatch, from :func:`principal_system`.
+    """
+    new_count = state.count + 1
+    return MeanSubspaceState(mean=evaluate(principal_system(state.mean, new), 1.0 / new_count), count=new_count)
 
 
 def _flow_frame(system: PrincipalSystem) -> tuple[Array, Array]:

@@ -43,11 +43,11 @@ from .errors import (
     RankDeficient,
 )
 from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, _check_unit_spectrum, flow_kernel
-from .subspace_mean import MeanSubspaceState, update_mean
 from .subspaces import (
     ORTHONORMALITY_TOL,
     RANK_REL_TOL,
     Array,
+    MeanSubspaceState,
     Subspace,
     _angle_factors,
     _check_half_dim,
@@ -61,6 +61,7 @@ from .subspaces import (
     _rows,
     _signed_qr,
     principal_system,
+    update_mean,
 )
 
 # Grids skip combinations that violate the k < d/2 requirement.

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -11,19 +12,31 @@ import numpy as np
 import pytest
 
 import driftalign
-from driftalign import LabeledSet, MiniBatch, Subspace, TransformKernel
+from driftalign import (
+    LabeledSet,
+    MiniBatch,
+    StreamSpec,
+    Subspace,
+    TransformKernel,
+    gen_rotating_drift,
+    init_pipeline,
+    process_batch,
+    subspaces,
+    variant_config,
+)
 
 PACKAGE = Path(driftalign.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 # The modules that may import driftalign.verify: the verify command, and itself.
 VERIFY_IMPORTERS = {"cli.py", "verify.py"}
-TRACER = PACKAGE.parents[1] / "benchmarks" / "tracer.py"
+BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
+TRACER = BENCHMARKS / "tracer.py"
 # Tracer patches whose binding the package no longer has. The tracer skips
 # them, so their spans read 0; the benchmark may drop them at any time.
 UNBOUND_TRACER_PATCHES = {
     ("pipeline", "complement"), ("subspace_mean", "complement"), ("subspaces", "complement"),
     ("verify", "complement"), ("subspaces", "_qr_polish"), ("subspace_mean", "geodesic"), ("verify", "geodesic"),
-    ("pipeline", "init_mean"),
+    ("pipeline", "init_mean"), ("subspace_mean", "evaluate"), ("subspace_mean", "principal_system"),
 }
 
 PUBLIC_API = {
@@ -73,13 +86,61 @@ def tracer_patches():
     raise AssertionError(f"{TRACER} assigns no PATCHES")
 
 
+def tracer_binding(module_name, attr):
+    """The module of the package that holds a tracer patch's callable binding, or None where the tracer skips it."""
+    try:
+        module = importlib.import_module(f"driftalign.{module_name}")
+    except ModuleNotFoundError:
+        return None
+    return module if callable(getattr(module, attr, None)) else None
+
+
 def test_tracer_patches_reach_the_package():
     # a call moved off its patched binding silently turns that span to 0
     patches = tracer_patches()
-    unbound = {(module, attr) for module, attr in patches
-               if not callable(getattr(importlib.import_module(f"driftalign.{module}"), attr, None))}
+    unbound = {(module, attr) for module, attr in patches if tracer_binding(module, attr) is None}
     assert len(patches) > len(unbound)
     assert unbound <= UNBOUND_TRACER_PATCHES
+
+
+def test_the_tracer_sees_every_principal_system_the_online_path_builds(monkeypatch):
+    # a principal_system call through a binding the tracer does not patch is
+    # missing from subspaces.principal_system.calls; _shared_factors counts them all
+    counts = {"traced": 0, "built": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for module_name, attr in tracer_patches():
+        module = tracer_binding(module_name, attr) if attr == "principal_system" else None
+        if module is not None:
+            monkeypatch.setattr(module, attr, counting("traced", getattr(module, attr)))
+    monkeypatch.setattr(subspaces, "_shared_factors", counting("built", subspaces._shared_factors))
+    spec = StreamSpec(batch_size=50, batch_count=60, seed=0, source_size=500)
+    bundle = gen_rotating_drift(spec, classes=2, d=10, total_rotation=math.pi / 3)
+    state = init_pipeline(bundle.source, variant_config("gfk_gmean_fb", sub_dim=3))
+    for batch in bundle.stream[:3]:
+        _, state, _ = process_batch(state, batch)
+    # batch 0 builds only the kernel; batches 1 and 2 also move the mean
+    assert counts == {"traced": 5, "built": 5}
+
+
+def test_the_benchmark_imports_resolve():
+    # the tests do not run the benchmark, so a name dropped from the package would fail only there
+    workloads = ast.parse((BENCHMARKS / "workloads.py").read_text())
+    imported = {alias.name for node in ast.walk(workloads)
+                if isinstance(node, ast.ImportFrom) and node.module == "driftalign" for alias in node.names}
+    run = ast.parse((BENCHMARKS / "run.py").read_text())
+    used = {node.attr for node in ast.walk(run) if isinstance(node, ast.Attribute) and (
+        isinstance(node.value, ast.Name) and node.value.id == "da"
+        or isinstance(node.value, ast.Attribute) and node.value.attr == "da")}
+    assert imported and used
+    assert sorted(name for name in imported | used if not hasattr(driftalign, name)) == []
+    assert callable(importlib.import_module("driftalign.verify").run_all)
 
 
 def float_type(node):
@@ -177,7 +238,7 @@ def test_library_modules_hold_no_oracle():
     # the oracles live in verify; the value types build no dense d x d matrix
     moved = {"karcher_mean", "log_tangent", "exp_tangent", "quadrature_kernel", "orthonormalize", "random_subspace",
              "principal_angles", "geodesic_distance"}
-    for name in ("subspaces", "subspace_mean", "flow_kernel"):
+    for name in ("subspaces", "flow_kernel"):
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
         assert defined_names(tree) & moved == set(), name
     assert not hasattr(Subspace, "projector")
