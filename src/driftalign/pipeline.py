@@ -1,15 +1,15 @@
 """Online adaptation pipeline over a stream of unlabelled mini-batches.
 
-Per batch: (optional) feedback multiply by the previous kernel, PCA of the
-batch, (optional) running-mean update, (optional) flow-kernel transform, then
-prediction with the frozen source classifier. State is a constant-size record
+The bare ``pca`` rung is the frozen source classifier on raw rows: it only
+predicts. A gfk rung runs per batch: (with feedback) a multiply by the
+previous kernel, PCA of the batch, (with gmean) a running-mean update, the
+flow-kernel transform, then prediction. State is a constant-size record
 (source subspace, classifier, running mean, last kernel), so memory does not
 grow with the stream, and every step sees only current and past batches.
 
 A config names one variant of the ablation ladder, and VARIANT_FLAGS maps the
-name to the steps it runs: gfk (flow-kernel transform on/off), gmean (running
-mean vs per-batch subspace as transform target), and feedback (previous kernel
-applied to the raw batch before PCA).
+name to its (gfk, gmean, feedback) flags. With gmean the kernel's target is
+the running mean, else the batch subspace.
 """
 
 from __future__ import annotations
@@ -134,14 +134,16 @@ def process_batch(
     state: PipelineState,
     batch: MiniBatch,
 ) -> tuple[Array | None, PipelineState, BatchDiagnostics]:
-    """Run one batch through the configured steps.
+    """Run one batch: the bare rung only predicts; a gfk rung first runs its flagged steps.
 
     Returns (predictions, new_state, diagnostics). A NumericalError in any
     step skips the batch: the result is (None, state, diagnostics), with the
     same state object and "<ClassName>: <message>" as diagnostics.error, so
-    the stream goes on as if the batch had been left out. Any other error
-    propagates; a batch whose width is not the source's raises
-    DimensionMismatch before any step.
+    the stream goes on as if the batch had been left out. Only a gfk rung can
+    skip: the bare rung scores every batch that MiniBatch accepts, while a
+    batch whose centered rank is below sub_dim (a flat batch at sub_dim >= 2)
+    is a RankDeficient skip on each gfk rung. Any other error propagates; a
+    batch whose width is not the source's raises DimensionMismatch before any step.
     """
     d = state.source_subspace.ambient_dim
     if batch.x.shape[1] != d:
@@ -151,11 +153,11 @@ def process_batch(
     timings = dict.fromkeys(STEP_NAMES, 0.0)
     try:
         step, t0 = "pca", time.perf_counter()
+        x_pre = batch.x
         if feedback and state.last_kernel is not None:
             x_pre = apply_transform(batch.x, state.last_kernel)
-        else:
-            x_pre = batch.x
-        batch_subspace = pca_subspace(x_pre, cfg.sub_dim)
+        if gfk:
+            batch_subspace = pca_subspace(x_pre, cfg.sub_dim)
         timings[step] = time.perf_counter() - t0
 
         step, t0 = "mean", time.perf_counter()
@@ -165,16 +167,13 @@ def process_batch(
                 mean_state = MeanSubspaceState(batch_subspace, 1)
             else:
                 mean_state = update_mean(mean_state, batch_subspace)
-            target = mean_state.mean
-        else:
-            target = batch_subspace
         timings[step] = time.perf_counter() - t0
 
         step, t0 = "gfk", time.perf_counter()
         kernel = state.last_kernel
         x_adapted = x_pre
         if gfk:
-            kernel = flow_kernel(state.source_subspace, target)
+            kernel = flow_kernel(state.source_subspace, mean_state.mean if gmean else batch_subspace)
             x_adapted = apply_transform(x_pre, kernel)
         timings[step] = time.perf_counter() - t0
 

@@ -8,12 +8,14 @@ acceptance tests read its exit code and stdout from the same run.
 
 import contextlib
 import io
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+from driftalign import StreamSpec, gen_rotating_drift
 from driftalign.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,12 +63,28 @@ def readme_commands(text):
     return commands
 
 
+def variants_table():
+    """{variant name: (target subspace, transform, feedback) cells} from README's "Variants" table."""
+    section = README.read_text().split("\n### Variants\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", section, flags=re.M)
+    return {name: tuple(cell.strip() for cell in cells.split("|")) for name, cells in rows}
+
+
 def ladder_finals_table():
     """{--gen value: (header names, finals in percent as printed)} from README's "What each step does" table."""
     header = re.search(r"^\| `--gen` \|(.*)\|$", LADDER_SECTION, flags=re.M).group(1)
     names = [cell.strip() for cell in header.split("|")]
     rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", LADDER_SECTION, flags=re.M)
     return {gen: (names, [cell.strip() for cell in cells.split("|")]) for gen, cells in rows}
+
+
+def pinned_stream(seed=0):
+    """The acceptance gate's reference drift stream at a seed: 500 source rows, 60 batches of 50, d=10.
+
+    Seed 0 is the stream the pins and the golden ladder labels read, at k=3.
+    """
+    spec = StreamSpec(batch_size=50, batch_count=60, seed=seed, source_size=500)
+    return gen_rotating_drift(spec, classes=2, d=10, total_rotation=math.pi / 3)
 
 
 def pinned_form(argv):

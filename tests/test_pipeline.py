@@ -37,6 +37,7 @@ from driftalign import (
 from driftalign.classifiers import MAX_ABS_ENTRY
 from driftalign.cli import main as cli_main
 from driftalign.subspaces import pca_subspace
+from conftest import pinned_stream, variants_table
 
 pipeline_module = importlib.import_module("driftalign.pipeline")
 
@@ -55,8 +56,10 @@ def tiny_bundle(seed):
 ALL_VARIANT_NAMES = st.sampled_from(sorted(VARIANT_FLAGS))
 
 # (variant name, step it calls): update_mean for the gmean variants, flow_kernel
-# for the gfk ones. The pca variant calls neither; its one numerical failure, a
-# rank-deficient batch, is covered by the flat-batch property.
+# for the gfk ones. The pca variant only predicts, and predict raises no
+# numerical error on a batch MiniBatch accepts, so the bare rung has no
+# failure to inject; the gfk rungs' rank-deficient batch is covered by the
+# flat-batch property.
 INJECTION_SITES = st.sampled_from([
     (name, site)
     for name in sorted(VARIANT_FLAGS)
@@ -70,6 +73,15 @@ class TestConfig:
         assert list(VARIANT_FLAGS) == ["pca", "gfk", "gfk_fb", "gfk_gmean", "gfk_gmean_fb"]
         assert VARIANT_FLAGS["pca"] == (False, False, False)
         assert VARIANT_FLAGS["gfk_gmean_fb"] == (True, True, True)
+
+    def test_readme_variants_table_states_the_flags(self):
+        expected = {
+            name: ("running mean" if gmean else "per batch" if gfk else "none",
+                   "flow kernel" if gfk else "none (raw features)",
+                   "yes" if feedback else "no")
+            for name, (gfk, gmean, feedback) in VARIANT_FLAGS.items()
+        }
+        assert variants_table() == expected
 
     @pytest.mark.parametrize("name", ["fb", "gmean", "gmean_fb"])
     def test_short_variant_names_are_rejected(self, name):
@@ -179,13 +191,20 @@ class TestConfig:
 
 
 class TestVariantCoherence:
-    def test_bare_variant_equals_direct_source_predictions(self):
-        bundle = small_bundle()
-        cfg = variant_config("pca", sub_dim=3)
-        state = init_pipeline(bundle.source, cfg)
+    def test_bare_variant_equals_direct_source_predictions(self, monkeypatch):
+        bundle = pinned_stream()
+        state = init_pipeline(bundle.source, variant_config("pca", sub_dim=3))
         model = train(bundle.source, KnnParams())
-        for batch in bundle.stream:
-            preds, state, _ = process_batch(state, batch)
+
+        def forbidden(*args):
+            raise AssertionError("the bare rung ran a step other than predict")
+
+        for site in ("pca_subspace", "apply_transform", "update_mean", "flow_kernel"):
+            monkeypatch.setattr(pipeline_module, site, forbidden)
+        flat = MiniBatch(x=np.ones((20, 10)))  # rank zero after centering
+        for batch in (*bundle.stream, flat):
+            preds, state, diag = process_batch(state, batch)
+            assert diag.error is None
             assert np.array_equal(preds, predict(model, batch.x))
 
     def test_first_batch_identical_with_and_without_mean(self):
@@ -322,17 +341,17 @@ class TestFailureHandling:
 
     def test_rank_deficient_batch_is_skipped_without_state_change(self):
         bundle = small_bundle()
-        cfg = variant_config("gfk_gmean", sub_dim=3)
-        state = init_pipeline(bundle.source, cfg)
-        preds, state, _ = process_batch(state, bundle.stream[0])
-        assert preds is not None
-        flat = MiniBatch(x=np.ones((20, 10)))  # rank zero after centering
-        preds2, state2, diag2 = process_batch(state, flat)
-        assert preds2 is None
-        assert diag2.error is not None
-        assert state2 is state
-        preds3, _, _ = process_batch(state2, bundle.stream[1])
-        assert preds3 is not None
+        flat = MiniBatch(x=np.ones((20, 10)))  # rank zero after centering, one where feedback's mean rounds
+        for name in [name for name, (gfk, _, _) in VARIANT_FLAGS.items() if gfk]:
+            state = init_pipeline(bundle.source, variant_config(name, sub_dim=3))
+            preds, state, _ = process_batch(state, bundle.stream[0])
+            assert preds is not None
+            preds2, state2, diag2 = process_batch(state, flat)
+            assert preds2 is None
+            assert diag2.error.startswith("RankDeficient: centered data has numerical rank ")
+            assert state2 is state
+            preds3, _, _ = process_batch(state2, bundle.stream[1])
+            assert preds3 is not None
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -356,7 +375,10 @@ class TestFailureHandling:
         got = []
         for i, batch in enumerate(bundle.stream[:position] + (flat,) + bundle.stream[position:]):
             preds, new_state, diag = process_batch(state, batch)
-            if i == position:
+            if i == position and name == "pca":
+                # the bare rung is the frozen classifier on raw rows: it scores the batch
+                assert np.array_equal(preds, predict(state.model, flat.x)) and diag.error is None
+            elif i == position:
                 assert preds is None and new_state is state and diag.error is not None
             else:
                 got.append(preds)
