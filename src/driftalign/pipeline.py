@@ -141,7 +141,7 @@ def process_batch(
     same state object and "<ClassName>: <message>" as diagnostics.error, so
     the stream goes on as if the batch had been left out. Only a gfk rung can
     skip: the bare rung scores every batch that MiniBatch accepts, while a
-    batch whose centered rank is below sub_dim (a flat batch at sub_dim >= 2)
+    batch whose centered rank is below sub_dim (a flat batch, at any sub_dim)
     is a RankDeficient skip on each gfk rung. Any other error propagates; a
     batch whose width is not the source's raises DimensionMismatch before any step.
     """

@@ -16,22 +16,23 @@ Its first half, _angle_factors, gives the principal angles alone; the online
 path reads angles from its systems, and only driftalign.verify measures them
 for a bare pair (``principal_angles``, ``geodesic_distance``).
 
-Checks, and which imply which. Each array invariant has one check: _array
-is the only np.asarray on caller input (a ragged sequence is DimensionMismatch
+Checks, and which imply which. Each array invariant has one check: _array is
+the only np.asarray on caller input (a ragged sequence is DimensionMismatch
 naming the array), _real_rows the dtype gate before the only float64 cast
 (bool, integer and float pass; complex, string or object is SchemaMismatch),
-_rows the shape of row data, classifiers._class_labels that of labels, and
-_orthonormal a basis or factor's Gram deviation. Every value type validates
-what it stores: Subspace (finite, then orthonormal), the only basis check,
-which the quadrature oracle also applies to each node's basis, and
-PrincipalSystem (angles in [0, pi/2]; orthonormal a_rot, tail and b_rot; a
-d x k base, then the tail orthogonal to it). _angle_factors adds the two
-overshoot checks, principal_system the reconstruction check too, in one pass:
-a pair it cannot reproduce raises SharedFactorFailure. Each deviation is
-compared as ``not dev < tol``, so a NaN entry, which makes its deviation NaN,
-fails the check it reaches; that is why the factors need no finiteness test
-of their own, while Subspace tests finiteness first to keep inf * 0 out of its
-Gram product. No check stands in for another at a looser tolerance: the
+_rows the shape of row data, classifiers._class_labels that of labels,
+_orthonormal a basis or factor's Gram deviation, and _rank, the one home of
+the rank decision, a numerical rank. Every value type validates what it
+stores: Subspace (finite, then orthonormal), the only basis check, which the
+quadrature oracle also applies to each node's basis, and PrincipalSystem
+(angles in [0, pi/2]; orthonormal a_rot, tail and b_rot; a d x k base, then
+the tail orthogonal to it). _angle_factors adds the two overshoot checks,
+principal_system the reconstruction check too, in one pass: a pair it cannot
+reproduce raises SharedFactorFailure. Each deviation is compared as
+``not dev < tol``, so a NaN entry, which makes its deviation NaN, fails the
+check it reaches; that is why the factors need no finiteness test of their
+own, while Subspace tests finiteness first to keep inf * 0 out of its Gram
+product. No check stands in for another at a looser tolerance: the
 reconstruction bound (1e-8) does not imply orthonormality at 1e-10, and
 orthonormal a_rot and base do not make the head orthonormal at 1e-10, so the
 flow kernel checks its frame again. In flow_kernel, an orthonormal frame and
@@ -414,11 +415,17 @@ def _flow_bases(head: Array, tail: Array, angles: Array, ts: Array) -> Array:
     return bases
 
 
+def _rank(sv: Array, shape: tuple[int, int], scale: float) -> int:
+    """Numerical rank: how many sv exceed RANK_REL_TOL sv[0] and max(shape) eps scale, scale >= the norm (GvL 5.4.1)."""
+    return int(np.count_nonzero(sv > max(RANK_REL_TOL * sv[0], max(shape) * np.finfo(np.float64).eps * scale)))
+
+
 def pca_subspace(x: object, k: int) -> Subspace:
     """Top-k principal subspace of row-data x (N x d), centered by the row mean.
 
-    Column signs follow the largest-magnitude entry of each basis vector, so
-    the result is deterministic across runs and platforms.
+    RankDeficient when the centered data's _rank, at scale s0 + sqrt(N d) max|mean|
+    (a bound on the rows' spectral norm), is below k: a flat batch has rank 0. Column
+    signs follow each basis vector's largest-magnitude entry, so runs and platforms agree.
     """
     a = _rows(x, "data matrix", 1)
     if not np.isfinite(a).all():
@@ -429,11 +436,9 @@ def pca_subspace(x: object, k: int) -> Subspace:
     if not _is_integer(k) or k < 1:
         raise ConfigError(f"k must be an integer >= 1, got {k!r}")
     _check_half_dim(d, k)
-    if n < 2:
-        raise RankDeficient(f"PCA needs at least 2 rows, got {n}")
-    centered = a - a.mean(axis=0)
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(sv > RANK_REL_TOL * sv[0])) if sv[0] > 0.0 else 0
+    mean = a.mean(axis=0)
+    _, sv, vt = np.linalg.svd(a - mean, full_matrices=False)
+    rank = _rank(sv, a.shape, sv[0] + (n * d) ** 0.5 * abs(mean).max())
     if rank < k:
         raise RankDeficient(f"centered data has numerical rank {rank} < k={k}")
     basis = vt[:k].T

@@ -45,7 +45,6 @@ from .errors import (
 from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, _check_unit_spectrum, flow_kernel
 from .subspaces import (
     ORTHONORMALITY_TOL,
-    RANK_REL_TOL,
     Array,
     MeanSubspaceState,
     Subspace,
@@ -57,6 +56,7 @@ from .subspaces import (
     _flow_frame,
     _gram_deviation,
     _is_integer,
+    _rank,
     _real_rows,
     _rows,
     _signed_qr,
@@ -115,7 +115,7 @@ def orthonormalize(m: object) -> Subspace:
     d, k = a.shape
     _check_half_dim(d, k)
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < RANK_REL_TOL * sv[0]:
+    if _rank(sv, a.shape, sv[0]) < k:
         raise RankDeficient(f"matrix has numerical rank < {k} (smallest/largest singular value {sv[-1]:.3e}/{sv[0]:.3e})")
     return Subspace(_signed_qr(a))
 

@@ -153,6 +153,13 @@ def integer_checks(tree):
                     or (isinstance(node, ast.Attribute) and node.attr == "_is_integer"))
 
 
+def rank_tolerance_reads(tree):
+    """(innermost enclosing function or None, node) for each read of RANK_REL_TOL, by name or attribute."""
+    return enclosed(tree, lambda node: isinstance(getattr(node, "ctx", None), ast.Load) and (
+        (isinstance(node, ast.Name) and node.id == "RANK_REL_TOL")
+        or (isinstance(node, ast.Attribute) and node.attr == "RANK_REL_TOL")))
+
+
 def named_classes(node):
     """Names of the classes an exception expression or except clause type names."""
     if node is None:
@@ -230,6 +237,24 @@ def test_the_lint_reads_every_use_of_is_integer():
         "h = list(map(_is_integer, []))\n"
     )
     assert [(f, node.lineno) for f, node in integer_checks(ast.parse(source))] == [("f", 3), (None, 4), (None, 5)]
+
+
+def test_one_function_reads_the_rank_tolerance():
+    # the rank decision has one home, shared by pca_subspace and verify.orthonormalize
+    sites = {(path.name, function) for path in SOURCES
+             for function, _ in rank_tolerance_reads(ast.parse(path.read_text()))}
+    assert sites == {("subspaces.py", "_rank")}
+
+
+def test_the_lint_reads_every_read_of_the_rank_tolerance():
+    source = (
+        "from .subspaces import RANK_REL_TOL\n"
+        "RANK_REL_TOL = 1e-12\n"
+        "def f(sv):\n"
+        "    return sv > RANK_REL_TOL * sv[0]\n"
+        "cut = subspaces.RANK_REL_TOL\n"
+    )
+    assert [(f, node.lineno) for f, node in rank_tolerance_reads(ast.parse(source))] == [("f", 4), (None, 5)]
 
 
 @pytest.fixture(scope="module")

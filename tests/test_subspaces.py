@@ -33,6 +33,7 @@ from driftalign.subspaces import (
     RESIDUAL_COLUMN_TOL,
     _angle_factors,
     _orthonormal_extension,
+    _rank,
 )
 from driftalign.verify import geodesic_distance, orthonormalize, principal_angles, random_subspace
 
@@ -90,6 +91,14 @@ class TestOrthonormalize:
         with pytest.raises(RankDeficient):
             orthonormalize(m)
 
+    def test_a_singular_value_at_the_cutoff_is_dropped(self):
+        # one rule for both callers: a singular value at the cutoff does not count
+        m = np.zeros((10, 2))
+        m[0, 0], m[1, 1] = 1.0, 1e-12
+        assert np.linalg.svd(m, compute_uv=False).tolist() == [1.0, 1e-12]
+        with pytest.raises(RankDeficient, match="numerical rank < 2"):
+            orthonormalize(m)
+
     def test_k_at_or_above_half_d_rejected(self):
         rng = np.random.default_rng(2)
         with pytest.raises(DimensionViolation, match="k < d/2"):
@@ -118,6 +127,28 @@ class TestOrthonormalize:
         angles = principal_angles(orthonormalize(m), orthonormalize(m @ mix))
         # seeds 0-10000 measure at most 7.4e-12, from the worst-conditioned mixes
         assert angles.max() < 1e-10
+
+
+class TestOrthonormalExtension:
+    def test_a_span_whose_least_weight_axes_project_to_rank_one(self):
+        cols = np.zeros((4, 2))
+        cols[[0, 1], 0] = cols[[2, 3], 1] = 1.0 / math.sqrt(2.0)
+        # every axis has weight 1/2; one QR of the two least-weight axes projected
+        # off the span (e1 and e2) would meet (e1 - e2)/2 twice
+        projected = np.eye(4)[:, :2] - cols @ cols[:2].T
+        sv = np.linalg.svd(projected, compute_uv=False)
+        assert sv[1] < 1e-12 * sv[0]
+        full = np.hstack([cols, _orthonormal_extension(cols, 2)])
+        assert np.abs(full.T @ full - np.eye(4)).max() < 1e-15
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(("n", "c", "m"), [(5, 1, 4), (10, 3, 4), (12, 6, 6), (40, 3, 3)])
+    def test_random_spans(self, seed, n, c, m):
+        cols = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, c)))[0]
+        ext = _orthonormal_extension(cols, m)
+        assert ext.shape == (n, m)
+        full = np.hstack([cols, ext])
+        assert np.abs(full.T @ full - np.eye(c + m)).max() < 1e-14
 
 
 def system_pairs():
@@ -561,9 +592,11 @@ class TestPcaSubspace:
         b = pca_subspace(x.copy(), 2)
         assert np.array_equal(a.basis, b.basis)
 
-    def test_single_row_rejected(self):
-        with pytest.raises(RankDeficient):
-            pca_subspace(np.ones((1, 6)), 2)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_single_row_rejected(self, k):
+        # one row centres to zero; the rank rule, not a row count, rejects it
+        with pytest.raises(RankDeficient, match=f"numerical rank 0 < k={k}"):
+            pca_subspace(np.random.default_rng(6).standard_normal((1, 6)), k)
 
     @pytest.mark.parametrize("shape", [(6,), (0, 6), (6, 0), ()], ids=["1-d", "no_rows", "no_columns", "scalar"])
     def test_data_that_is_not_a_nonempty_matrix_is_a_data_error(self, shape):
@@ -599,6 +632,32 @@ class TestPcaSubspace:
         with pytest.raises(RankDeficient):
             pca_subspace(x, 2)
 
+    @pytest.mark.parametrize(
+        "level", [0.0, 2.5, -2.5, 1e-307, 1e-300, 1e-3, 0.1, 1 / 3, math.pi, 7.7, 123.456, 1e150, -1e150])
+    def test_a_flat_batch_has_rank_zero(self, level):
+        # where the mean rounds, centring leaves noise far below max(n, d) eps times the rows' norm
+        for rows in (1, 2, 3, 7, 10, 20, 33, 64, 137, 500):
+            for k in (1, 2, 3):
+                with pytest.raises(RankDeficient, match=f"numerical rank 0 < k={k}"):
+                    pca_subspace(np.full((rows, 10), level), k)
+
+    @pytest.mark.parametrize(("level", "entry"), [(0.1, 0.1 + 1e-12), (1e-300, 2e-300)])
+    def test_a_flat_batch_with_one_entry_moved_has_rank_one(self, level, entry):
+        x = np.full((20, 10), level)
+        x[7, 3] = entry
+        assert pca_subspace(x, 1).basis[3, 0] > 0.99
+        with pytest.raises(RankDeficient, match="numerical rank 1 < k=2"):
+            pca_subspace(x, 2)
+
+    def test_a_singular_value_at_the_cutoff_is_dropped(self):
+        # columns of mean 0 and exact norms: singular values 2 and 2e-12, at the relative cutoff
+        x = np.zeros((4, 10))
+        x[:, 0] = [1.0, 1.0, -1.0, -1.0]
+        x[:, 1] = [1e-12, -1e-12, 1e-12, -1e-12]
+        assert np.linalg.svd(x, compute_uv=False)[:2].tolist() == [2.0, 2e-12]
+        with pytest.raises(RankDeficient, match="numerical rank 1 < k=2"):
+            pca_subspace(x, 2)
+
     def test_recovers_planted_directions(self):
         rng = np.random.default_rng(19)
         d = 10
@@ -611,3 +670,15 @@ class TestPcaSubspace:
         planted[0, 0] = 1.0
         planted[4, 1] = 1.0
         assert principal_angles(pca_subspace(x, 2), Subspace(basis=planted)).max() < 0.01
+
+
+class TestRankRule:
+    def test_both_cutoffs_must_be_exceeded(self):
+        sv = np.array([1.0, 1e-11, 1e-12, 0.0])
+        # the relative cutoff decides at unit scale: 1e-12 itself does not count
+        assert _rank(sv, (10, 4), 1.0) == 2
+        # max(shape) eps scale = 20 * 2.2e-16 * 1e4 = 4.4e-11 decides at a larger scale
+        assert _rank(sv, (20, 4), 1e4) == 1
+
+    def test_a_zero_matrix_has_rank_zero(self):
+        assert _rank(np.zeros(3), (5, 3), 0.0) == 0
