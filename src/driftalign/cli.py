@@ -102,59 +102,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_bundle(args: argparse.Namespace) -> DatasetBundle:
+def _load_bundle(args: argparse.Namespace) -> tuple[DatasetBundle, dict]:
+    """The bundle the data flags name, and the report's echo of those flags."""
     if args.csv is not None:
         schema = CsvSchema(
             source_fraction=args.source_frac,
             batch_size=args.batch,
             has_header=args.skip_header,
         )
-        return load_csv(args.csv, schema)
+        data = {
+            "csv": args.csv,
+            "source_fraction": args.source_frac,
+            "skip_header": args.skip_header,
+        }
+        return load_csv(args.csv, schema), data
     spec = StreamSpec(
         batch_size=args.batch,
         batch_count=args.batch_count,
         seed=args.seed,
         source_size=args.source_size,
     )
-    if args.gen == "waveform21":
-        return gen_waveform(spec, "w21")
-    if args.gen == "waveform40":
-        return gen_waveform(spec, "w40")
-    return gen_rotating_drift(spec, classes=args.classes, d=args.dim, total_rotation=args.rotation)
-
-
-def _config_payload(args: argparse.Namespace, command: str) -> dict:
-    if args.csv is not None:
-        data = {
-            "csv": args.csv,
-            "source_fraction": args.source_frac,
-            "skip_header": args.skip_header,
-        }
-    else:
-        data = {
-            "generator": args.gen,
-            "batch_count": args.batch_count,
-            "source_size": args.source_size,
-            "seed": args.seed,
-        }
-        if args.gen == "rotating":
-            data["rotation"] = args.rotation
-            data["classes"] = args.classes
-            data["dim"] = args.dim
-    return {
-        "command": command,
-        "data": data,
-        "batch_size": args.batch,
-        "k": args.k,
-        "classifier": args.classifier,
-        "knn_neighbors": args.knn_neighbors,
-        "svm": {
-            "regularization": args.svm_lambda,
-            "epochs": args.svm_epochs,
-            "seed": args.svm_seed,
-        },
-        "zero_timings": args.zero_timings,
+    data = {
+        "generator": args.gen,
+        "batch_count": args.batch_count,
+        "source_size": args.source_size,
+        "seed": args.seed,
     }
+    if args.gen == "waveform21":
+        return gen_waveform(spec, "w21"), data
+    if args.gen == "waveform40":
+        return gen_waveform(spec, "w40"), data
+    data["rotation"] = args.rotation
+    data["classes"] = args.classes
+    data["dim"] = args.dim
+    return gen_rotating_drift(spec, classes=args.classes, d=args.dim, total_rotation=args.rotation), data
 
 
 def _variant_payload(name: str, classifier: str, trace: AccuracyTrace, zero_timings: bool) -> dict:
@@ -174,7 +155,7 @@ def _variant_payload(name: str, classifier: str, trace: AccuracyTrace, zero_timi
 
 
 def _run_variants(args: argparse.Namespace, command: str, names: Sequence[str]) -> int:
-    bundle = _load_bundle(args)
+    bundle, data = _load_bundle(args)
     if args.classifier == "knn":
         params = KnnParams(n_neighbors=args.knn_neighbors)
     else:
@@ -182,7 +163,20 @@ def _run_variants(args: argparse.Namespace, command: str, names: Sequence[str]) 
     configs = [PipelineConfig(sub_dim=args.k, variant=name, classifier=params) for name in names]
     traces = run_stream(bundle.source, bundle.stream, configs)
     variants = [_variant_payload(n, args.classifier, t, args.zero_timings) for n, t in zip(names, traces)]
-    report_config = _config_payload(args, command)
+    report_config = {
+        "command": command,
+        "data": data,
+        "batch_size": args.batch,
+        "k": args.k,
+        "classifier": args.classifier,
+        "knn_neighbors": args.knn_neighbors,
+        "svm": {
+            "regularization": args.svm_lambda,
+            "epochs": args.svm_epochs,
+            "seed": args.svm_seed,
+        },
+        "zero_timings": args.zero_timings,
+    }
     if command == "run":
         report_config["variant"] = args.variant
     payload = {"config": report_config, "variants": variants}

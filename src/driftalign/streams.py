@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .classifiers import LabeledSet, _class_count, _class_labels
-from .errors import ConfigError, DimensionMismatch, InsufficientData, ParseError, SchemaMismatch
+from .errors import ConfigError, InsufficientData, ParseError, SchemaMismatch
 from .pipeline import MiniBatch
 from .subspaces import _count, _real, _real_rows
 
@@ -74,21 +74,10 @@ class CsvSchema:
 
 @dataclass(frozen=True, eq=False)
 class DatasetBundle:
-    """A labelled source set plus an ordered stream of equally sized batches."""
+    """A labelled source set plus an ordered stream of batches."""
 
     source: LabeledSet
     stream: tuple[MiniBatch, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.stream) < 1:
-            raise InsufficientData("stream must contain at least one batch")
-        d = self.source.n_features
-        sizes = {b.n_rows for b in self.stream}
-        for b in self.stream:
-            if b.x.shape[1] != d:
-                raise DimensionMismatch(f"batch has {b.x.shape[1]} features, source has {d}")
-        if len(sizes) != 1:
-            raise DimensionMismatch(f"batches must share one size, got {sorted(sizes)}")
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
@@ -171,28 +160,29 @@ def _records(fh: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(f"row {start}: {exc}") from None
 
 
-def _triangular_waves() -> Array:
-    waves = np.zeros((3, WAVEFORM_DIM))
-    grid = np.arange(1, WAVEFORM_DIM + 1, dtype=np.float64)
-    for i, peak in enumerate(WAVE_PEAKS):
-        waves[i] = np.maximum(6.0 - np.abs(grid - peak), 0.0)
-    return waves
-
-
-def _waveform_rows(rng: np.random.Generator, labels: Array, noise_dims: int) -> Array:
-    waves = _triangular_waves()
-    u = rng.uniform(0.0, 1.0, size=labels.shape[0])[:, None]
-    first = waves[[WAVE_PAIRS[int(c)][0] for c in labels]]
-    second = waves[[WAVE_PAIRS[int(c)][1] for c in labels]]
-    x = u * first + (1.0 - u) * second + rng.standard_normal((labels.shape[0], WAVEFORM_DIM))
-    if noise_dims:
-        x = np.hstack([x, rng.standard_normal((labels.shape[0], noise_dims))])
-    return x
-
-
 def _balanced_labels(rng: np.random.Generator, n: int, classes: int) -> Array:
     labels = np.arange(n, dtype=np.int64) % classes
     return rng.permutation(labels)
+
+
+def _draw(spec: StreamSpec, classes: int, rows: Callable[[np.random.Generator, Array, int], Array]) -> DatasetBundle:
+    """The one seeded draw of a generated stream, from one default_rng(spec.seed).
+
+    The source comes first, then batches n = 1..batch_count; each is balanced
+    labels, then rows(rng, labels, n), with n = 0 for the source. So the
+    source and the first m batches do not depend on batch_count beyond what
+    rows makes of n.
+    """
+    if spec.source_size < 2 * classes:
+        raise ConfigError(f"source_size must be >= {2 * classes} for {classes} classes, got {spec.source_size}")
+    rng = np.random.default_rng(spec.seed)
+    labels = _balanced_labels(rng, spec.source_size, classes)
+    source = LabeledSet(x=rows(rng, labels, 0), y=labels)
+    batches = []
+    for n in range(1, spec.batch_count + 1):
+        labels = _balanced_labels(rng, spec.batch_size, classes)
+        batches.append(MiniBatch(x=rows(rng, labels, n), true_labels=labels))
+    return DatasetBundle(source=source, stream=tuple(batches))
 
 
 def gen_waveform(spec: StreamSpec, variant: str = "w21") -> DatasetBundle:
@@ -205,16 +195,19 @@ def gen_waveform(spec: StreamSpec, variant: str = "w21") -> DatasetBundle:
     if variant not in ("w21", "w40"):
         raise ConfigError(f"variant must be 'w21' or 'w40', got {variant!r}")
     noise_dims = WAVEFORM_NOISE_DIMS if variant == "w40" else 0
-    rng = np.random.default_rng(spec.seed)
-    if spec.source_size < 2 * 3:
-        raise ConfigError(f"source_size must be >= 6 for three classes, got {spec.source_size}")
-    src_labels = _balanced_labels(rng, spec.source_size, 3)
-    source = LabeledSet(x=_waveform_rows(rng, src_labels, noise_dims), y=src_labels)
-    batches = []
-    for _ in range(spec.batch_count):
-        labels = _balanced_labels(rng, spec.batch_size, 3)
-        batches.append(MiniBatch(x=_waveform_rows(rng, labels, noise_dims), true_labels=labels))
-    return DatasetBundle(source=source, stream=tuple(batches))
+    grid = np.arange(1, WAVEFORM_DIM + 1, dtype=np.float64)
+    waves = np.maximum(6.0 - np.abs(grid - np.array(WAVE_PEAKS)[:, None]), 0.0)
+    pairs = np.array(WAVE_PAIRS)
+
+    def rows(rng: np.random.Generator, labels: Array, n: int) -> Array:
+        u = rng.uniform(0.0, 1.0, size=labels.shape[0])[:, None]
+        x = u * waves[pairs[labels, 0]] + (1.0 - u) * waves[pairs[labels, 1]]
+        x = x + rng.standard_normal((labels.shape[0], WAVEFORM_DIM))
+        if noise_dims:
+            x = np.hstack([x, rng.standard_normal((labels.shape[0], noise_dims))])
+        return x
+
+    return _draw(spec, 3, rows)
 
 
 def _plane_rotation(d: int, angle: float) -> Array:
@@ -245,9 +238,6 @@ def gen_rotating_drift(
     total_rotation = _real("total_rotation", total_rotation)
     if not 0.0 <= total_rotation <= math.pi / 2:
         raise ConfigError(f"total_rotation must lie in [0, pi/2], got {total_rotation}")
-    if spec.source_size < 2 * classes:
-        raise ConfigError(f"source_size must be >= {2 * classes} for {classes} classes")
-    rng = np.random.default_rng(spec.seed)
     means = np.zeros((classes, d))
     for j in range(classes):
         phase = 2.0 * math.pi * j / classes
@@ -258,16 +248,8 @@ def gen_rotating_drift(
     stds[1] = ROTATING_NUISANCE_STD
     stds[3] = ROTATING_NUISANCE_STD
 
-    src_labels = _balanced_labels(rng, spec.source_size, classes)
-    src_x = means[src_labels] + rng.standard_normal((spec.source_size, d)) * stds
-    source = LabeledSet(x=src_x, y=src_labels)
+    def rows(rng: np.random.Generator, labels: Array, n: int) -> Array:
+        x = means[labels] + rng.standard_normal((labels.shape[0], d)) * stds
+        return x if n == 0 else x @ _plane_rotation(d, (n / spec.batch_count) * total_rotation).T
 
-    batches = []
-    for n in range(1, spec.batch_count + 1):
-        angle = (n / spec.batch_count) * total_rotation
-        rot = _plane_rotation(d, angle)
-        labels = _balanced_labels(rng, spec.batch_size, classes)
-        noise = rng.standard_normal((spec.batch_size, d)) * stds
-        x = (means[labels] + noise) @ rot.T
-        batches.append(MiniBatch(x=x, true_labels=labels))
-    return DatasetBundle(source=source, stream=tuple(batches))
+    return _draw(spec, classes, rows)

@@ -431,10 +431,7 @@ def pca_subspace(x: object, k: int) -> Subspace:
     if not np.isfinite(a).all():
         raise NonFiniteData("data matrix has non-finite entries")
     n, d = a.shape
-    # Plain Python, as this runs on every batch. A float, bool, string or
-    # k < 1 would otherwise escape as a TypeError or IndexError, or run as 1.
-    if not _is_integer(k) or k < 1:
-        raise ConfigError(f"k must be an integer >= 1, got {k!r}")
+    k = _count("k", k, 1)
     _check_half_dim(d, k)
     mean = a.mean(axis=0)
     _, sv, vt = np.linalg.svd(a - mean, full_matrices=False)

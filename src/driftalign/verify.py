@@ -55,7 +55,6 @@ from .subspaces import (
     _flow_bases,
     _flow_frame,
     _gram_deviation,
-    _is_integer,
     _rank,
     _real_rows,
     _rows,
@@ -233,9 +232,8 @@ def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
     symmetric rank-k update (syrk) that writes both triangles from the same
     products.
     """
-    if not _is_integer(nodes):
-        raise ConfigError(f"nodes must be an integer, got {nodes!r}")
-    if not 1 <= nodes <= MAX_QUADRATURE_NODES:
+    nodes = _count("nodes", nodes, 1)
+    if nodes > MAX_QUADRATURE_NODES:
         raise ConfigError(f"nodes must be in [1, {MAX_QUADRATURE_NODES}], got {nodes}")
     # Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi
     # matrix of the Legendre recurrence, and the weight of each, mapped to

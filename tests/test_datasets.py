@@ -11,7 +11,6 @@ from driftalign import (
     ConfigError,
     CsvSchema,
     DatasetBundle,
-    DimensionMismatch,
     InsufficientData,
     LabeledSet,
     MiniBatch,
@@ -196,17 +195,26 @@ class TestDatasetBundle:
         bundle = DatasetBundle(source=self.SOURCE, stream=(self.batch(5), self.batch(5)))
         assert len(bundle.stream) == 2
 
-    def test_empty_stream_rejected(self):
-        with pytest.raises(InsufficientData, match="at least one batch"):
-            DatasetBundle(source=self.SOURCE, stream=())
+    def test_run_stream_scores_batches_of_unequal_size(self):
+        # the bundle holds no size check: process_batch takes any row count, and the trace scores each batch
+        bundle = gen_rotating_drift(StreamSpec(batch_size=12, batch_count=3, seed=1, source_size=60))
+        cut = bundle.stream[0].x.shape[0] // 3
+        uneven = [MiniBatch(x=b.x[: cut * (i + 1)], true_labels=b.true_labels[: cut * (i + 1)])
+                  for i, b in enumerate(bundle.stream)]
+        assert [b.n_rows for b in uneven] == [4, 8, 12]
+        (trace,) = run_stream(bundle.source, uneven, [variant_config("gfk_gmean_fb", sub_dim=1)])
+        # each accuracy counts right labels out of its own batch's rows
+        hits = [accuracy * b.n_rows for accuracy, b in zip(trace.per_batch, uneven, strict=True)]
+        assert [round(h, 9) for h in hits] == [round(h) for h in hits]
 
-    def test_feature_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch, match="batch has 5 features, source has 4"):
-            DatasetBundle(source=self.SOURCE, stream=(self.batch(5), self.batch(5, d=5)))
 
-    def test_unequal_batch_sizes_rejected(self):
-        with pytest.raises(DimensionMismatch, match=r"share one size, got \[5, 6\]"):
-            DatasetBundle(source=self.SOURCE, stream=(self.batch(5), self.batch(6)))
+def assert_prefix(long, short):
+    """The source and the first len(short.stream) batches of long equal short's bit for bit."""
+    assert long.source.x.tobytes() == short.source.x.tobytes()
+    assert long.source.y.tobytes() == short.source.y.tobytes()
+    for a, b in zip(long.stream, short.stream):
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.true_labels.tobytes() == b.true_labels.tobytes()
 
 
 class TestStreamSpec:
@@ -255,8 +263,17 @@ class TestWaveformGenerator:
     @pytest.mark.parametrize("source_size", [4, 5])
     def test_source_smaller_than_two_rows_per_class_rejected(self, source_size):
         spec = StreamSpec(batch_size=20, batch_count=2, seed=0, source_size=source_size)
-        with pytest.raises(ConfigError, match="source_size must be >= 6 for three classes"):
+        with pytest.raises(ConfigError, match=f"source_size must be >= 6 for 3 classes, got {source_size}"):
             gen_waveform(spec, "w21")
+
+    @pytest.mark.parametrize("variant", ["w21", "w40"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_stream_is_prefix_stable_in_batch_count(self, variant, m):
+        # the draw goes source, then batch 1, 2, ...; a longer stream only draws more after
+        short = gen_waveform(StreamSpec(batch_size=20, batch_count=m, seed=6, source_size=60), variant)
+        long = gen_waveform(StreamSpec(batch_size=20, batch_count=5, seed=6, source_size=60), variant)
+        assert len(short.stream) == m
+        assert_prefix(long, short)
 
     def test_classes_are_balanced(self):
         spec = StreamSpec(batch_size=30, batch_count=2, seed=3, source_size=90)
@@ -273,6 +290,25 @@ class TestRotatingGenerator:
         assert np.array_equal(a.source.x, b.source.x)
         for ba, bb in zip(a.stream, b.stream):
             assert np.array_equal(ba.x, bb.x)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_source_and_labels_do_not_depend_on_batch_count(self, m):
+        # batch n is rotated by n / batch_count of the total, so only its rows see batch_count
+        short = gen_rotating_drift(StreamSpec(batch_size=16, batch_count=m, seed=8, source_size=48), classes=3)
+        long = gen_rotating_drift(StreamSpec(batch_size=16, batch_count=5, seed=8, source_size=48), classes=3)
+        assert long.source.x.tobytes() == short.source.x.tobytes()
+        assert long.source.y.tobytes() == short.source.y.tobytes()
+        for a, b in zip(long.stream, short.stream):
+            assert a.true_labels.tobytes() == b.true_labels.tobytes()
+        assert long.stream[0].x.tobytes() != short.stream[0].x.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_unrotated_stream_is_prefix_stable_in_batch_count(self, m):
+        short = gen_rotating_drift(StreamSpec(batch_size=16, batch_count=m, seed=8, source_size=48),
+                                   classes=3, total_rotation=0.0)
+        long = gen_rotating_drift(StreamSpec(batch_size=16, batch_count=5, seed=8, source_size=48),
+                                  classes=3, total_rotation=0.0)
+        assert_prefix(long, short)
 
     def test_validation(self):
         spec = StreamSpec(batch_size=25, batch_count=4, seed=0)

@@ -59,9 +59,8 @@ OTHER_RAISES = {
 # reports an unparseable CSV cell with one, which load_csv turns into a ParseError,
 # and np.asarray a ragged nested sequence, which _array turns into a DimensionMismatch.
 VALUE_ERROR_HANDLERS = {("streams.py", "load_csv"), ("subspaces.py", "_array")}
-# (module, function) of each use of _is_integer. Integer settings go through
-# _count; pca_subspace and quadrature_kernel keep their one-message checks.
-INTEGER_CHECKERS = {("subspaces.py", "_count"), ("subspaces.py", "pca_subspace"), ("verify.py", "quadrature_kernel")}
+# (module, function) of each use of _is_integer: every integer setting goes through _count.
+INTEGER_CHECKERS = {("subspaces.py", "_count")}
 
 
 def subclasses(cls):
@@ -160,6 +159,12 @@ def rank_tolerance_reads(tree):
         or (isinstance(node, ast.Attribute) and node.attr == "RANK_REL_TOL")))
 
 
+def rng_uses(tree):
+    """(innermost enclosing function or None, node) for each use of default_rng, called or passed on."""
+    return enclosed(tree, lambda node: (isinstance(node, ast.Name) and node.id == "default_rng")
+                    or (isinstance(node, ast.Attribute) and node.attr == "default_rng"))
+
+
 def named_classes(node):
     """Names of the classes an exception expression or except clause type names."""
     if node is None:
@@ -255,6 +260,26 @@ def test_the_lint_reads_every_read_of_the_rank_tolerance():
         "cut = subspaces.RANK_REL_TOL\n"
     )
     assert [(f, node.lineno) for f, node in rank_tolerance_reads(ast.parse(source))] == [("f", 4), (None, 5)]
+
+
+def test_one_function_seeds_the_generators():
+    # both generators draw through _draw: the source, then each batch, from one default_rng(seed)
+    streams = (Path(driftalign.__file__).parent / "streams.py").read_text()
+    assert {function for function, _ in rng_uses(ast.parse(streams))} == {"_draw"}
+
+
+def test_the_lint_reads_every_use_of_default_rng():
+    source = (
+        "from numpy.random import default_rng\n"
+        "def f(seed):\n"
+        "    return np.random.default_rng(seed)\n"
+        "def g(seed):\n"
+        "    def rows():\n"
+        "        return default_rng(seed)\n"
+        "    return rows\n"
+        "make = default_rng\n"
+    )
+    assert [(f, node.lineno) for f, node in rng_uses(ast.parse(source))] == [("f", 3), ("rows", 6), (None, 8)]
 
 
 @pytest.fixture(scope="module")

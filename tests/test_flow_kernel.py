@@ -121,8 +121,9 @@ class TestOracleAgreement:
 
     def test_node_count_must_be_in_range(self):
         source, target = kernel_pair(8, 2, 6)
-        for nodes in (0, -2, 65):
-            with pytest.raises(ConfigError, match=r"nodes must be in \[1, 64\]"):
+        for nodes, message in ((0, r"nodes must be >= 1, got 0"), (-2, r"nodes must be >= 1, got -2"),
+                               (65, r"nodes must be in \[1, 64\], got 65")):
+            with pytest.raises(ConfigError, match=message):
                 quadrature_kernel(source, target, nodes=nodes)
         for nodes in (1, 7, 64):
             quadrature_kernel(source, target, nodes=nodes)

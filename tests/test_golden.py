@@ -1,4 +1,4 @@
-"""Golden outputs: the bytes every documented command writes, and the labels every rung predicts.
+"""Golden outputs: the bytes every documented command writes, the labels every rung predicts, the streams drawn.
 
 Each command below is run once in process, by the session's ``outputs``
 fixture (tests/conftest.py), whose runs the README and criterion 7 checks
@@ -7,11 +7,11 @@ stdout and stderr, must equal the files under tests/golden/ byte for byte; a
 mismatch prints a unified diff. The predicted labels of every batch of every
 ladder rung on the reference drift stream are pinned by one sha256, since the
 reports hold accuracies, and a label flip that keeps the counts moves no
-accuracy. The files were recorded with numpy's float64 on x86; a change that
-moves any byte says which and why, and
-``PYTHONPATH=src python tests/test_golden.py`` rewrites them. One ablate
-command also runs in two subprocesses, under one and two OpenBLAS threads,
-and both reports must equal its golden file.
+accuracy. The bytes both generators draw are pinned by another sha256. The
+files were recorded with numpy's float64 on x86; a change that moves any
+byte says which and why, and ``PYTHONPATH=src python tests/test_golden.py``
+rewrites them. One ablate command also runs in two subprocesses, under one
+and two OpenBLAS threads, and both reports must equal its golden file.
 """
 
 import difflib
@@ -28,7 +28,15 @@ import pytest
 
 from conftest import README, pinned_form, readme_commands, run_command, settings
 import driftalign
-from driftalign import VARIANT_FLAGS, PipelineConfig, StreamSpec, gen_rotating_drift, init_pipeline, process_batch
+from driftalign import (
+    VARIANT_FLAGS,
+    PipelineConfig,
+    StreamSpec,
+    gen_rotating_drift,
+    gen_waveform,
+    init_pipeline,
+    process_batch,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -68,6 +76,28 @@ def ladder_label_digest():
     return digest.hexdigest() + "\n"
 
 
+def stream_digest():
+    """sha256 of the generated bytes: source x and y, then each batch's x and labels, over four streams.
+
+    A changed row reaches the reports and the ladder digest only when it flips
+    a label; this pins every byte both generators draw.
+    """
+    bundles = (
+        gen_rotating_drift(StreamSpec(50, 60, 0, 500), classes=2, d=10, total_rotation=math.pi / 3),
+        gen_rotating_drift(StreamSpec(30, 7, 3, 90), classes=3, d=8, total_rotation=0.7),
+        gen_waveform(StreamSpec(100, 20, 0), "w21"),
+        gen_waveform(StreamSpec(100, 20, 0), "w40"),
+    )
+    digest = hashlib.sha256()
+    for bundle in bundles:
+        arrays = [bundle.source.x, bundle.source.y]
+        for batch in bundle.stream:
+            arrays += [batch.x, batch.true_labels]
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest() + "\n"
+
+
 def golden_diff(name, got):
     """'' if got equals the golden file's bytes, else a unified diff from the file to got."""
     path = GOLDEN / name
@@ -98,6 +128,12 @@ def test_ladder_labels_are_golden():
         pytest.fail(diff, pytrace=False)
 
 
+def test_generated_streams_are_golden():
+    diff = golden_diff("streams.sha256", stream_digest().encode())
+    if diff:
+        pytest.fail(diff, pytrace=False)
+
+
 def test_ablate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a BLAS that splits a product over threads may sum it in another order;
     # the report must not see that
@@ -123,4 +159,5 @@ if __name__ == "__main__":
             for suffix, data in run_command(argv, workdir).items():
                 (GOLDEN / (name + suffix)).write_bytes(data)
     (GOLDEN / "ladder_labels.sha256").write_text(ladder_label_digest())
+    (GOLDEN / "streams.sha256").write_text(stream_digest())
     print(f"wrote {len(list(GOLDEN.iterdir()))} files to {GOLDEN}", file=sys.stderr)

@@ -616,12 +616,16 @@ class TestPcaSubspace:
         with pytest.raises(SchemaMismatch, match="data matrix must be real"):
             pca_subspace(non_real(x), 2)
 
-    @pytest.mark.parametrize("k", [2.5, -1, 0, "3", True], ids=["float", "negative", "zero", "str", "bool"])
-    def test_k_must_be_a_positive_integer(self, k):
+    @pytest.mark.parametrize("k, message", [
+        (2.5, "k must be an integer, got 2.5"), (-1, "k must be >= 1, got -1"), (0, "k must be >= 1, got 0"),
+        ("3", "k must be an integer, got '3'"), (True, "k must be an integer, got True"),
+    ], ids=["float", "negative", "zero", "str", "bool"])
+    def test_k_must_be_a_positive_integer(self, k, message):
         # 2.5 and "3" used to raise TypeError, -1 IndexError, and True ran as k=1
         x = np.random.default_rng(5).standard_normal((20, 10))
-        with pytest.raises(ConfigError, match="k must be an integer >= 1"):
+        with pytest.raises(ConfigError) as exc:
             pca_subspace(x, k)
+        assert str(exc.value) == message
 
     def test_numpy_integer_k_gives_the_same_basis(self):
         x = np.random.default_rng(5).standard_normal((20, 10))
