@@ -77,6 +77,7 @@ class NoConvergence(NumericalError):
 class NumericalHealthError(NumericalError):
     """A quantity left its mathematically guaranteed range by more than noise.
 
-    Such as a basis that is not finite and orthonormal, a kernel spectrum
-    outside [0, 1], or SVM weights that are not finite.
+    Such as a stored basis, factor or kernel array that is not finite, a
+    basis that is not orthonormal, a kernel spectrum outside [0, 1], or SVM
+    weights that are not finite.
     """

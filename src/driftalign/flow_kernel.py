@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionViolation, NonFiniteData, NumericalHealthError
+from .errors import DimensionMismatch, DimensionViolation, NumericalHealthError
 from .subspaces import Array, Subspace, _flow_frame, _orthonormal, _read_only, _rows, principal_system
 
 # Angles below this use the analytic limits of the integral weights.
@@ -76,17 +76,15 @@ def _integral_weights(angles: Array) -> tuple[Array, Array]:
     # The odd cross term enters the kernel with a minus sign: the flow leaves
     # the base along minus the tail.
     small = angles < SMALL_ANGLE
-    degenerate = small.any()
-    safe = np.where(small, 1.0, angles) if degenerate else angles
+    safe = np.where(small, 1.0, angles)
     quarter = 4.0 * safe
     ratio = np.sin(2.0 * safe) / quarter
     diag = np.concatenate((0.5 + ratio, 0.5 - ratio))
     cross = -(1.0 - np.cos(2.0 * safe)) / quarter
-    if degenerate:
-        k = angles.shape[0]
-        diag[:k][small] = 1.0
-        diag[k:][small] = 0.0
-        cross[small] = 0.0
+    k = angles.shape[0]
+    diag[:k][small] = 1.0
+    diag[k:][small] = 0.0
+    cross[small] = 0.0
     return diag, cross
 
 
@@ -111,6 +109,4 @@ def apply_transform(x: object, kernel: TransformKernel) -> Array:
     a = _rows(x, "data", 0)
     if a.shape[1] != kernel.ambient_dim:
         raise DimensionMismatch(f"data has {a.shape[1]} columns, kernel expects {kernel.ambient_dim}")
-    if not np.isfinite(a).all():
-        raise NonFiniteData("data has non-finite entries")
     return ((a @ kernel.frame) @ kernel.weights) @ kernel.frame.T

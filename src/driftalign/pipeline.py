@@ -88,7 +88,7 @@ class MiniBatch:
 
     def __post_init__(self) -> None:
         x = _rows(self.x, "batch", 2)
-        _check_entries(x, "batch has")
+        _check_entries(x, "batch")
         object.__setattr__(self, "x", _read_only(x, "batch"))
         if self.true_labels is not None:
             object.__setattr__(self, "true_labels", _class_labels(self.true_labels, x.shape[0], "labels"))

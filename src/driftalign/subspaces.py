@@ -22,22 +22,24 @@ naming the array), _real_rows the dtype gate before the only float64 cast
 (bool, integer and float pass; complex, string or object is SchemaMismatch),
 _rows the shape of row data, classifiers._class_labels that of labels,
 _orthonormal a basis or factor's Gram deviation, and _rank, the one home of
-the rank decision, a numerical rank. Every value type validates what it
-stores: Subspace (finite, then orthonormal), the only basis check, which the
-quadrature oracle also applies to each node's basis, and PrincipalSystem
-(angles in [0, pi/2]; orthonormal a_rot, tail and b_rot; a d x k base, then
-the tail orthogonal to it). _angle_factors adds the two overshoot checks,
+the rank decision, a numerical rank. Finiteness has one check per array
+role: _rows rejects a NaN or infinite entry of row data as NonFiniteData,
+and _read_only, which takes every array a value type stores, rejects one as
+NumericalHealthError before a Gram product or m - m.T is formed, where
+inf * 0 or inf - inf would only warn. Every value type validates what it
+stores: Subspace (orthonormal), the only basis check, which the quadrature
+oracle also applies to each node's basis, and PrincipalSystem (angles in
+[0, pi/2]; orthonormal a_rot, tail and b_rot; a d x k base, then the tail
+orthogonal to it). _angle_factors adds the two overshoot checks,
 principal_system the reconstruction check too, in one pass: a pair it cannot
 reproduce raises SharedFactorFailure. Each deviation is compared as
-``not dev < tol``, so a NaN entry, which makes its deviation NaN, fails the
-check it reaches; that is why the factors need no finiteness test of their
-own, while Subspace tests finiteness first to keep inf * 0 out of its Gram
-product. No check stands in for another at a looser tolerance: the
-reconstruction bound (1e-8) does not imply orthonormality at 1e-10, and
-orthonormal a_rot and base do not make the head orthonormal at 1e-10, so the
-flow kernel checks its frame again. In flow_kernel, an orthonormal frame and
-symmetric weights make the weights' eigenvalues exactly the kernel's nonzero
-spectrum, so the 2k x 2k spectrum check covers the d x d kernel.
+``not dev < tol``, so a NaN deviation fails the check it reaches. No check
+stands in for another at a looser tolerance: the reconstruction bound (1e-8)
+does not imply orthonormality at 1e-10, and orthonormal a_rot and base do
+not make the head orthonormal at 1e-10, so the flow kernel checks its frame
+again. In flow_kernel, an orthonormal frame and symmetric weights make the
+weights' eigenvalues exactly the kernel's nonzero spectrum, so the 2k x 2k
+spectrum check covers the d x d kernel.
 """
 
 from __future__ import annotations
@@ -95,16 +97,30 @@ def _real_rows(x: object, what: str) -> Array:
 
 
 def _rows(x: object, what: str, min_rows: int) -> Array:
-    """Row data x through the _real_rows gate; DimensionMismatch unless 2-d with >= min_rows rows and >= 1 column."""
+    """Row data x through the _real_rows gate.
+
+    DimensionMismatch unless 2-d with >= min_rows rows and >= 1 column, then
+    NonFiniteData naming ``what`` for a NaN or infinite entry.
+    """
     a = _real_rows(x, what)
     if a.ndim != 2 or a.shape[0] < min_rows or a.shape[1] < 1:
         raise DimensionMismatch(f"{what} must be a 2-d array of at least {min_rows} x 1, got shape {a.shape}")
+    # count_nonzero is ndarray.all() without its Python layer, which is half
+    # the check's cost on the small arrays every batch passes.
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        raise NonFiniteData(f"{what} has non-finite entries")
     return a
 
 
 def _read_only(x: object, what: str) -> Array:
-    """A read-only float64 copy of x, through the _real_rows gate, in x's memory layout."""
+    """A read-only float64 copy of x, through the _real_rows gate, in x's memory layout.
+
+    NumericalHealthError naming ``what`` for a NaN or infinite entry, before
+    any product is formed from the copy: inf * 0 in a Gram product would warn.
+    """
     out = np.array(_real_rows(x, what))
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        raise NumericalHealthError(f"{what} has non-finite entries")
     out.setflags(write=False)
     return out
 
@@ -163,16 +179,14 @@ class Subspace:
     basis: Array
 
     def __post_init__(self) -> None:
-        b = _real_rows(self.basis, "basis")
+        b = _read_only(self.basis, "basis")
         if b.ndim != 2:
             raise DimensionViolation(f"basis must be a 2-d array, got shape {b.shape}")
         d, k = b.shape
         if k < 1 or k >= d:
             raise DimensionViolation(f"need 1 <= k < d, got d={d}, k={k}")
-        if not np.isfinite(b).all():
-            raise NumericalHealthError("basis has non-finite entries")
         _orthonormal(b, "basis")
-        object.__setattr__(self, "basis", _read_only(b, "basis"))
+        object.__setattr__(self, "basis", b)
 
     @property
     def ambient_dim(self) -> int:
@@ -428,8 +442,6 @@ def pca_subspace(x: object, k: int) -> Subspace:
     signs follow each basis vector's largest-magnitude entry, so runs and platforms agree.
     """
     a = _rows(x, "data matrix", 1)
-    if not np.isfinite(a).all():
-        raise NonFiniteData("data matrix has non-finite entries")
     n, d = a.shape
     k = _count("k", k, 1)
     _check_half_dim(d, k)

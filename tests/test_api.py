@@ -27,6 +27,7 @@ from driftalign import (
 
 PACKAGE = Path(driftalign.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 # The modules that may import driftalign.verify: the verify command, and itself.
 VERIFY_IMPORTERS = {"cli.py", "verify.py"}
 BENCHMARKS = PACKAGE.parents[1] / "benchmarks"
@@ -76,6 +77,24 @@ def defined_names(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     return names
+
+
+def unread_imports(tree):
+    """(line, name) of each name a module imports and never reads; a name in __all__ counts as read.
+
+    ``from __future__`` imports name compiler features, not values, and are skipped.
+    """
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
 def tracer_patches():
@@ -220,6 +239,25 @@ def test_the_boundary_lint_reads_every_import_form():
         "from .subspaces import verify\n"
     )
     assert verify_imports(ast.parse(source)) == [1, 2, 3, 4]
+
+
+def test_the_import_lint_reads_every_import_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .errors import DataError, ParseError as Bad\n"
+        "from .subspaces import Array, _rows\n"
+        "__all__ = ['DataError']\n"
+        "def f(x: Array):\n"
+        "    return np.asarray(x)\n"
+    )
+    assert unread_imports(ast.parse(source)) == [(2, "os"), (4, "Bad"), (5, "_rows")]
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert unread_imports(ast.parse(path.read_text())) == []
 
 
 def test_only_cli_and_verify_import_verify():

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,9 @@ from driftalign import (
     LabeledSet,
     MeanSubspaceState,
     MiniBatch,
+    NonFiniteData,
     NumericalError,
+    NumericalHealthError,
     PipelineConfig,
     StreamSpec,
     Subspace,
@@ -61,6 +64,23 @@ OTHER_RAISES = {
 VALUE_ERROR_HANDLERS = {("streams.py", "load_csv"), ("subspaces.py", "_array")}
 # (module, function) of each use of _is_integer: every integer setting goes through _count.
 INTEGER_CHECKERS = {("subspaces.py", "_count")}
+# (module, function) of each raise of NonFiniteData: _rows for a NaN or infinite
+# entry of row data, and the classifiers' two magnitude bounds.
+NON_FINITE_RAISERS = {
+    ("subspaces.py", "_rows"),
+    ("classifiers.py", "_check_entries"),
+    ("classifiers.py", "_check_query_rows"),
+}
+# (module, function) of each use of np.isfinite: the two array gates, _rows for
+# row data and _read_only for stored geometry, then the label check, the SVM's
+# weight check, whose message names the cause, and the mean suite's verdict.
+FINITENESS_CHECKERS = {
+    ("subspaces.py", "_rows"),
+    ("subspaces.py", "_read_only"),
+    ("classifiers.py", "_class_labels"),
+    ("classifiers.py", "_train_linear_svm"),
+    ("verify.py", "mean_suite"),
+}
 
 
 def subclasses(cls):
@@ -150,6 +170,19 @@ def integer_checks(tree):
     """(innermost enclosing function or None, node) for each use of _is_integer, called or passed on."""
     return enclosed(tree, lambda node: (isinstance(node, ast.Name) and node.id == "_is_integer")
                     or (isinstance(node, ast.Attribute) and node.attr == "_is_integer"))
+
+
+def non_finite_raises(tree):
+    """(innermost enclosing function or None, node) for each raise statement that names NonFiniteData."""
+    return [(function, node) for function, node in raises_and_handlers(tree)
+            if isinstance(node, ast.Raise) and "NonFiniteData" in named_classes(node.exc)]
+
+
+def finiteness_tests(tree):
+    """(innermost enclosing function or None, node) for each use of numpy's isfinite, called or passed on."""
+    return enclosed(tree, lambda node: (isinstance(node, ast.Name) and node.id == "isfinite")
+                    or (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")))
 
 
 def rank_tolerance_reads(tree):
@@ -242,6 +275,35 @@ def test_the_lint_reads_every_use_of_is_integer():
         "h = list(map(_is_integer, []))\n"
     )
     assert [(f, node.lineno) for f, node in integer_checks(ast.parse(source))] == [("f", 3), (None, 4), (None, 5)]
+
+
+def test_non_finite_data_is_raised_only_by_the_row_gate_and_the_bounds():
+    sites = {(path.name, function) for path in SOURCES
+             for function, _ in non_finite_raises(ast.parse(path.read_text()))}
+    assert sites == NON_FINITE_RAISERS
+
+
+def test_finiteness_is_tested_only_by_the_gates():
+    sites = {(path.name, function) for path in SOURCES
+             for function, _ in finiteness_tests(ast.parse(path.read_text()))}
+    assert sites == FINITENESS_CHECKERS
+
+
+def test_the_lint_reads_every_non_finite_raise_and_finiteness_test():
+    source = (
+        "from numpy import isfinite\n"
+        "def f(a):\n"
+        "    if not np.isfinite(a).all():\n"
+        "        raise NonFiniteData('a')\n"
+        "    if not math.isfinite(a[0]):\n"
+        "        raise errors.NonFiniteData('b')\n"
+        "    raise ValueError('c')\n"
+        "def g(a):\n"
+        "    return list(map(isfinite, a)), numpy.isfinite\n"
+    )
+    tree = ast.parse(source)
+    assert [(f, node.lineno) for f, node in non_finite_raises(tree)] == [("f", 4), ("f", 6)]
+    assert [(f, node.lineno) for f, node in finiteness_tests(tree)] == [("f", 3), ("g", 9), ("g", 9)]
 
 
 def test_one_function_reads_the_rank_tolerance():
@@ -450,3 +512,41 @@ def test_malformed_arrays_raise_only_documented_errors(taker, kind):
     call, allowed = ARRAY_TAKERS[taker]
     with pytest.raises(allowed):
         call(MALFORMED[kind])
+
+
+# A valid array for each entry point in ARRAY_TAKERS that takes one, the name
+# its finiteness message gives it, and its gate's class: row data is
+# NonFiniteData from _rows, stored geometry NumericalHealthError from _read_only.
+FINITE_ARRAYS = {
+    "Subspace": (BASE.basis, "basis", NumericalHealthError),
+    **{f"PrincipalSystem.{name}": (getattr(SYSTEM, name), name, NumericalHealthError)
+       for name in ("a_rot", "tail", "b_rot", "angles")},
+    "TransformKernel.frame": (KERNEL.frame, "frame", NumericalHealthError),
+    "TransformKernel.weights": (KERNEL.weights, "weights", NumericalHealthError),
+    "LabeledSet.x": (np.eye(2), "x", NonFiniteData),
+    "MiniBatch.x": (np.ones((2, 2)), "batch", NonFiniteData),
+    "pca_subspace": (np.eye(6), "data matrix", NonFiniteData),
+    "apply_transform": (np.ones((2, 6)), "data", NonFiniteData),
+    "predict": (np.ones((2, 6)), "queries", NonFiniteData),
+    "orthonormalize": (np.eye(6)[:, :2], "matrix", NonFiniteData),
+    "exp_tangent": (0.5 * np.eye(6)[:, 2:4], "tangent", NonFiniteData),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("taker", sorted(FINITE_ARRAYS))
+def test_a_non_finite_entry_stops_at_its_gate_without_a_warning(taker, bad):
+    # an infinite factor, kernel array or tangent used to reach a Gram product
+    # or m - m.T, and numpy's "invalid value" warning escaped
+    valid, name, error = FINITE_ARRAYS[taker]
+    call, _ = ARRAY_TAKERS[taker]
+    call(valid)
+    a = valid.copy()
+    a.flat[a.size // 2] = bad
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as exc:
+            call(a)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{name} has non-finite entries"
+    assert caught == []

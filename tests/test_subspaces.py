@@ -29,7 +29,6 @@ from driftalign import (
 from driftalign.flow_kernel import SYMMETRY_TOL
 from driftalign.subspaces import (
     COSINE_OVERSHOOT_TOL,
-    ORTHONORMALITY_TOL,
     RESIDUAL_COLUMN_TOL,
     _angle_factors,
     _orthonormal_extension,
@@ -319,24 +318,28 @@ class TestChecksStillFire:
         assert str(exc.value) == f"sine 1.100000000000 exceeds 1 by more than {COSINE_OVERSHOOT_TOL}"
 
     def test_nan_factor_is_not_orthonormal(self):
-        # a NaN Gram deviation used to compare false and pass
+        # a NaN Gram deviation used to compare false and pass; the read-only
+        # gate now stops a NaN factor before its Gram product is formed
         a, b = random_pairs(10, 3, 1, seed=31)[0]
         sys = principal_system(a, b)
         tail = sys.tail.copy()
         tail[4, 1] = np.nan
-        with pytest.raises(NumericalHealthError, match="tail is not orthonormal"):
+        with pytest.raises(NumericalHealthError, match="^tail has non-finite entries$"):
             PrincipalSystem(base=a, a_rot=sys.a_rot, tail=tail, b_rot=sys.b_rot, angles=sys.angles)
 
     @pytest.mark.parametrize("bad", [-1e-3, math.pi / 2 + 1e-9, np.nan])
     def test_angle_outside_the_quarter_turn(self, bad):
-        # NaN angles used to pass, since every comparison with NaN is false
+        # NaN angles used to pass, since every comparison with NaN is false;
+        # the read-only gate now stops them before the range check
+        error, message = ((NumericalHealthError, "angles has non-finite entries") if math.isnan(bad)
+                          else (DomainError, "principal angles must lie in [0, pi/2]"))
         a, b = random_pairs(10, 3, 1, seed=29)[0]
         sys = principal_system(a, b)
         angles = sys.angles.copy()
         angles[1] = bad
-        with pytest.raises(DomainError) as exc:
+        with pytest.raises(error) as exc:
             PrincipalSystem(base=a, a_rot=sys.a_rot, tail=sys.tail, b_rot=sys.b_rot, angles=angles)
-        assert str(exc.value) == "principal angles must lie in [0, pi/2]"
+        assert str(exc.value) == message
 
     def test_empty_system(self):
         # zero angles used to escape as numpy's zero-size reduction ValueError
@@ -401,7 +404,7 @@ class TestChecksStillFire:
         kernel = flow_kernel(*random_pairs(10, 3, 1, seed=35)[0])
         weights = kernel.weights.copy()
         weights[1, 1] = np.nan
-        with pytest.raises(NumericalHealthError, match="asymmetry nan"):
+        with pytest.raises(NumericalHealthError, match="^weights has non-finite entries$"):
             TransformKernel(frame=kernel.frame, weights=weights)
 
     def test_bad_pair_fails_on_the_first_pass(self, monkeypatch):
