@@ -53,10 +53,17 @@ MAX_ABS_ENTRY = 1e150
 MAX_NAMED_MISSING = 10
 
 
-def _check_entries(x: Array, what: str) -> None:
-    """Raise NonFiniteData naming ``what`` unless every entry of x is within MAX_ABS_ENTRY (min and max copy nothing)."""
-    if x.size and not (-MAX_ABS_ENTRY <= x.min() and x.max() <= MAX_ABS_ENTRY):
+def _stored_rows(x: object, what: str, min_rows: int) -> Array:
+    """Row data x through subspaces._rows as a read-only copy in x's memory layout (np.array keeps F order).
+
+    NonFiniteData naming ``what`` unless every entry is within MAX_ABS_ENTRY (min and max copy nothing).
+    """
+    a = _rows(x, what, min_rows)
+    if not (-MAX_ABS_ENTRY <= a.min() and a.max() <= MAX_ABS_ENTRY):
         raise NonFiniteData(f"{what} has entries beyond +-{MAX_ABS_ENTRY:.0e}")
+    out = np.array(a)
+    out.setflags(write=False)
+    return out
 
 
 def _check_query_rows(a: Array) -> None:
@@ -125,11 +132,9 @@ class LabeledSet:
     y: Array
 
     def __post_init__(self) -> None:
-        x = _rows(self.x, "x", 1)
-        _check_entries(x, "x")
-        y = _class_labels(self.y, x.shape[0], "y")
+        object.__setattr__(self, "x", _stored_rows(self.x, "x", 1))
+        y = _class_labels(self.y, self.n_rows, "y")
         _class_count(y)
-        object.__setattr__(self, "x", _read_only(x, "x"))
         object.__setattr__(self, "y", y)
 
     @property
@@ -143,6 +148,26 @@ class LabeledSet:
     @property
     def n_classes(self) -> int:
         return int(self.y.max()) + 1
+
+
+@dataclass(frozen=True, eq=False)
+class MiniBatch:
+    """One unlabelled batch of stream rows; labels ride along for scoring only.
+
+    Rows pass LabeledSet's gate, _stored_rows; labels, when given, must be integers >= 0.
+    """
+
+    x: Array
+    true_labels: Array | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", _stored_rows(self.x, "batch", 2))
+        if self.true_labels is not None:
+            object.__setattr__(self, "true_labels", _class_labels(self.true_labels, self.n_rows, "labels"))
+
+    @property
+    def n_rows(self) -> int:
+        return int(self.x.shape[0])
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,14 @@ from .classifiers import (
     KnnParams,
     LabeledSet,
     LinearSvmModel,
+    MiniBatch,
     SvmParams,
-    _check_entries,
-    _class_labels,
     predict,
     train,
 )
 from .errors import ConfigError, DimensionMismatch, NumericalError, SchemaMismatch
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
-from .subspaces import Array, MeanSubspaceState, Subspace, _count, _read_only, _rows, pca_subspace, update_mean
+from .subspaces import Array, MeanSubspaceState, Subspace, _count, pca_subspace, update_mean
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -73,29 +72,6 @@ def variant_config(name: str, sub_dim: int, classifier: str = "knn") -> Pipeline
     if classifier not in defaults:
         raise ConfigError(f"classifier must be 'knn' or 'svm', got {classifier!r}")
     return PipelineConfig(sub_dim=sub_dim, variant=name, classifier=defaults[classifier])
-
-
-@dataclass(frozen=True, eq=False)
-class MiniBatch:
-    """One unlabelled batch of stream rows; labels ride along for scoring only.
-
-    Entries must be finite with magnitude at most classifiers.MAX_ABS_ENTRY,
-    and labels, when given, integers >= 0.
-    """
-
-    x: Array
-    true_labels: Array | None = None
-
-    def __post_init__(self) -> None:
-        x = _rows(self.x, "batch", 2)
-        _check_entries(x, "batch")
-        object.__setattr__(self, "x", _read_only(x, "batch"))
-        if self.true_labels is not None:
-            object.__setattr__(self, "true_labels", _class_labels(self.true_labels, x.shape[0], "labels"))
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.x.shape[0])
 
 
 @dataclass(frozen=True, eq=False)

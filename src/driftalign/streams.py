@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import LabeledSet, _class_count, _class_labels
+from .classifiers import LabeledSet, MiniBatch, _class_count, _class_labels
 from .errors import ConfigError, InsufficientData, ParseError, SchemaMismatch
-from .pipeline import MiniBatch
 from .subspaces import _count, _real, _real_rows
 
 Array = np.ndarray

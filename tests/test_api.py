@@ -266,6 +266,46 @@ def test_only_cli_and_verify_import_verify():
     assert found == []
 
 
+def sibling_imports(tree):
+    """(module, name) of each name a package module imports from another; name is None for a module itself."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = ([] if node.level == 0 else ["driftalign"]) + (node.module.split(".") if node.module else [])
+            if parts[:1] == ["driftalign"]:
+                found += [(parts[1], alias.name) if len(parts) > 1 else (alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name.split(".")[1], None) for alias in node.names if alias.name.startswith("driftalign.")]
+    return found
+
+
+def test_the_sibling_lint_reads_every_import_form():
+    source = (
+        "from .pipeline import MiniBatch, _rows\n"
+        "from . import pipeline\n"
+        "from driftalign.pipeline import run_stream\n"
+        "from driftalign import streams\n"
+        "import driftalign.classifiers\n"
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+    )
+    assert sibling_imports(ast.parse(source)) == [
+        ("pipeline", "MiniBatch"), ("pipeline", "_rows"), ("pipeline", None), ("pipeline", "run_stream"),
+        ("streams", None), ("classifiers", None),
+    ]
+
+
+def test_the_row_set_contract_lives_in_classifiers():
+    # MiniBatch sits beside LabeledSet, so the data sources need no pipeline,
+    # and the pipeline needs none of the private row and label gates
+    streams = sibling_imports(ast.parse((PACKAGE / "streams.py").read_text()))
+    assert [module for module, _ in streams if module == "pipeline"] == []
+    pipeline = sibling_imports(ast.parse((PACKAGE / "pipeline.py").read_text()))
+    assert {name for _, name in pipeline if name and name.startswith("_")} <= {"_count"}
+    classifiers = importlib.import_module("driftalign.classifiers")
+    assert MiniBatch is importlib.import_module("driftalign.pipeline").MiniBatch is classifiers.MiniBatch
+
+
 def test_no_verify_name_is_public():
     names = defined_names(ast.parse((PACKAGE / "verify.py").read_text()))
     assert {"karcher_mean", "quadrature_kernel", "random_subspace", "run_all"} <= names

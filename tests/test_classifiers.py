@@ -12,6 +12,7 @@ from driftalign import (
     InsufficientData,
     KnnParams,
     LabeledSet,
+    MiniBatch,
     NonFiniteData,
     NumericalHealthError,
     SchemaMismatch,
@@ -20,6 +21,7 @@ from driftalign import (
     gen_waveform,
     pca_subspace,
     predict,
+    subspaces,
     train,
 )
 from driftalign.classifiers import MAX_ABS_ENTRY, KnnModel, LinearSvmModel
@@ -172,6 +174,38 @@ class TestLabeledSet:
         data = LabeledSet(x=np.eye(3), y=np.array([0, 1, 0]))
         with pytest.raises(ValueError):
             data.x[0, 0] = 5.0
+
+
+# Each row set, built from rows x, and the name its messages give x.
+ROW_SETS = {
+    "LabeledSet": (lambda x: LabeledSet(x=x, y=np.arange(x.shape[0]) % 2), "x"),
+    "MiniBatch": (lambda x: MiniBatch(x=x, true_labels=np.zeros(x.shape[0])), "batch"),
+}
+
+
+@pytest.mark.parametrize("row_set", sorted(ROW_SETS))
+class TestStoredRows:
+    def test_the_rows_pass_the_float_gate_once(self, row_set, monkeypatch):
+        # _rows and then _read_only each cast the rows and scanned them for non-finite entries
+        make, name = ROW_SETS[row_set]
+        gated = []
+        real_rows = subspaces._real_rows
+
+        def counted(x, what):
+            gated.append(what)
+            return real_rows(x, what)
+
+        monkeypatch.setattr(subspaces, "_real_rows", counted)
+        make(np.eye(4))
+        assert gated == [name]
+
+    def test_the_stored_copy_keeps_the_rows_memory_layout(self, row_set):
+        make, _ = ROW_SETS[row_set]
+        x = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        stored = make(x).x
+        assert stored.flags.f_contiguous and not stored.flags.c_contiguous
+        assert not stored.flags.writeable and not np.shares_memory(stored, x)
+        assert np.array_equal(stored, x)
 
 
 class TestKnn:

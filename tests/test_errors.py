@@ -65,10 +65,11 @@ VALUE_ERROR_HANDLERS = {("streams.py", "load_csv"), ("subspaces.py", "_array")}
 # (module, function) of each use of _is_integer: every integer setting goes through _count.
 INTEGER_CHECKERS = {("subspaces.py", "_count")}
 # (module, function) of each raise of NonFiniteData: _rows for a NaN or infinite
-# entry of row data, and the classifiers' two magnitude bounds.
+# entry of row data, and the classifiers' two magnitude bounds, on stored rows
+# and on query rows.
 NON_FINITE_RAISERS = {
     ("subspaces.py", "_rows"),
-    ("classifiers.py", "_check_entries"),
+    ("classifiers.py", "_stored_rows"),
     ("classifiers.py", "_check_query_rows"),
 }
 # (module, function) of each use of np.isfinite: the two array gates, _rows for
@@ -549,4 +550,35 @@ def test_a_non_finite_entry_stops_at_its_gate_without_a_warning(taker, bad):
             call(a)
     assert type(exc.value) is error
     assert str(exc.value) == f"{name} has non-finite entries"
+    assert caught == []
+
+
+# The stored-geometry takers whose array goes through a Gram check, and the
+# name that check's message gives the array.
+GRAM_CHECKED = {
+    "Subspace": "basis",
+    **{f"PrincipalSystem.{name}": name for name in ("a_rot", "tail", "b_rot")},
+    "TransformKernel.frame": "kernel frame",
+}
+
+
+@pytest.mark.parametrize("big", [1e200, 1e307])
+@pytest.mark.parametrize("where", ["one", "all"])
+@pytest.mark.parametrize("taker", sorted(GRAM_CHECKED))
+def test_a_huge_finite_entry_fails_the_gram_check_without_a_warning(taker, where, big):
+    # past about 1e154 the Gram product overflowed, and numpy's "overflow
+    # encountered in matmul" escaped before the right error was raised
+    valid, _, _ = FINITE_ARRAYS[taker]
+    call, _ = ARRAY_TAKERS[taker]
+    a = valid.copy()
+    if where == "one":
+        a.flat[a.size // 2] = big
+    else:
+        a[...] = big
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalHealthError) as exc:
+            call(a)
+    assert type(exc.value) is NumericalHealthError
+    assert str(exc.value) == f"{GRAM_CHECKED[taker]} is not orthonormal (max Gram deviation inf)"
     assert caught == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -677,6 +678,30 @@ class TestPcaSubspace:
         planted[0, 0] = 1.0
         planted[4, 1] = 1.0
         assert principal_angles(pca_subspace(x, 2), Subspace(basis=planted)).max() < 0.01
+
+
+def near_the_float_range():
+    """{name: (rows, smaller rows with the same principal subspace)} for rows whose PCA passes the float range."""
+    x = np.random.default_rng(0).standard_normal((50, 10))
+    # the mean of the first column, -1.79e308 / 50, is finite, but 1.79e308 minus it is not
+    centring = 1e300 * x
+    centring[:, 0] = [1.79e308, -1.79e308] * 24 + [-1.79e308, 0.0]
+    return {"1e307": (1e307 * x, x), "centring": (centring, centring / 2.0**1000)}
+
+
+NEAR_THE_FLOAT_RANGE = near_the_float_range()
+
+
+class TestPcaNearTheFloatRange:
+    @pytest.mark.parametrize("name", sorted(NEAR_THE_FLOAT_RANGE))
+    def test_gives_the_basis_of_smaller_rows_without_a_warning(self, name):
+        # at 1e307 the row mean overflowed, numpy warned, and LinAlgError escaped
+        x, smaller = NEAR_THE_FLOAT_RANGE[name]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            basis = pca_subspace(x, 3).basis
+        assert caught == []
+        assert abs(basis - pca_subspace(smaller, 3).basis).max() < 1e-13
 
 
 class TestRankRule:
