@@ -58,7 +58,14 @@ class TransformKernel:
         return int(self.frame.shape[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_unit_spectrum(m: Array, what: str) -> None:
+    """NumericalHealthError naming ``what`` unless m is symmetric and its eigenvalues lie in [0, 1].
+
+    Finite entries of opposite sign past about 9e307 overflow m - m.T; the
+    asymmetry is then inf, rejected by ``not asym <= tol``, and numpy's
+    warning is kept in, as in subspaces._gram_deviation.
+    """
     asym = float(abs(m - m.T).max())
     if not asym <= SYMMETRY_TOL:
         raise NumericalHealthError(f"{what} asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")

@@ -18,6 +18,7 @@ from driftalign import (
     SchemaMismatch,
     StreamSpec,
     SvmParams,
+    classifiers,
     gen_waveform,
     pca_subspace,
     predict,
@@ -507,8 +508,10 @@ class TestLinearSvm:
         with pytest.raises(InsufficientData):
             train(LabeledSet(x=x, y=y), SvmParams())
 
-    @pytest.mark.parametrize("classes", [2, 3, 4])
-    @pytest.mark.parametrize("d", [1, 5, 40])
+    # 9 and 17 classes train in more than one lockstep group; d + 1 of 16, 17,
+    # 32, 33, 64 and 65 straddles the unroll widths of BLAS ddot
+    @pytest.mark.parametrize("classes", [2, 3, 4, 9, 17])
+    @pytest.mark.parametrize("d", [1, 5, 15, 16, 31, 32, 40, 63, 64])
     @pytest.mark.parametrize("params", [SvmParams(epochs=3), SvmParams(regularization=0.05, epochs=2, seed=11)],
                              ids=["default_lambda", "lambda_0.05"])
     def test_weights_equal_the_plain_loop_bit_for_bit(self, classes, d, params):
@@ -521,6 +524,17 @@ class TestLinearSvm:
         weights, biases = reference_linear_svm(data, params)
         assert model.weights.tobytes() == weights.tobytes()
         assert model.biases.tobytes() == biases.tobytes()
+
+    def test_vecdot_gives_the_bits_of_one_row_dot_at_a_time(self):
+        # the lockstep trainer's premise: np.vecdot calls the BLAS ddot that
+        # w.dot(row) calls. A margin's last bit reaches the weights only when
+        # it moves the margin across 1, so the weight tests alone would miss
+        # a kernel that sums in another order, as np.einsum does
+        rng = np.random.default_rng(79)
+        for length in range(1, 80):
+            for _ in range(10):
+                w, rows = rng.standard_normal((2, 3, length))
+                assert np.vecdot(w, rows).tolist() == [a.dot(b) for a, b in zip(w, rows)]
 
     def test_waveform40_weights_equal_the_plain_loop_bit_for_bit(self):
         source = waveform40_source(seed=5)
@@ -542,6 +556,23 @@ class TestLinearSvm:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < peaks[1]
+
+    @pytest.mark.parametrize("group, passes", [(classifiers.SVM_GROUP, True), (50, False)],
+                             ids=["module_group", "all_classes_at_once"])
+    def test_many_classes_train_below_the_one_class_at_a_time_peak(self, group, passes, monkeypatch):
+        # class after class, 50 classes of 2000 rows peaked at 0.48 MB; one
+        # lockstep group holding all 50 classes' permutations peaks far above it
+        monkeypatch.setattr(classifiers, "SVM_GROUP", group)
+        rng = np.random.default_rng(50)
+        y = np.arange(2000) % 50
+        data = LabeledSet(x=rng.standard_normal((2000, 4)) + 3.0 * rng.standard_normal((50, 4))[y], y=y)
+        tracemalloc.start()
+        try:
+            train(data, SvmParams(epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak < 0.48e6) == passes
 
     @pytest.mark.parametrize("regularization, scale", [(1e-320, 1.0), (1e-300, 1e10)],
                              ids=["subnormal_lambda", "entries_near_1e10"])

@@ -582,3 +582,16 @@ def test_a_huge_finite_entry_fails_the_gram_check_without_a_warning(taker, where
     assert type(exc.value) is NumericalHealthError
     assert str(exc.value) == f"{GRAM_CHECKED[taker]} is not orthonormal (max Gram deviation inf)"
     assert caught == []
+
+
+def test_huge_opposite_kernel_weights_fail_the_symmetry_check_without_a_warning():
+    # finite weights of opposite sign near the float limit overflowed m - m.T,
+    # and numpy's "overflow encountered in subtract" escaped before the error
+    w = KERNEL.weights.copy()
+    w[0, 1], w[1, 0] = 1.7e308, -1.7e308
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalHealthError) as exc:
+            TransformKernel(frame=KERNEL.frame, weights=w)
+    assert str(exc.value) == "kernel weights asymmetry inf exceeds 1e-12"
+    assert caught == []
