@@ -37,24 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    InsufficientData,
-    NonFiniteData,
-    NumericalHealthError,
-    SchemaMismatch,
-)
-from .subspaces import _array, _count, _read_only, _real, _rows
+from .errors import ConfigError, DimensionMismatch, InsufficientData, NonFiniteData, SchemaMismatch
+from .subspaces import MAX_ABS_ENTRY, _array, _check_row_lengths, _count, _read_only, _real, _rows
 
 Array = np.ndarray
 
-# Largest entry magnitude accepted in training rows and stream batches. The
-# k-NN ranking |p|^2 - 2 q.p overflows once entries pass about 1e154, and
-# inf - inf then makes it NaN. With every entry within this bound, and so
-# every row within sqrt(d) times it, |p|^2 - 2 q.p stays below 3d * 1e300,
-# which is finite for fewer than about 6e7 features.
-MAX_ABS_ENTRY = 1e150
 # Most missing labels a contiguity error names; it counts the rest.
 MAX_NAMED_MISSING = 10
 # Most SVM classes trained in lockstep (a memory bound: each class holds one
@@ -74,19 +61,6 @@ def _stored_rows(x: object, what: str, min_rows: int) -> Array:
     out = np.array(a)
     out.setflags(write=False)
     return out
-
-
-def _check_query_rows(a: Array) -> None:
-    """Raise NonFiniteData unless every query row is no longer than sqrt(d) * MAX_ABS_ENTRY.
-
-    That is the length of a row with every entry at the bound. Queries are
-    bounded by row length, not entry by entry, because the pipeline predicts
-    on batches multiplied by the flow kernel: its spectrum lies in [0, 1], so
-    it never lengthens a row, but it can move up to sqrt(d) times the bound
-    into a single entry.
-    """
-    if a.size and not np.einsum("ij,ij->i", a, a).max() <= a.shape[1] * MAX_ABS_ENTRY**2:
-        raise NonFiniteData(f"queries have rows longer than sqrt(d) * {MAX_ABS_ENTRY:.0e}")
 
 
 def _class_labels(labels: object, n_rows: int, what: str) -> Array:
@@ -242,14 +216,15 @@ def train(data: LabeledSet, params: KnnParams | SvmParams):
 
 
 def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
-    """One-vs-rest Pegasos, SVM_GROUP classes at a time; NumericalHealthError if a weight or bias is not finite.
+    """One-vs-rest Pegasos, SVM_GROUP classes at a time; weights and biases pass the stored-array gate.
 
     The plain loop trains class after class from one seeded generator. Here
     that generator is replayed through each earlier class's ``epochs``
     permutations, and its state is copied into one generator per class, so
     every class draws the permutations it drew there and no whole-run
     schedule is built. A tiny lambda makes the first steps overflow (a
-    subnormal one makes 1/lambda infinite), and the weights then turn NaN.
+    subnormal one makes 1/lambda infinite), and the weights then turn NaN or
+    pass MAX_ABS_ENTRY; the gate's NumericalHealthError names lambda.
     """
     lam = params.regularization
     rng = np.random.default_rng(params.seed)
@@ -268,10 +243,8 @@ def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
                 for _ in range(params.epochs):
                     rng.permutation(n)
             w[classes] = _lockstep(aug, data.y, classes, gens, lam, params.epochs)
-    weights, biases = w[:, :d], w[:, d]
-    if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
-        raise NumericalHealthError(f"SVM training with regularization {lam} gave non-finite weights")
-    return LinearSvmModel(weights=_read_only(weights, "weights"), biases=_read_only(biases, "biases"))
+    return LinearSvmModel(weights=_read_only(w[:, :d], f"SVM weights for regularization {lam}"),
+                          biases=_read_only(w[:, d], f"SVM biases for regularization {lam}"))
 
 
 def _lockstep(aug: Array, y: Array, classes: Array, gens: list, lam: float, epochs: int) -> Array:
@@ -280,6 +253,10 @@ def _lockstep(aug: Array, y: Array, classes: Array, gens: list, lam: float, epoc
     Besides aug, it holds the weights, one epoch's permutation per class and
     SVM_CHUNK signed rows per class: on waveform40 (3 classes, 500 rows of
     40 features) training peaks at 0.28 MB, below the source PCA's 0.335 MB.
+    There, with default SvmParams and one BLAS thread, training took a
+    median of 2.96 times as long with one step gathered at a time and 1.19
+    times with 8 (21 paired runs); 64 and 128 were about 5% faster but peak
+    at 0.38 and 0.51 MB.
     """
     n = aug.shape[0]
     w = np.zeros((classes.shape[0], aug.shape[1]))
@@ -310,10 +287,10 @@ def predict(model, x: object) -> Array:
 
     Raises SchemaMismatch for rows that are not bool, integer or float, and
     NonFiniteData for a NaN or infinite entry, or a row longer than sqrt(d) *
-    MAX_ABS_ENTRY, where the k-NN ranking could overflow.
+    MAX_ABS_ENTRY, where the k-NN ranking or the SVM scores could overflow.
     """
     a = _rows(x, "queries", 0)
-    _check_query_rows(a)
+    _check_row_lengths(a, "queries")
     if not isinstance(model, (KnnModel, LinearSvmModel)):
         raise TypeError(f"unknown model type {type(model).__name__}")
     knn = isinstance(model, KnnModel)

@@ -56,9 +56,10 @@ class DimensionMismatch(DataError):
 class NonFiniteData(DataError):
     """Input rows contain NaN, infinity, or values too large to compute with.
 
-    "Too large" means an entry beyond classifiers.MAX_ABS_ENTRY (1e150) in
-    magnitude, or a query row longer than sqrt(d) times it, where squared
-    distances could overflow.
+    "Too large" means an entry of a stored row set beyond
+    subspaces.MAX_ABS_ENTRY (1e150) in magnitude, or a row of predict's
+    queries or apply_transform's data longer than sqrt(d) times it, where
+    a product with a stored array could overflow.
     """
 
 
@@ -77,7 +78,7 @@ class NoConvergence(NumericalError):
 class NumericalHealthError(NumericalError):
     """A quantity left its mathematically guaranteed range by more than noise.
 
-    Such as a stored basis, factor or kernel array that is not finite, a
-    basis that is not orthonormal, a kernel spectrum outside [0, 1], or SVM
-    weights that are not finite.
+    Such as a stored basis, factor, kernel array or SVM weight array with an
+    entry that is not finite or lies beyond subspaces.MAX_ABS_ENTRY (1e150),
+    a basis that is not orthonormal, or a kernel spectrum outside [0, 1].
     """

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionViolation, NumericalHealthError
-from .subspaces import Array, Subspace, _flow_frame, _orthonormal, _read_only, _rows, principal_system
+from .subspaces import Subspace, _check_row_lengths, _flow_frame, _orthonormal, _read_only, _rows, principal_system
+
+Array = np.ndarray
 
 # Angles below this use the analytic limits of the integral weights.
 SMALL_ANGLE = 1e-8
@@ -58,14 +60,8 @@ class TransformKernel:
         return int(self.frame.shape[0])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _check_unit_spectrum(m: Array, what: str) -> None:
-    """NumericalHealthError naming ``what`` unless m is symmetric and its eigenvalues lie in [0, 1].
-
-    Finite entries of opposite sign past about 9e307 overflow m - m.T; the
-    asymmetry is then inf, rejected by ``not asym <= tol``, and numpy's
-    warning is kept in, as in subspaces._gram_deviation.
-    """
+    """NumericalHealthError naming ``what`` unless m is symmetric and its eigenvalues lie in [0, 1]."""
     asym = float(abs(m - m.T).max())
     if not asym <= SYMMETRY_TOL:
         raise NumericalHealthError(f"{what} asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
@@ -112,8 +108,9 @@ def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
 
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:
-    """Right-multiply finite row-data x (N x d) by the kernel, through its d x 2k frame."""
+    """Right-multiply row-data x (N x d) by the kernel via its d x 2k frame; x passes predict's row checks."""
     a = _rows(x, "data", 0)
+    _check_row_lengths(a, "data")
     if a.shape[1] != kernel.ambient_dim:
         raise DimensionMismatch(f"data has {a.shape[1]} columns, kernel expects {kernel.ambient_dim}")
     return ((a @ kernel.frame) @ kernel.weights) @ kernel.frame.T

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import LabeledSet, MiniBatch, _class_count, _class_labels
+from .classifiers import LabeledSet, MiniBatch, _class_count
 from .errors import ConfigError, InsufficientData, ParseError, SchemaMismatch
 from .subspaces import _count, _real, _real_rows
 
@@ -114,14 +114,16 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
             label = parsed[-1]
             if not label.is_integer():
                 raise ParseError(f"row {r}, column {expected}: label {label!r} is not an integer")
-            if abs(label) >= 2.0**63:
+            if label < 0:
+                raise ParseError(f"row {r}, column {expected}: label {label!r} is negative")
+            if label >= 2.0**63:
                 raise ParseError(f"row {r}, column {expected}: label {label!r} does not fit in 64 bits")
             rows.append(parsed[:-1])
             labels.append(int(label))
     if not rows:
         raise InsufficientData(f"no data rows in {path}")
     x = _real_rows(rows, "rows")
-    y = _class_labels(labels, x.shape[0], "labels")
+    y = np.array(labels, dtype=np.int64)
     n_classes = _class_count(y)
 
     n_source = math.ceil(schema.source_fraction * x.shape[0])
@@ -209,15 +211,6 @@ def gen_waveform(spec: StreamSpec, variant: str = "w21") -> DatasetBundle:
     return _draw(spec, 3, rows)
 
 
-def _plane_rotation(d: int, angle: float) -> Array:
-    rot = np.eye(d)
-    rot[0, 0] = math.cos(angle)
-    rot[0, 2] = -math.sin(angle)
-    rot[2, 0] = math.sin(angle)
-    rot[2, 2] = math.cos(angle)
-    return rot
-
-
 def gen_rotating_drift(
     spec: StreamSpec,
     classes: int = 2,
@@ -249,6 +242,11 @@ def gen_rotating_drift(
 
     def rows(rng: np.random.Generator, labels: Array, n: int) -> Array:
         x = means[labels] + rng.standard_normal((labels.shape[0], d)) * stds
-        return x if n == 0 else x @ _plane_rotation(d, (n / spec.batch_count) * total_rotation).T
+        if n:
+            # columns 0 and 2 times the plane rotation's 2 x 2 block; every other column is unchanged
+            angle = (n / spec.batch_count) * total_rotation
+            c, s = math.cos(angle), math.sin(angle)
+            x[:, [0, 2]] = x[:, [0, 2]] @ np.array([[c, s], [-s, c]])
+        return x
 
     return _draw(spec, classes, rows)

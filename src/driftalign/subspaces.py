@@ -22,13 +22,18 @@ naming the array), _real_rows the dtype gate before the only float64 cast
 (bool, integer and float pass; complex, string or object is SchemaMismatch),
 _rows the shape of row data, classifiers._class_labels that of labels,
 _orthonormal a basis or factor's Gram deviation, and _rank, the one home of
-the rank decision, a numerical rank. Finiteness has one check per array
-role: _rows rejects a NaN or infinite entry of row data as NonFiniteData,
-and _read_only, which takes every geometry or model array a value type
-stores, rejects one as NumericalHealthError before a Gram product or m - m.T
-is formed, where inf * 0 or inf - inf would only warn. LabeledSet and
-MiniBatch store their rows through classifiers._stored_rows, which runs
-_rows once and adds the entry bound. Every value type validates what it
+the rank decision, a numerical rank. Finiteness and size have one check
+per array role, and no product needs its floating-point errors muted:
+_rows rejects a NaN or infinite entry of row data as NonFiniteData, and
+_read_only, which takes every geometry or model array a value type stores,
+rejects one, or a finite entry beyond MAX_ABS_ENTRY, as NumericalHealthError
+before a Gram product or m - m.T is formed. LabeledSet and MiniBatch store
+their rows through classifiers._stored_rows, which runs _rows once and adds
+the entry bound; _check_row_lengths bounds the rows of predict and
+apply_transform by length. With every operand so bounded, every product the
+package forms of rows and stored arrays is finite for fewer than about 6e7
+features. pca_subspace takes any finite rows: it scales rows whose sums
+could overflow by a power of two first. Every value type validates what it
 stores: Subspace (orthonormal), the only basis check, which the quadrature
 oracle also applies to each node's basis, and PrincipalSystem (angles in
 [0, pi/2]; orthonormal a_rot, tail and b_rot; a d x k base, then the tail
@@ -76,6 +81,12 @@ RESIDUAL_COLUMN_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-8
 # Cosines above 1 + this are a health failure, not something to clamp away.
 COSINE_OVERSHOOT_TOL = 1e-8
+# Largest entry magnitude accepted in stored rows and stored arrays. Products
+# overflow once entries pass about 1e154 (in the k-NN ranking |p|^2 - 2 q.p,
+# inf - inf then makes NaN). With every entry within this bound, and so every
+# row within sqrt(d) times it, every product of rows and stored arrays stays
+# below 3d * 1e300, which is finite for fewer than about 6e7 features.
+MAX_ABS_ENTRY = 1e150
 
 
 def _array(x: object, what: str) -> Array:
@@ -116,15 +127,32 @@ def _rows(x: object, what: str, min_rows: int) -> Array:
     return a
 
 
+def _check_row_lengths(a: Array, what: str) -> None:
+    """NonFiniteData naming ``what`` unless every row of a is no longer than sqrt(d) * MAX_ABS_ENTRY.
+
+    That is the length of a row with every entry at the bound. Such rows are
+    bounded by length, not entry by entry, because the pipeline multiplies
+    batches by the flow kernel: its spectrum lies in [0, 1], so it never
+    lengthens a row, but it can move up to sqrt(d) times the bound into a
+    single entry. A squared length past the float range reads inf; einsum,
+    unlike np.vecdot, raises no overflow warning for it.
+    """
+    if a.size and not np.einsum("ij,ij->i", a, a).max() <= a.shape[1] * MAX_ABS_ENTRY**2:
+        raise NonFiniteData(f"{what} have rows longer than sqrt(d) * {MAX_ABS_ENTRY:.0e}")
+
+
 def _read_only(x: object, what: str) -> Array:
     """A read-only float64 copy of x, through the _real_rows gate, in x's memory layout.
 
-    NumericalHealthError naming ``what`` for a NaN or infinite entry, before
-    any product is formed from the copy: inf * 0 in a Gram product would warn.
+    NumericalHealthError naming ``what`` for a NaN or infinite entry, or one
+    beyond MAX_ABS_ENTRY, before any product is formed from the copy. NaN
+    fails the one comparison too, so only a failed scan looks for the cause.
     """
     out = np.array(_real_rows(x, what))
-    if np.count_nonzero(np.isfinite(out)) < out.size:
-        raise NumericalHealthError(f"{what} has non-finite entries")
+    if np.count_nonzero(abs(out) <= MAX_ABS_ENTRY) < out.size:
+        if not np.isfinite(out).all():
+            raise NumericalHealthError(f"{what} has non-finite entries")
+        raise NumericalHealthError(f"{what} has entries beyond +-{MAX_ABS_ENTRY:.0e}")
     out.setflags(write=False)
     return out
 
@@ -157,17 +185,12 @@ def _real(name: str, value: object) -> float:
         raise ConfigError(f"{name} must be finite, got an integer beyond the float range") from None
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _gram_deviation(m: Array) -> float:
     """max |m^T m - I|, the value np.max(np.abs(m.T @ m - np.eye(k))) gives.
 
     The identity is subtracted from the diagonal in place; off the diagonal
     x - 0.0 == x, so every entry, and so the maximum, is unchanged. A NaN
     entry makes the result NaN, which callers reject with ``not dev < tol``.
-    A finite entry beyond about 1e154 overflows the product, and the
-    deviation is inf (or NaN from inf - inf), rejected the same way; numpy's
-    warning is kept in. As a decorator, errstate costs about half its
-    ``with`` form on the 10 x 3 bases this sees most.
     """
     g = m.T @ m
     g.reshape(-1)[:: g.shape[0] + 1] -= 1.0

@@ -25,7 +25,8 @@ from driftalign import (
     subspaces,
     train,
 )
-from driftalign.classifiers import MAX_ABS_ENTRY, KnnModel, LinearSvmModel
+from driftalign.classifiers import KnnModel, LinearSvmModel
+from driftalign.subspaces import MAX_ABS_ENTRY
 
 # Default params of each classifier, keyed by the CLI's --classifier names.
 PARAMS = {"knn": KnnParams(), "svm": SvmParams()}
@@ -582,7 +583,7 @@ class TestLinearSvm:
         # non-finite, every prediction was class 0, and only a warning showed
         x = scale * np.array([[1.0, 2.0], [-1.0, 3.0], [2.0, -1.0], [-3.0, -2.0]])
         data = LabeledSet(x=x, y=np.array([0, 0, 1, 1]))
-        with pytest.raises(NumericalHealthError, match="non-finite weights"):
+        with pytest.raises(NumericalHealthError, match=f"SVM weights for regularization {regularization} has non-finite"):
             train(data, SvmParams(regularization=regularization, epochs=2))
 
     def test_three_class_one_vs_rest(self):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,7 @@ BAD_INPUTS = [
     pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-lambda", "inf"), 3,
                  "config error: regularization must be finite, got inf", id="svm-lambda-inf"),
     pytest.param(lambda tmp: rotating_args(tmp / "x.json", *SVM_ARGS, "--svm-lambda", "1e-320"), 2,
-                 "data error: SVM training with regularization 1e-320 gave non-finite weights",
+                 "data error: SVM weights for regularization 1e-320 has non-finite entries",
                  id="svm-lambda-subnormal"),
     pytest.param(lambda tmp: ("verify", "--instances", "0"), 3,
                  "config error: instances must be >= 1, got 0", id="verify-instances"),
@@ -85,6 +86,9 @@ BAD_INPUTS = [
                  "data error: row 6, column 5: label inf is not an integer", id="csv-label-inf"),
     pytest.param(lambda tmp: csv_label_args(tmp, "1e300"), 2,
                  "data error: row 6, column 5: label 1e+300 does not fit in 64 bits", id="csv-label-1e300"),
+    # a negative label named no record: "labels must be >= 0, got -1"
+    pytest.param(lambda tmp: csv_label_args(tmp, "-1"), 2,
+                 "data error: row 6, column 5: label -1.0 is negative", id="csv-label-negative"),
     # a cell beyond csv.field_size_limit() raised csv.Error, a traceback that exited 1
     pytest.param(lambda tmp: csv_label_args(tmp, "1" * 200_000), 2,
                  "data error: row 6: field larger than field limit (131072)", id="csv-cell-200000-chars"),
@@ -195,6 +199,24 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "beyond" in err
+
+    def test_svm_weights_beyond_the_bound_return_two_without_a_warning(self, tmp_path, capsys):
+        # cells near 1e100 and a tiny lambda gave weights near 2e219: the run
+        # exited 0 with numpy's matmul overflow warning and inf scores
+        rng = np.random.default_rng(0)
+        y = np.arange(400) % 2
+        x = (rng.standard_normal((400, 5)) + np.where(y[:, None] == 1, 3.0, -3.0)) * 1e100
+        data = tmp_path / "big.csv"
+        data.write_text("".join(",".join([*(f"{v:.6e}" for v in row), str(label)]) + "\n" for row, label in zip(x, y)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", "--csv", str(data), "--classifier", "svm", "--svm-lambda", "1e-120",
+                           "--variant", "gfk", "--k", "1", "--out", str(tmp_path / "x.json"))
+        assert caught == []
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "data error: SVM weights for regularization 1e-120 has entries beyond +-1e+150\n"
+        assert not (tmp_path / "x.json").exists()
 
     def test_oversized_subspace_returns_three_citing_the_rule(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -173,10 +173,12 @@ class TestLoadCsv:
     @pytest.mark.parametrize(
         "label, message",
         [("nan", "label nan is not an integer"), ("inf", "label inf is not an integer"),
-         ("-inf", "label -inf is not an integer"), ("1e300", "label 1e[+]300 does not fit in 64 bits")],
+         ("-inf", "label -inf is not an integer"), ("1e300", "label 1e[+]300 does not fit in 64 bits"),
+         ("-1", "label -1[.]0 is negative")],
     )
     def test_label_that_is_not_an_int64_rejected(self, tmp_path, label, message):
-        # nan was reported as a config error, and inf and 1e300 ended in an OverflowError
+        # nan was reported as a config error, inf and 1e300 ended in an
+        # OverflowError, and -1 gave "labels must be >= 0", naming no record
         f = tmp_path / "data.csv"
         rows = grid_rows(10)
         rows[2][-1] = label

@@ -65,21 +65,20 @@ VALUE_ERROR_HANDLERS = {("streams.py", "load_csv"), ("subspaces.py", "_array")}
 # (module, function) of each use of _is_integer: every integer setting goes through _count.
 INTEGER_CHECKERS = {("subspaces.py", "_count")}
 # (module, function) of each raise of NonFiniteData: _rows for a NaN or infinite
-# entry of row data, and the classifiers' two magnitude bounds, on stored rows
-# and on query rows.
+# entry of row data, and the two magnitude bounds on rows, on stored rows and
+# on the row lengths of predict's queries and apply_transform's data.
 NON_FINITE_RAISERS = {
     ("subspaces.py", "_rows"),
     ("classifiers.py", "_stored_rows"),
-    ("classifiers.py", "_check_query_rows"),
+    ("subspaces.py", "_check_row_lengths"),
 }
 # (module, function) of each use of np.isfinite: the two array gates, _rows for
-# row data and _read_only for stored geometry, then the label check, the SVM's
-# weight check, whose message names the cause, and the mean suite's verdict.
+# row data and _read_only for stored geometry and model arrays, then the label
+# check and the mean suite's verdict.
 FINITENESS_CHECKERS = {
     ("subspaces.py", "_rows"),
     ("subspaces.py", "_read_only"),
     ("classifiers.py", "_class_labels"),
-    ("classifiers.py", "_train_linear_svm"),
     ("verify.py", "mean_suite"),
 }
 
@@ -197,6 +196,15 @@ def rng_uses(tree):
     """(innermost enclosing function or None, node) for each use of default_rng, called or passed on."""
     return enclosed(tree, lambda node: (isinstance(node, ast.Name) and node.id == "default_rng")
                     or (isinstance(node, ast.Attribute) and node.attr == "default_rng"))
+
+
+def errstate_uses(tree):
+    """(innermost enclosing function or None, node) for each use of errstate: a call, a with or a decorator.
+
+    A decorator counts as inside the function it decorates.
+    """
+    return enclosed(tree, lambda node: (isinstance(node, ast.Name) and node.id == "errstate")
+                    or (isinstance(node, ast.Attribute) and node.attr == "errstate"))
 
 
 def named_classes(node):
@@ -343,6 +351,31 @@ def test_the_lint_reads_every_use_of_default_rng():
         "make = default_rng\n"
     )
     assert [(f, node.lineno) for f, node in rng_uses(ast.parse(source))] == [("f", 3), ("rows", 6), (None, 8)]
+
+
+def test_only_the_pegasos_loop_mutes_floating_point_errors():
+    # the gates bound every stored array, so no product needs its overflow
+    # muted; Pegasos training can overflow before the gate sees its weights
+    sites = {(path.name, function) for path in SOURCES
+             for function, _ in errstate_uses(ast.parse(path.read_text()))}
+    assert sites == {("classifiers.py", "_train_linear_svm")}
+
+
+def test_the_lint_reads_every_use_of_errstate():
+    source = (
+        "from numpy import errstate\n"
+        "@np.errstate(over='ignore')\n"
+        "def f(m):\n"
+        "    return m.T @ m\n"
+        "def g(m):\n"
+        "    with numpy.errstate(all='ignore'):\n"
+        "        return m - m.T\n"
+        "def h(m):\n"
+        "    np.errstate(all='ignore').__enter__()\n"
+        "mute = errstate\n"
+    )
+    assert [(f, node.lineno) for f, node in errstate_uses(ast.parse(source))] == [
+        ("f", 2), ("g", 6), ("h", 9), (None, 10)]
 
 
 @pytest.fixture(scope="module")
@@ -553,22 +586,19 @@ def test_a_non_finite_entry_stops_at_its_gate_without_a_warning(taker, bad):
     assert caught == []
 
 
-# The stored-geometry takers whose array goes through a Gram check, and the
-# name that check's message gives the array.
-GRAM_CHECKED = {
-    "Subspace": "basis",
-    **{f"PrincipalSystem.{name}": name for name in ("a_rot", "tail", "b_rot")},
-    "TransformKernel.frame": "kernel frame",
-}
+# Every taker of the stored-array gate, subspaces._read_only.
+STORED_ARRAYS = sorted(taker for taker, (_, _, error) in FINITE_ARRAYS.items() if error is NumericalHealthError)
 
 
-@pytest.mark.parametrize("big", [1e200, 1e307])
+@pytest.mark.parametrize("big", [1e200, 1e307, -1.7e308])
 @pytest.mark.parametrize("where", ["one", "all"])
-@pytest.mark.parametrize("taker", sorted(GRAM_CHECKED))
+@pytest.mark.parametrize("taker", STORED_ARRAYS)
 def test_a_huge_finite_entry_fails_the_gram_check_without_a_warning(taker, where, big):
     # past about 1e154 the Gram product overflowed, and numpy's "overflow
-    # encountered in matmul" escaped before the right error was raised
-    valid, _, _ = FINITE_ARRAYS[taker]
+    # encountered in matmul" escaped before the right error was raised. The
+    # stored-array bound now stops such an entry in every stored array,
+    # before a Gram product, m - m.T or a kernel or SVM product is formed.
+    valid, name, _ = FINITE_ARRAYS[taker]
     call, _ = ARRAY_TAKERS[taker]
     a = valid.copy()
     if where == "one":
@@ -580,18 +610,48 @@ def test_a_huge_finite_entry_fails_the_gram_check_without_a_warning(taker, where
         with pytest.raises(NumericalHealthError) as exc:
             call(a)
     assert type(exc.value) is NumericalHealthError
-    assert str(exc.value) == f"{GRAM_CHECKED[taker]} is not orthonormal (max Gram deviation inf)"
+    assert str(exc.value) == f"{name} has entries beyond +-1e+150"
     assert caught == []
 
 
 def test_huge_opposite_kernel_weights_fail_the_symmetry_check_without_a_warning():
     # finite weights of opposite sign near the float limit overflowed m - m.T,
-    # and numpy's "overflow encountered in subtract" escaped before the error
+    # and numpy's "overflow encountered in subtract" escaped before the error;
+    # the stored-array bound now stops them before m - m.T is formed
     w = KERNEL.weights.copy()
     w[0, 1], w[1, 0] = 1.7e308, -1.7e308
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(NumericalHealthError) as exc:
             TransformKernel(frame=KERNEL.frame, weights=w)
-    assert str(exc.value) == "kernel weights asymmetry inf exceeds 1e-12"
+    assert str(exc.value) == "weights has entries beyond +-1e+150"
     assert caught == []
+
+
+def test_svm_weights_beyond_the_bound_fail_at_train():
+    # the one input class the bound narrows: rows at the row bound gave
+    # finite weights near 1.6e151 (whose scores still fit) and trained;
+    # the same rows divided by 20 still train
+    rng = np.random.default_rng(20)
+    x = np.clip(6e149 * rng.standard_normal((20, 10)), -1e150, 1e150)
+    data = LabeledSet(x=x, y=np.arange(20) % 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalHealthError) as exc:
+            train(data, SvmParams())
+    assert str(exc.value) == "SVM weights for regularization 0.0001 has entries beyond +-1e+150"
+    assert caught == []
+    train(LabeledSet(x=x / 20, y=data.y), SvmParams())
+
+
+def test_data_rows_beyond_the_length_bound_stop_before_the_kernel_product():
+    # rows of 1.7e308 overflowed the frame product, warned, and came back NaN
+    a, b = (Subspace(np.linalg.qr(np.random.default_rng(seed).standard_normal((10, 3)))[0]) for seed in (0, 1))
+    kernel = flow_kernel(a, b)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteData) as exc:
+            apply_transform(np.full((2, 10), 1.7e308), kernel)
+    assert str(exc.value) == "data have rows longer than sqrt(d) * 1e+150"
+    assert caught == []
+    assert np.isfinite(apply_transform(np.full((2, 10), 1e150), kernel)).all()

@@ -34,9 +34,8 @@ from driftalign import (
     train,
     variant_config,
 )
-from driftalign.classifiers import MAX_ABS_ENTRY
 from driftalign.cli import main as cli_main
-from driftalign.subspaces import pca_subspace
+from driftalign.subspaces import MAX_ABS_ENTRY, pca_subspace
 from conftest import pinned_stream, variants_table
 
 pipeline_module = importlib.import_module("driftalign.pipeline")
