@@ -38,9 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, InsufficientData, NonFiniteData, SchemaMismatch
-from .subspaces import MAX_ABS_ENTRY, _array, _check_row_lengths, _count, _read_only, _real, _rows
-
-Array = np.ndarray
+from .subspaces import Array, _array, _bounded_rows, _count, _entry_fault, _read_only, _real, _row_shape
 
 # Most missing labels a contiguity error names; it counts the rest.
 MAX_NAMED_MISSING = 10
@@ -51,14 +49,13 @@ SVM_CHUNK = 32
 
 
 def _stored_rows(x: object, what: str, min_rows: int) -> Array:
-    """Row data x through subspaces._rows as a read-only copy in x's memory layout (np.array keeps F order).
+    """Row data x through subspaces._row_shape as a read-only copy in x's memory layout (np.array keeps F order).
 
-    NonFiniteData naming ``what`` unless every entry is within MAX_ABS_ENTRY (min and max copy nothing).
+    NonFiniteData naming ``what`` and the _entry_fault unless every entry is within MAX_ABS_ENTRY.
     """
-    a = _rows(x, what, min_rows)
-    if not (-MAX_ABS_ENTRY <= a.min() and a.max() <= MAX_ABS_ENTRY):
-        raise NonFiniteData(f"{what} has entries beyond +-{MAX_ABS_ENTRY:.0e}")
-    out = np.array(a)
+    out = np.array(_row_shape(x, what, min_rows))
+    if fault := _entry_fault(out):
+        raise NonFiniteData(f"{what} has {fault}")
     out.setflags(write=False)
     return out
 
@@ -289,8 +286,7 @@ def predict(model, x: object) -> Array:
     NonFiniteData for a NaN or infinite entry, or a row longer than sqrt(d) *
     MAX_ABS_ENTRY, where the k-NN ranking or the SVM scores could overflow.
     """
-    a = _rows(x, "queries", 0)
-    _check_row_lengths(a, "queries")
+    a = _bounded_rows(x, "queries")
     if not isinstance(model, (KnnModel, LinearSvmModel)):
         raise TypeError(f"unknown model type {type(model).__name__}")
     knn = isinstance(model, KnnModel)

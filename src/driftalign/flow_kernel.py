@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionViolation, NumericalHealthError
-from .subspaces import Subspace, _check_row_lengths, _flow_frame, _orthonormal, _read_only, _rows, principal_system
-
-Array = np.ndarray
+from .subspaces import Array, Subspace, _bounded_rows, _flow_frame, _orthonormal, _read_only, principal_system
 
 # Angles below this use the analytic limits of the integral weights.
 SMALL_ANGLE = 1e-8
@@ -109,8 +107,7 @@ def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:
     """Right-multiply row-data x (N x d) by the kernel via its d x 2k frame; x passes predict's row checks."""
-    a = _rows(x, "data", 0)
-    _check_row_lengths(a, "data")
+    a = _bounded_rows(x, "data")
     if a.shape[1] != kernel.ambient_dim:
         raise DimensionMismatch(f"data has {a.shape[1]} columns, kernel expects {kernel.ambient_dim}")
     return ((a @ kernel.frame) @ kernel.weights) @ kernel.frame.T

@@ -18,9 +18,7 @@ import numpy as np
 
 from .classifiers import LabeledSet, MiniBatch, _class_count
 from .errors import ConfigError, InsufficientData, ParseError, SchemaMismatch
-from .subspaces import _count, _real, _real_rows
-
-Array = np.ndarray
+from .subspaces import Array, _count, _real, _real_rows
 
 # Rotating-Gaussian family geometry. Class means sit at this radius; the
 # noise std is 1.0 along e1 (the mean axis), ROTATING_NUISANCE_STD along e2

@@ -20,19 +20,19 @@ Checks, and which imply which. Each array invariant has one check: _array is
 the only np.asarray on caller input (a ragged sequence is DimensionMismatch
 naming the array), _real_rows the dtype gate before the only float64 cast
 (bool, integer and float pass; complex, string or object is SchemaMismatch),
-_rows the shape of row data, classifiers._class_labels that of labels,
+_row_shape the shape of row data, classifiers._class_labels that of labels,
 _orthonormal a basis or factor's Gram deviation, and _rank, the one home of
 the rank decision, a numerical rank. Finiteness and size have one check
 per array role, and no product needs its floating-point errors muted:
 _rows rejects a NaN or infinite entry of row data as NonFiniteData, and
 _read_only, which takes every geometry or model array a value type stores,
 rejects one, or a finite entry beyond MAX_ABS_ENTRY, as NumericalHealthError
-before a Gram product or m - m.T is formed. LabeledSet and MiniBatch store
-their rows through classifiers._stored_rows, which runs _rows once and adds
-the entry bound; _check_row_lengths bounds the rows of predict and
-apply_transform by length. With every operand so bounded, every product the
-package forms of rows and stored arrays is finite for fewer than about 6e7
-features. pca_subspace takes any finite rows: it scales rows whose sums
+before a Gram product or m - m.T is formed. That is one scan, _entry_fault,
+which LabeledSet and MiniBatch run on their rows too, after _row_shape, in
+classifiers._stored_rows (as NonFiniteData). _bounded_rows bounds the rows
+of predict and apply_transform by length. With every operand so bounded,
+every product the package forms of rows and stored arrays is finite for
+fewer than about 6e7 features. pca_subspace takes any finite rows: it scales rows whose sums
 could overflow by a power of two first. Every value type validates what it
 stores: Subspace (orthonormal), the only basis check, which the quadrature
 oracle also applies to each node's basis, and PrincipalSystem (angles in
@@ -111,15 +111,17 @@ def _real_rows(x: object, what: str) -> Array:
     return np.asarray(a, dtype=np.float64)
 
 
-def _rows(x: object, what: str, min_rows: int) -> Array:
-    """Row data x through the _real_rows gate.
-
-    DimensionMismatch unless 2-d with >= min_rows rows and >= 1 column, then
-    NonFiniteData naming ``what`` for a NaN or infinite entry.
-    """
+def _row_shape(x: object, what: str, min_rows: int) -> Array:
+    """Row data x through the _real_rows gate; DimensionMismatch unless 2-d with >= min_rows rows and >= 1 column."""
     a = _real_rows(x, what)
     if a.ndim != 2 or a.shape[0] < min_rows or a.shape[1] < 1:
         raise DimensionMismatch(f"{what} must be a 2-d array of at least {min_rows} x 1, got shape {a.shape}")
+    return a
+
+
+def _rows(x: object, what: str, min_rows: int) -> Array:
+    """Row data x through _row_shape, then NonFiniteData naming ``what`` for a NaN or infinite entry."""
+    a = _row_shape(x, what, min_rows)
     # count_nonzero is ndarray.all() without its Python layer, which is half
     # the check's cost on the small arrays every batch passes.
     if np.count_nonzero(np.isfinite(a)) < a.size:
@@ -127,8 +129,8 @@ def _rows(x: object, what: str, min_rows: int) -> Array:
     return a
 
 
-def _check_row_lengths(a: Array, what: str) -> None:
-    """NonFiniteData naming ``what`` unless every row of a is no longer than sqrt(d) * MAX_ABS_ENTRY.
+def _bounded_rows(x: object, what: str) -> Array:
+    """Row data x through _rows; NonFiniteData naming ``what`` unless no row is longer than sqrt(d) * MAX_ABS_ENTRY.
 
     That is the length of a row with every entry at the bound. Such rows are
     bounded by length, not entry by entry, because the pipeline multiplies
@@ -137,22 +139,32 @@ def _check_row_lengths(a: Array, what: str) -> None:
     single entry. A squared length past the float range reads inf; einsum,
     unlike np.vecdot, raises no overflow warning for it.
     """
+    a = _rows(x, what, 0)
     if a.size and not np.einsum("ij,ij->i", a, a).max() <= a.shape[1] * MAX_ABS_ENTRY**2:
         raise NonFiniteData(f"{what} have rows longer than sqrt(d) * {MAX_ABS_ENTRY:.0e}")
+    return a
+
+
+def _entry_fault(a: Array) -> str | None:
+    """None when every entry of a is within MAX_ABS_ENTRY, else the cause.
+
+    NaN fails the one comparison too, so only a failed scan runs np.isfinite.
+    """
+    if np.count_nonzero(abs(a) <= MAX_ABS_ENTRY) == a.size:
+        return None
+    if np.count_nonzero(np.isfinite(a)) < a.size:
+        return "non-finite entries"
+    return f"entries beyond +-{MAX_ABS_ENTRY:.0e}"
 
 
 def _read_only(x: object, what: str) -> Array:
     """A read-only float64 copy of x, through the _real_rows gate, in x's memory layout.
 
-    NumericalHealthError naming ``what`` for a NaN or infinite entry, or one
-    beyond MAX_ABS_ENTRY, before any product is formed from the copy. NaN
-    fails the one comparison too, so only a failed scan looks for the cause.
+    NumericalHealthError naming ``what`` and the _entry_fault before any product is formed from the copy.
     """
     out = np.array(_real_rows(x, what))
-    if np.count_nonzero(abs(out) <= MAX_ABS_ENTRY) < out.size:
-        if not np.isfinite(out).all():
-            raise NumericalHealthError(f"{what} has non-finite entries")
-        raise NumericalHealthError(f"{what} has entries beyond +-{MAX_ABS_ENTRY:.0e}")
+    if fault := _entry_fault(out):
+        raise NumericalHealthError(f"{what} has {fault}")
     out.setflags(write=False)
     return out
 
@@ -300,7 +312,8 @@ def _orthonormal_extension(cols: Array, m: int) -> Array:
         v = -(span @ span[axis])
         v[axis] += 1.0
         v -= span @ (span.T @ v)
-        span = np.hstack([span, (v / np.linalg.norm(v))[:, None]])
+        v /= math.sqrt(v.dot(v))
+        span = np.concatenate((span, v[:, None]), axis=1)
     return span[:, cols.shape[1]:]
 
 

@@ -75,13 +75,10 @@ FIXED_POINT_TOL = 1e-8
 STEP_SIZE_TOL = 1e-12
 TWO_POINT_TOL = 1e-12
 KERNEL_QUADRATURE_TOL = 1e-8
-# Gauss-Legendre points of the quadrature oracle. An n-point rule is exact
-# for polynomials of degree 2n - 1, and the integrand's trig polynomials of
-# frequency <= pi are matched to rounding at 16 points. quadrature_kernel
-# takes at most MAX_QUADRATURE_NODES: more buys no accuracy, only a larger
-# d x nodes x k stack of bases.
+# Gauss-Legendre points of the quadrature oracle's one rule. An n-point rule
+# is exact for polynomials of degree 2n - 1, and the integrand's trig
+# polynomials of frequency <= pi are matched to rounding at 16 points.
 KERNEL_QUADRATURE_NODES = 16
-MAX_QUADRATURE_NODES = 64
 ZERO_ANGLE_TOL = 1e-9
 # karcher_mean stops once the average tangent's Frobenius norm is below
 # KARCHER_TOL, and raises NoConvergence after KARCHER_MAX_ITER iterations.
@@ -211,15 +208,15 @@ def karcher_mean(subspaces: Sequence[Subspace]) -> Subspace:
     raise NoConvergence(f"tangent mean norm still >= {KARCHER_TOL:.0e} after {KARCHER_MAX_ITER} iterations")
 
 
-def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
+def quadrature_kernel(source: Subspace, target: Subspace) -> Array:
     """Gauss-Legendre approximation of the projection integral, as a dense d x d array.
 
-    ``nodes`` is the number of Gauss-Legendre points on [0, 1], from 1 to
-    MAX_QUADRATURE_NODES. The integrand's entries are trig polynomials of
-    frequency at most twice the largest principal angle, so at most pi, and
-    16 nodes reach rounding. The flow is evaluated at every node in one
-    broadcast call, each node's basis is checked by constructing a Subspace
-    from it, and the weighted sum of Psi Psi^T is one matmul. It
+    The one rule has KERNEL_QUADRATURE_NODES (16) points on [0, 1]. The
+    integrand's entries are trig polynomials of frequency at most twice the
+    largest principal angle, so at most pi, and 16 points reach rounding.
+    The flow is evaluated at every node in one broadcast call, each node's
+    basis is checked by constructing a Subspace from it, and the weighted
+    sum of Psi Psi^T is one matmul. It
     shares the flow formula with ``evaluate`` and nothing with the closed
     form's 2k x 2k assembly, so an assembly fault cannot hide. The result is
     checked for symmetry and a spectrum in [0, 1]; it is symmetric without any
@@ -228,21 +225,18 @@ def quadrature_kernel(source: Subspace, target: Subspace, nodes: int) -> Array:
     symmetric rank-k update (syrk) that writes both triangles from the same
     products.
     """
-    nodes = _count("nodes", nodes, 1)
-    if nodes > MAX_QUADRATURE_NODES:
-        raise ConfigError(f"nodes must be in [1, {MAX_QUADRATURE_NODES}], got {nodes}")
     # Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the Jacobi
     # matrix of the Legendre recurrence, and the weight of each, mapped to
     # [0, 1], is v0^2 for its unit eigenvector v. These weights sum to 1;
     # dividing by their computed sum takes eigh's rounding out of that sum.
-    i = np.arange(1.0, nodes)
+    i = np.arange(1.0, KERNEL_QUADRATURE_NODES)
     beta = i / np.sqrt(4.0 * i * i - 1.0)
     x, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
     root_weights = np.abs(v[0]) / np.linalg.norm(v[0])
     system = principal_system(source, target)
     head, tail = _flow_frame(system)
     bases = _flow_bases(head, tail, system.angles, 0.5 * (x + 1.0))
-    for j in range(nodes):
+    for j in range(KERNEL_QUADRATURE_NODES):
         Subspace(bases[:, j, :])
     scaled = (bases * root_weights[:, None]).reshape(head.shape[0], -1)
     g = scaled @ scaled.T
@@ -437,7 +431,7 @@ def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -
         source = random_subspace(d, k, rng)
         target = random_subspace(d, k, rng)
         closed = _dense_kernel(closed_form(source, target))
-        numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
+        numeric = quadrature_kernel(source, target)
         worst_quad.track(float(np.max(np.abs(closed - numeric))), idx)
         worst_sym.track(float(np.max(np.abs(closed - closed.T))), idx)
         eigs = np.linalg.eigvalsh(closed)

@@ -65,19 +65,20 @@ VALUE_ERROR_HANDLERS = {("streams.py", "load_csv"), ("subspaces.py", "_array")}
 # (module, function) of each use of _is_integer: every integer setting goes through _count.
 INTEGER_CHECKERS = {("subspaces.py", "_count")}
 # (module, function) of each raise of NonFiniteData: _rows for a NaN or infinite
-# entry of row data, and the two magnitude bounds on rows, on stored rows and
-# on the row lengths of predict's queries and apply_transform's data.
+# entry of row data, the stored-row gate for an _entry_fault of stored rows, and
+# the bound on the row lengths of predict's queries and apply_transform's data.
 NON_FINITE_RAISERS = {
     ("subspaces.py", "_rows"),
     ("classifiers.py", "_stored_rows"),
-    ("subspaces.py", "_check_row_lengths"),
+    ("subspaces.py", "_bounded_rows"),
 }
-# (module, function) of each use of np.isfinite: the two array gates, _rows for
-# row data and _read_only for stored geometry and model arrays, then the label
+# (module, function) of each use of np.isfinite: _rows for row data, and
+# _entry_fault, the one entry scan of stored rows and of stored geometry and
+# model arrays, which names the cause after a failed scan; then the label
 # check and the mean suite's verdict.
 FINITENESS_CHECKERS = {
     ("subspaces.py", "_rows"),
-    ("subspaces.py", "_read_only"),
+    ("subspaces.py", "_entry_fault"),
     ("classifiers.py", "_class_labels"),
     ("verify.py", "mean_suite"),
 }
@@ -550,7 +551,8 @@ def test_malformed_arrays_raise_only_documented_errors(taker, kind):
 
 # A valid array for each entry point in ARRAY_TAKERS that takes one, the name
 # its finiteness message gives it, and its gate's class: row data is
-# NonFiniteData from _rows, stored geometry NumericalHealthError from _read_only.
+# NonFiniteData from _rows or, when stored, from classifiers._stored_rows, and
+# stored geometry NumericalHealthError from _read_only.
 FINITE_ARRAYS = {
     "Subspace": (BASE.basis, "basis", NumericalHealthError),
     **{f"PrincipalSystem.{name}": (getattr(SYSTEM, name), name, NumericalHealthError)
@@ -612,6 +614,24 @@ def test_a_huge_finite_entry_fails_the_gram_check_without_a_warning(taker, where
     assert type(exc.value) is NumericalHealthError
     assert str(exc.value) == f"{name} has entries beyond +-1e+150"
     assert caught == []
+
+
+@pytest.mark.parametrize("taker", ["LabeledSet.x", "MiniBatch.x"])
+def test_the_stored_row_gate_names_the_cause(taker):
+    # one scan admits stored rows, and only a failed one looks for its cause:
+    # a non-finite entry is named even beside a huge finite one, and the shape
+    # is checked before either
+    valid, name, _ = FINITE_ARRAYS[taker]
+    call, _ = ARRAY_TAKERS[taker]
+    both, huge = valid.copy(), valid.copy()
+    both[0, 0], both[-1, -1] = np.nan, 1e200
+    huge[-1, -1] = 1e200
+    for a, cause in ((both, "non-finite entries"), (huge, "entries beyond +-1e+150")):
+        with pytest.raises(NonFiniteData) as exc:
+            call(a)
+        assert str(exc.value) == f"{name} has {cause}"
+    with pytest.raises(DimensionMismatch):
+        call(np.array([np.nan, 1.0]))
 
 
 def test_huge_opposite_kernel_weights_fail_the_symmetry_check_without_a_warning():

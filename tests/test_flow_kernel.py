@@ -27,7 +27,6 @@ from driftalign import (
 from driftalign.flow_kernel import SMALL_ANGLE
 from driftalign.verify import (
     KERNEL_QUADRATURE_NODES,
-    KERNEL_QUADRATURE_TOL,
     _dense_kernel,
     flip_cross_sign,
     geodesic_suite,
@@ -88,14 +87,8 @@ class TestCanonicalValues:
     def test_right_angle_matches_quadrature_including_sign(self):
         source, target = right_angle_pair()
         closed = _dense_kernel(flow_kernel(source, target))
-        numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
+        numeric = quadrature_kernel(source, target)
         assert np.abs(closed - numeric).max() < 1e-10
-
-    def test_two_nodes_miss_the_agreement(self):
-        # the agreement at the default node count is not one any rule would reach
-        source, target = right_angle_pair()
-        closed = _dense_kernel(flow_kernel(source, target))
-        assert np.abs(closed - quadrature_kernel(source, target, nodes=2)).max() > KERNEL_QUADRATURE_TOL
 
     def test_zero_angle_gives_the_projector(self):
         rng = np.random.default_rng(0)
@@ -109,30 +102,8 @@ class TestOracleAgreement:
     def test_matches_gauss_legendre_quadrature(self, d, k, seed):
         source, target = kernel_pair(d, k, seed)
         closed = _dense_kernel(flow_kernel(source, target))
-        numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
+        numeric = quadrature_kernel(source, target)
         assert np.abs(closed - numeric).max() < 1e-8
-
-    def test_quadrature_self_converges(self):
-        # half the default nodes already reach rounding
-        source, target = kernel_pair(10, 3, 5)
-        coarse = quadrature_kernel(source, target, nodes=8)
-        fine = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
-        assert np.abs(coarse - fine).max() < 1e-14
-
-    def test_node_count_must_be_in_range(self):
-        source, target = kernel_pair(8, 2, 6)
-        for nodes, message in ((0, r"nodes must be >= 1, got 0"), (-2, r"nodes must be >= 1, got -2"),
-                               (65, r"nodes must be in \[1, 64\], got 65")):
-            with pytest.raises(ConfigError, match=message):
-                quadrature_kernel(source, target, nodes=nodes)
-        for nodes in (1, 7, 64):
-            quadrature_kernel(source, target, nodes=nodes)
-
-    @pytest.mark.parametrize("nodes", [2.5, 100.0, True])
-    def test_node_count_must_be_an_integer(self, nodes):
-        # 2.5 used to run with 2 subintervals
-        with pytest.raises(ConfigError, match="nodes must be an integer"):
-            quadrature_kernel(*kernel_pair(8, 2, 6), nodes=nodes)
 
     @pytest.mark.parametrize(
         "pair", [lambda: kernel_pair(10, 1, 15), lambda: kernel_pair(12, 3, 16), right_angle_pair],
@@ -141,7 +112,7 @@ class TestOracleAgreement:
     def test_oracle_matches_per_node_simpson_reference(self, pair):
         # the 10^4-subinterval Simpson rule, one evaluate() per node, is the reference
         source, target = pair()
-        gauss = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
+        gauss = quadrature_kernel(source, target)
         reference = per_node_quadrature(source, target, 10_000)
         assert np.abs(gauss - reference).max() < 1e-14
 
@@ -155,7 +126,7 @@ class TestOracleAgreement:
             return original(*args)
 
         monkeypatch.setattr(verify_module, "_flow_bases", counted)
-        quadrature_kernel(*kernel_pair(12, 3, 16), nodes=KERNEL_QUADRATURE_NODES)
+        quadrature_kernel(*kernel_pair(12, 3, 16))
         assert calls == [(KERNEL_QUADRATURE_NODES,)]
 
     @pytest.mark.parametrize(
@@ -168,7 +139,7 @@ class TestOracleAgreement:
         monkeypatch.setattr(verify_module, "_flow_bases", lambda *a: corrupt(original(*a)))
         source, target = kernel_pair(8, 2, 17)
         with pytest.raises(NumericalHealthError, match=message):
-            quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
+            quadrature_kernel(source, target)
 
     @pytest.mark.parametrize("eps, passed", [(1e-9, True), (5e-8, False)], ids=["2e-9", "1e-7"])
     def test_geodesic_suite_measures_orthonormality_at_its_own_tolerance(self, monkeypatch, eps, passed):
@@ -254,14 +225,14 @@ class TestOracleAgreement:
 
     def test_oracle_is_exactly_symmetric_without_symmetrization(self):
         for d, k, seed in ((8, 2, 1), (10, 3, 2), (12, 1, 3), (16, 5, 4)):
-            g = quadrature_kernel(*kernel_pair(d, k, seed), nodes=KERNEL_QUADRATURE_NODES)
+            g = quadrature_kernel(*kernel_pair(d, k, seed))
             assert np.array_equal(g, g.T)
 
     def test_wrong_cross_sign_breaks_agreement(self):
         # the same check the fault-injection path relies on
         source, target = kernel_pair(10, 3, 7)
         wrong = _dense_kernel(flip_cross_sign(flow_kernel(source, target)))
-        numeric = quadrature_kernel(source, target, nodes=KERNEL_QUADRATURE_NODES)
+        numeric = quadrature_kernel(source, target)
         assert np.abs(wrong - numeric).max() > 1e-8
 
     def test_flipped_kernel_carries_the_positive_cross_integral(self):
