@@ -328,6 +328,13 @@ def test_no_module_defines_init_mean():
     assert [path.name for path in SOURCES if "init_mean" in defined_names(ast.parse(path.read_text()))] == []
 
 
+def test_only_subspaces_defines_array():
+    # one Array alias; the other modules import it from subspaces
+    assert [path.name for path in SOURCES if "Array" in defined_names(ast.parse(path.read_text()))] == ["subspaces.py"]
+    for name in ("classifiers", "flow_kernel", "pipeline", "streams", "verify"):
+        assert importlib.import_module(f"driftalign.{name}").Array is subspaces.Array, name
+
+
 def test_importing_the_package_leaves_verify_unloaded():
     # the benchmark times `import driftalign.verify` on its own; the package must not pull it in
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}

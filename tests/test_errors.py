@@ -42,6 +42,7 @@ from driftalign import (
     variant_config,
 )
 from driftalign.cli import main
+from driftalign.subspaces import MAX_ABS_ENTRY, _entry_fault
 from driftalign.verify import NoConvergence, exp_tangent, geodesic_suite, orthonormalize
 
 cli_module = importlib.import_module("driftalign.cli")
@@ -632,6 +633,20 @@ def test_the_stored_row_gate_names_the_cause(taker):
         assert str(exc.value) == f"{name} has {cause}"
     with pytest.raises(DimensionMismatch):
         call(np.array([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [(MAX_ABS_ENTRY, None), (-MAX_ABS_ENTRY, None), (np.nan, "non-finite entries"), (np.inf, "non-finite entries"),
+     (-np.inf, "non-finite entries"), (np.nextafter(MAX_ABS_ENTRY, np.inf), "entries beyond +-1e+150"),
+     (-1.7e308, "entries beyond +-1e+150")],
+    ids=["bound", "-bound", "nan", "inf", "-inf", "next_past_bound", "-1.7e308"],
+)
+def test_the_one_entry_scan_names_its_fault(entry, fault):
+    # the bound itself is admitted; the float just past it is not
+    a = np.ones((4, 3))
+    a[2, 1] = entry
+    assert _entry_fault(a) == fault
 
 
 def test_huge_opposite_kernel_weights_fail_the_symmetry_check_without_a_warning():

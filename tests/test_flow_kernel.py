@@ -1,6 +1,7 @@
 """Closed-form transform kernel against its quadrature oracle."""
 
 import importlib
+import inspect
 import math
 import tracemalloc
 
@@ -104,6 +105,30 @@ class TestOracleAgreement:
         closed = _dense_kernel(flow_kernel(source, target))
         numeric = quadrature_kernel(source, target)
         assert np.abs(closed - numeric).max() < 1e-8
+
+    def test_the_rule_takes_only_the_pair(self):
+        # one fixed rule: no node count to pass, and no bound on one
+        assert list(inspect.signature(quadrature_kernel).parameters) == ["source", "target"]
+        with pytest.raises(TypeError):
+            quadrature_kernel(*kernel_pair(8, 2, 6), KERNEL_QUADRATURE_NODES)
+        assert not hasattr(verify_module, "MAX_QUADRATURE_NODES")
+
+    def test_the_rule_is_the_16_point_gauss_legendre_rule(self, monkeypatch):
+        # node j's basis is the axis e_j, so the kernel's diagonal reads the
+        # weights; the nodes are the times the flow is evaluated at
+        times = []
+
+        def axes(head, tail, angles, t):
+            times.append(t)
+            return np.eye(head.shape[0])[:, : len(t), None]
+
+        monkeypatch.setattr(verify_module, "_flow_bases", axes)
+        g = quadrature_kernel(*kernel_pair(KERNEL_QUADRATURE_NODES, 1, 18))
+        x, w = np.polynomial.legendre.leggauss(KERNEL_QUADRATURE_NODES)
+        assert np.abs(np.sort(times[0]) - 0.5 * (x + 1.0)).max() < 1e-15
+        order = np.argsort(times[0])
+        assert np.abs(g.diagonal()[order] - 0.5 * w).max() < 1e-15
+        assert np.array_equal(g, np.diag(g.diagonal()))
 
     @pytest.mark.parametrize(
         "pair", [lambda: kernel_pair(10, 1, 15), lambda: kernel_pair(12, 3, 16), right_angle_pair],

@@ -151,6 +151,16 @@ class TestOrthonormalExtension:
         assert np.abs(full.T @ full - np.eye(c + m)).max() < 1e-14
 
 
+    @pytest.mark.parametrize("n", [4, 10, 40, 256])
+    def test_the_normalisation_is_np_linalg_norm_bit_for_bit(self, n):
+        # the extension divides by math.sqrt(v.dot(v)); np.linalg.norm of a 1-d
+        # float64 vector is the same dot product and correctly rounded root
+        rng = np.random.default_rng(n)
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            for _ in range(200):
+                v = scale * rng.standard_normal(n)
+                assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
+
 def system_pairs():
     """The kinds of pair the thin system must handle, one pytest.param each."""
     rng = np.random.default_rng(20)
