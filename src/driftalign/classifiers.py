@@ -286,7 +286,7 @@ def predict(model, x: object) -> Array:
     NonFiniteData for a NaN or infinite entry, or a row longer than sqrt(d) *
     MAX_ABS_ENTRY, where the k-NN ranking or the SVM scores could overflow.
     """
-    a = _bounded_rows(x, "queries")
+    a = _bounded_rows(x, "queries", 0)
     if not isinstance(model, (KnnModel, LinearSvmModel)):
         raise TypeError(f"unknown model type {type(model).__name__}")
     knn = isinstance(model, KnnModel)

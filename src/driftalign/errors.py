@@ -57,9 +57,10 @@ class NonFiniteData(DataError):
     """Input rows contain NaN, infinity, or values too large to compute with.
 
     "Too large" means an entry of a stored row set beyond
-    subspaces.MAX_ABS_ENTRY (1e150) in magnitude, or a row of predict's
-    queries or apply_transform's data longer than sqrt(d) times it, where
-    a product with a stored array could overflow.
+    subspaces.MAX_ABS_ENTRY (1e150) in magnitude, or a row longer than
+    sqrt(d) times it among the rows a computation reads: those of
+    pca_subspace, apply_transform, predict, and verify's orthonormalize and
+    exp_tangent, where a product could overflow.
     """
 
 

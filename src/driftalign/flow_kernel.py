@@ -107,7 +107,7 @@ def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:
     """Right-multiply row-data x (N x d) by the kernel via its d x 2k frame; x passes predict's row checks."""
-    a = _bounded_rows(x, "data")
+    a = _bounded_rows(x, "data", 0)
     if a.shape[1] != kernel.ambient_dim:
         raise DimensionMismatch(f"data has {a.shape[1]} columns, kernel expects {kernel.ambient_dim}")
     return ((a @ kernel.frame) @ kernel.weights) @ kernel.frame.T

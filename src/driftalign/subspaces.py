@@ -23,17 +23,18 @@ naming the array), _real_rows the dtype gate before the only float64 cast
 _row_shape the shape of row data, classifiers._class_labels that of labels,
 _orthonormal a basis or factor's Gram deviation, and _rank, the one home of
 the rank decision, a numerical rank. Finiteness and size have one check
-per array role, and no product needs its floating-point errors muted:
-_rows rejects a NaN or infinite entry of row data as NonFiniteData, and
-_read_only, which takes every geometry or model array a value type stores,
-rejects one, or a finite entry beyond MAX_ABS_ENTRY, as NumericalHealthError
-before a Gram product or m - m.T is formed. That is one scan, _entry_fault,
-which LabeledSet and MiniBatch run on their rows too, after _row_shape, in
-classifiers._stored_rows (as NonFiniteData). _bounded_rows bounds the rows
-of predict and apply_transform by length. With every operand so bounded,
+per array role, each one scan, and no product needs its floating-point
+errors muted: _bounded_rows admits the rows every computation reads
+(pca_subspace, apply_transform, predict, and verify's orthonormalize and
+exp_tangent) by length, and rejects a NaN or infinite entry or a row
+longer than sqrt(d) * MAX_ABS_ENTRY as NonFiniteData. _read_only, which
+takes every geometry or model array a value type stores, rejects a NaN,
+infinite, or finite entry beyond MAX_ABS_ENTRY as NumericalHealthError
+before a Gram product or m - m.T is formed, by _entry_fault, which
+LabeledSet and MiniBatch run on their rows too, after _row_shape, in
+classifiers._stored_rows (as NonFiniteData). With every operand so bounded,
 every product the package forms of rows and stored arrays is finite for
-fewer than about 6e7 features. pca_subspace takes any finite rows: it scales rows whose sums
-could overflow by a power of two first. Every value type validates what it
+fewer than about 6e7 features. Every value type validates what it
 stores: Subspace (orthonormal), the only basis check, which the quadrature
 oracle also applies to each node's basis, and PrincipalSystem (angles in
 [0, pi/2]; orthonormal a_rot, tail and b_rot; a d x k base, then the tail
@@ -52,7 +53,6 @@ spectrum check covers the d x d kernel.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +85,7 @@ COSINE_OVERSHOOT_TOL = 1e-8
 # overflow once entries pass about 1e154 (in the k-NN ranking |p|^2 - 2 q.p,
 # inf - inf then makes NaN). With every entry within this bound, and so every
 # row within sqrt(d) times it, every product of rows and stored arrays stays
-# below 3d * 1e300, which is finite for fewer than about 6e7 features.
+# below about 3d * 1e300, which is finite for fewer than about 6e7 features.
 MAX_ABS_ENTRY = 1e150
 
 
@@ -119,29 +119,26 @@ def _row_shape(x: object, what: str, min_rows: int) -> Array:
     return a
 
 
-def _rows(x: object, what: str, min_rows: int) -> Array:
-    """Row data x through _row_shape, then NonFiniteData naming ``what`` for a NaN or infinite entry."""
-    a = _row_shape(x, what, min_rows)
-    # count_nonzero is ndarray.all() without its Python layer, which is half
-    # the check's cost on the small arrays every batch passes.
-    if np.count_nonzero(np.isfinite(a)) < a.size:
-        raise NonFiniteData(f"{what} has non-finite entries")
-    return a
+def _bounded_rows(x: object, what: str, min_rows: int) -> Array:
+    """Row data x through _row_shape; NonFiniteData naming ``what`` unless no row is longer than sqrt(d) * MAX_ABS_ENTRY.
 
-
-def _bounded_rows(x: object, what: str) -> Array:
-    """Row data x through _rows; NonFiniteData naming ``what`` unless no row is longer than sqrt(d) * MAX_ABS_ENTRY.
-
-    That is the length of a row with every entry at the bound. Such rows are
-    bounded by length, not entry by entry, because the pipeline multiplies
-    batches by the flow kernel: its spectrum lies in [0, 1], so it never
-    lengthens a row, but it can move up to sqrt(d) times the bound into a
-    single entry. A squared length past the float range reads inf; einsum,
-    unlike np.vecdot, raises no overflow warning for it.
+    The one gate for the rows a computation reads. The bound is the length of
+    a row with every entry at MAX_ABS_ENTRY: the pipeline multiplies batches
+    by the flow kernel, whose spectrum lies in [0, 1], so it never lengthens
+    a row but can move up to sqrt(d) times the bound into a single entry.
+    Squared lengths are compared with a relative margin of 1e-6, which covers
+    their rounding (a sum of d squares, at most d * 2^-53 relative; without
+    it rows of +-MAX_ABS_ENTRY read too long from d = 29) and the kernel's
+    allowed spectrum overshoot, flow_kernel.SPECTRUM_TOL. NaN, an infinite
+    entry and a squared length past the float range fail that one scan too
+    (einsum, unlike np.vecdot, raises no overflow warning); only a failed
+    scan runs np.isfinite, to name a non-finite entry first.
     """
-    a = _rows(x, what, 0)
-    if a.size and not np.einsum("ij,ij->i", a, a).max() <= a.shape[1] * MAX_ABS_ENTRY**2:
-        raise NonFiniteData(f"{what} have rows longer than sqrt(d) * {MAX_ABS_ENTRY:.0e}")
+    a = _row_shape(x, what, min_rows)
+    if a.size and not np.einsum("ij,ij->i", a, a).max() <= a.shape[1] * MAX_ABS_ENTRY**2 * (1.0 + 1e-6):
+        if np.count_nonzero(np.isfinite(a)) < a.size:
+            raise NonFiniteData(f"{what} has non-finite entries")
+        raise NonFiniteData(f"{what}: a row is longer than sqrt(d) * {MAX_ABS_ENTRY:.0e}")
     return a
 
 
@@ -482,22 +479,16 @@ def _rank(sv: Array, shape: tuple[int, int], scale: float) -> int:
 def pca_subspace(x: object, k: int) -> Subspace:
     """Top-k principal subspace of row-data x (N x d), centered by the row mean.
 
-    RankDeficient when the centered data's _rank, at scale s0 + sqrt(N d) max|mean|
-    (a bound on the rows' spectral norm), is below k: a flat batch has rank 0. Column
-    signs follow each basis vector's largest-magnitude entry, so runs and platforms agree.
+    Rows pass _bounded_rows, so the row sum, the singular values and the rank's
+    scale stay within the float range. RankDeficient when the centered data's
+    _rank, at scale s0 + sqrt(N d) max|mean| (a bound on the rows' spectral
+    norm), is below k: a flat batch has rank 0. Column signs follow each basis
+    vector's largest-magnitude entry, so runs and platforms agree.
     """
-    a = _rows(x, "data matrix", 1)
+    a = _bounded_rows(x, "data matrix", 1)
     n, d = a.shape
     k = _count("k", k, 1)
     _check_half_dim(d, k)
-    # The row sum reaches n max|x|, the centered rows 2 max|x|, and the singular
-    # values and the rank's scale 3 sqrt(n d) max|x|. Rows that could carry one
-    # of them past the float range are first scaled by the exact power of two
-    # that brings max|x| into [0.5, 1), where LAPACK does not rescale on its
-    # own; the basis is that of the unscaled rows. Other rows take no new step.
-    top = abs(a).max()
-    if top > sys.float_info.max / (n + 3.0 * (n * d) ** 0.5):
-        a = np.ldexp(a, -math.frexp(top)[1])
     mean = a.mean(axis=0)
     _, sv, vt = np.linalg.svd(a - mean, full_matrices=False)
     rank = _rank(sv, a.shape, sv[0] + (n * d) ** 0.5 * abs(mean).max())

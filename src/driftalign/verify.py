@@ -48,6 +48,7 @@ from .subspaces import (
     MeanSubspaceState,
     Subspace,
     _angle_factors,
+    _bounded_rows,
     _check_half_dim,
     _check_pair,
     _count,
@@ -55,7 +56,6 @@ from .subspaces import (
     _flow_frame,
     _gram_deviation,
     _rank,
-    _rows,
     _signed_qr,
     principal_system,
     update_mean,
@@ -103,7 +103,7 @@ def geodesic_distance(a: Subspace, b: Subspace) -> float:
 
 def orthonormalize(m: object) -> Subspace:
     """Orthonormal basis for the column span of a full-rank d x k matrix."""
-    a = _rows(m, "matrix", 1)
+    a = _bounded_rows(m, "matrix", 1)
     d, k = a.shape
     _check_half_dim(d, k)
     sv = np.linalg.svd(a, compute_uv=False)
@@ -161,7 +161,7 @@ def exp_tangent(base: Subspace, tangent: Array) -> Subspace:
         DomainError: an entry of base^T tangent exceeds ORTHONORMALITY_TOL in
             magnitude, so ``tangent`` is not a tangent at ``base``.
     """
-    t = _rows(tangent, "tangent", 1)
+    t = _bounded_rows(tangent, "tangent", 1)
     if t.shape != (base.ambient_dim, base.sub_dim):
         raise DimensionMismatch(f"tangent must be {base.ambient_dim} x {base.sub_dim}, got {t.shape}")
     # base^T tangent is what pulls the endpoint off orthonormality: its Gram

@@ -319,6 +319,23 @@ class TestTraceSchema:
         (variant,) = json.loads(out.read_text())["variants"]
         assert variant["final"] > 0.9
 
+    def test_csv_rows_at_the_entry_bound_run_every_rung(self, tmp_path):
+        # 40 cells of +-1e150 are within the stored-row bound, yet their rows'
+        # squared lengths rounded past 40 * 1e300, and the run exited 2 with
+        # "queries have rows longer than sqrt(d) * 1e+150"
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.standard_normal((60, 40)), 1e150 * rng.choice([-1.0, 1.0], size=(140, 40))])
+        data = tmp_path / "bound.csv"
+        data.write_text("".join(",".join([*(f"{v:.17g}" for v in row), str(i % 2)]) + "\n" for i, row in enumerate(x)))
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("ablate", "--csv", str(data), "--source-frac", "0.3", "--batch", "20", "--k", "3",
+                           "--out", str(out))
+        assert caught == []
+        assert code == 0
+        assert len(json.loads(out.read_text())["variants"]) == 5
+
 
 class TestDeterminism:
     def test_zero_timings_reruns_are_byte_identical(self, tmp_path):

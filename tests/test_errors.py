@@ -42,7 +42,7 @@ from driftalign import (
     variant_config,
 )
 from driftalign.cli import main
-from driftalign.subspaces import MAX_ABS_ENTRY, _entry_fault
+from driftalign.subspaces import MAX_ABS_ENTRY, _bounded_rows, _entry_fault
 from driftalign.verify import NoConvergence, exp_tangent, geodesic_suite, orthonormalize
 
 cli_module = importlib.import_module("driftalign.cli")
@@ -65,20 +65,19 @@ OTHER_RAISES = {
 VALUE_ERROR_HANDLERS = {("streams.py", "load_csv"), ("subspaces.py", "_array")}
 # (module, function) of each use of _is_integer: every integer setting goes through _count.
 INTEGER_CHECKERS = {("subspaces.py", "_count")}
-# (module, function) of each raise of NonFiniteData: _rows for a NaN or infinite
-# entry of row data, the stored-row gate for an _entry_fault of stored rows, and
-# the bound on the row lengths of predict's queries and apply_transform's data.
+# (module, function) of each raise of NonFiniteData: the stored-row gate for an
+# _entry_fault of stored rows, and _bounded_rows, the one gate for the rows a
+# computation reads, for a non-finite entry or a row past the length bound.
 NON_FINITE_RAISERS = {
-    ("subspaces.py", "_rows"),
     ("classifiers.py", "_stored_rows"),
     ("subspaces.py", "_bounded_rows"),
 }
-# (module, function) of each use of np.isfinite: _rows for row data, and
-# _entry_fault, the one entry scan of stored rows and of stored geometry and
-# model arrays, which names the cause after a failed scan; then the label
-# check and the mean suite's verdict.
+# (module, function) of each use of np.isfinite: _bounded_rows for the rows a
+# computation reads, and _entry_fault, the one entry scan of stored rows and of
+# stored geometry and model arrays, each naming the cause after a failed scan;
+# then the label check and the mean suite's verdict.
 FINITENESS_CHECKERS = {
-    ("subspaces.py", "_rows"),
+    ("subspaces.py", "_bounded_rows"),
     ("subspaces.py", "_entry_fault"),
     ("classifiers.py", "_class_labels"),
     ("verify.py", "mean_suite"),
@@ -552,8 +551,9 @@ def test_malformed_arrays_raise_only_documented_errors(taker, kind):
 
 # A valid array for each entry point in ARRAY_TAKERS that takes one, the name
 # its finiteness message gives it, and its gate's class: row data is
-# NonFiniteData from _rows or, when stored, from classifiers._stored_rows, and
-# stored geometry NumericalHealthError from _read_only.
+# NonFiniteData from _bounded_rows or, when stored, from
+# classifiers._stored_rows, and stored geometry NumericalHealthError from
+# _read_only.
 FINITE_ARRAYS = {
     "Subspace": (BASE.basis, "basis", NumericalHealthError),
     **{f"PrincipalSystem.{name}": (getattr(SYSTEM, name), name, NumericalHealthError)
@@ -635,6 +635,53 @@ def test_the_stored_row_gate_names_the_cause(taker):
         call(np.array([np.nan, 1.0]))
 
 
+# Every taker of the computed-row gate, subspaces._bounded_rows.
+COMPUTED_ROWS = ["apply_transform", "exp_tangent", "orthonormalize", "pca_subspace", "predict"]
+
+
+@pytest.mark.parametrize("big", [1e200, 1e307, -1.7e308])
+@pytest.mark.parametrize("where", ["one", "all"])
+@pytest.mark.parametrize("taker", COMPUTED_ROWS)
+def test_a_huge_finite_entry_fails_the_length_gate_without_a_warning(taker, where, big):
+    # pca_subspace, orthonormalize and exp_tangent checked only finiteness, and
+    # pca_subspace rescaled such rows; every computation now bounds its rows
+    # by length before any product is formed
+    valid, name, _ = FINITE_ARRAYS[taker]
+    call, _ = ARRAY_TAKERS[taker]
+    a = valid.copy()
+    if where == "one":
+        a.flat[a.size // 2] = big
+    else:
+        a[...] = big
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteData) as exc:
+            call(a)
+    assert str(exc.value) == f"{name}: a row is longer than sqrt(d) * 1e+150"
+    assert caught == []
+
+
+@pytest.mark.parametrize("taker", COMPUTED_ROWS)
+def test_the_computed_row_gate_names_a_non_finite_entry_first(taker):
+    # one scan admits the rows, and only a failed one looks for its cause
+    valid, name, _ = FINITE_ARRAYS[taker]
+    call, _ = ARRAY_TAKERS[taker]
+    both = valid.copy()
+    both.flat[0], both.flat[-1] = np.nan, 1e200
+    with pytest.raises(NonFiniteData) as exc:
+        call(both)
+    assert str(exc.value) == f"{name} has non-finite entries"
+
+
+def test_rows_at_the_entry_bound_pass_the_length_gate_at_every_width():
+    # the squared length, a sum of d squares, rounds: without a margin rows of
+    # +-1e150 read too long at 675 of these widths, the first at d=29
+    for d in range(1, 1025):
+        rows = np.full((2, d), MAX_ABS_ENTRY)
+        rows[1, ::2] = -MAX_ABS_ENTRY
+        _bounded_rows(rows, "rows", 2)
+
+
 @pytest.mark.parametrize(
     "entry, fault",
     [(MAX_ABS_ENTRY, None), (-MAX_ABS_ENTRY, None), (np.nan, "non-finite entries"), (np.inf, "non-finite entries"),
@@ -687,6 +734,6 @@ def test_data_rows_beyond_the_length_bound_stop_before_the_kernel_product():
         warnings.simplefilter("always")
         with pytest.raises(NonFiniteData) as exc:
             apply_transform(np.full((2, 10), 1.7e308), kernel)
-    assert str(exc.value) == "data have rows longer than sqrt(d) * 1e+150"
+    assert str(exc.value) == "data: a row is longer than sqrt(d) * 1e+150"
     assert caught == []
     assert np.isfinite(apply_transform(np.full((2, 10), 1e150), kernel)).all()

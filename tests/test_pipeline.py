@@ -177,16 +177,23 @@ class TestConfig:
             MiniBatch(x=bad)
 
     def test_batches_at_the_bound_are_scored_after_the_transform(self):
-        # the kernel can push single entries past the bound, but never a row past sqrt(d) times it
+        # the kernel can push single entries past the bound, but never a row past
+        # sqrt(d) times it; at d=40 rows of exactly +-1e150 read too long, since
+        # their squared lengths round past d * 1e300
         rng = np.random.default_rng(0)
-        shift = np.repeat([[0.0] * 10, [5e149] * 10], 100, axis=0)
-        source = LabeledSet(x=1e149 * rng.standard_normal((200, 10)) + shift, y=np.repeat([0, 1], 100))
-        state = init_pipeline(source, variant_config("gfk_gmean_fb", sub_dim=3))
-        batch = MiniBatch(x=np.clip(6e149 * rng.standard_normal((50, 10)), -MAX_ABS_ENTRY, MAX_ABS_ENTRY))
-        for _ in range(2):
-            predictions, state, _ = process_batch(state, batch)
-            assert predictions is not None
-        assert np.abs(apply_transform(batch.x, state.last_kernel)).max() > MAX_ABS_ENTRY
+        for d in (10, 40):
+            shift = np.repeat([[0.0] * d, [5e149] * d], 100, axis=0)
+            source = LabeledSet(x=1e149 * rng.standard_normal((200, d)) + shift, y=np.repeat([0, 1], 100))
+            state = init_pipeline(source, variant_config("gfk_gmean_fb", sub_dim=3))
+            if d == 10:
+                rows = np.clip(6e149 * rng.standard_normal((50, d)), -MAX_ABS_ENTRY, MAX_ABS_ENTRY)
+            else:
+                rows = MAX_ABS_ENTRY * rng.choice([-1.0, 1.0], size=(50, d))
+            batch = MiniBatch(x=rows)
+            for _ in range(2):
+                predictions, state, _ = process_batch(state, batch)
+                assert predictions is not None
+            assert np.abs(apply_transform(batch.x, state.last_kernel)).max() > MAX_ABS_ENTRY
 
 
 class TestVariantCoherence:

@@ -691,12 +691,12 @@ class TestPcaSubspace:
 
 
 def near_the_float_range():
-    """{name: (rows, smaller rows with the same principal subspace)} for rows whose PCA passes the float range."""
+    """{name: rows} whose PCA would pass the float range, each row longer than sqrt(d) * MAX_ABS_ENTRY."""
     x = np.random.default_rng(0).standard_normal((50, 10))
     # the mean of the first column, -1.79e308 / 50, is finite, but 1.79e308 minus it is not
     centring = 1e300 * x
     centring[:, 0] = [1.79e308, -1.79e308] * 24 + [-1.79e308, 0.0]
-    return {"1e307": (1e307 * x, x), "centring": (centring, centring / 2.0**1000)}
+    return {"1e307": 1e307 * x, "centring": centring}
 
 
 NEAR_THE_FLOAT_RANGE = near_the_float_range()
@@ -704,14 +704,14 @@ NEAR_THE_FLOAT_RANGE = near_the_float_range()
 
 class TestPcaNearTheFloatRange:
     @pytest.mark.parametrize("name", sorted(NEAR_THE_FLOAT_RANGE))
-    def test_gives_the_basis_of_smaller_rows_without_a_warning(self, name):
-        # at 1e307 the row mean overflowed, numpy warned, and LinAlgError escaped
-        x, smaller = NEAR_THE_FLOAT_RANGE[name]
+    def test_rows_past_the_length_bound_are_rejected_without_a_warning(self, name):
+        # at 1e307 the row mean overflowed, numpy warned, and LinAlgError escaped;
+        # such rows now stop at the row gate every computation shares
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            basis = pca_subspace(x, 3).basis
+            with pytest.raises(NonFiniteData, match="a row is longer than"):
+                pca_subspace(NEAR_THE_FLOAT_RANGE[name], 3)
         assert caught == []
-        assert abs(basis - pca_subspace(smaller, 3).basis).max() < 1e-13
 
 
 class TestRankRule:
