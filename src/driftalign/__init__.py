@@ -6,7 +6,7 @@ online on the Grassmann manifold, and a closed-form flow kernel maps features
 into a representation where the frozen source classifier keeps working.
 """
 
-from .classifiers import KnnParams, LabeledSet, SvmParams, predict, train
+from .classifiers import KnnParams, LabeledSet, MiniBatch, SvmParams, predict, train
 from .errors import (
     ConfigError,
     DataError,
@@ -23,12 +23,11 @@ from .errors import (
     SchemaMismatch,
     SharedFactorFailure,
 )
-from .flow_kernel import TransformKernel, apply_transform, flow_kernel
+from .flow_kernel import TransformKernel, apply_transform
 from .pipeline import (
     VARIANT_FLAGS,
     AccuracyTrace,
     BatchDiagnostics,
-    MiniBatch,
     PipelineConfig,
     PipelineState,
     init_pipeline,
@@ -80,7 +79,6 @@ __all__ = [
     "VARIANT_FLAGS",
     "apply_transform",
     "evaluate",
-    "flow_kernel",
     "gen_rotating_drift",
     "gen_waveform",
     "init_pipeline",

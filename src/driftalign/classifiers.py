@@ -215,13 +215,13 @@ def train(data: LabeledSet, params: KnnParams | SvmParams):
 def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
     """One-vs-rest Pegasos, SVM_GROUP classes at a time; weights and biases pass the stored-array gate.
 
-    The plain loop trains class after class from one seeded generator. Here
-    that generator is replayed through each earlier class's ``epochs``
-    permutations, and its state is copied into one generator per class, so
-    every class draws the permutations it drew there and no whole-run
-    schedule is built. A tiny lambda makes the first steps overflow (a
-    subnormal one makes 1/lambda infinite), and the weights then turn NaN or
-    pass MAX_ABS_ENTRY; the gate's NumericalHealthError names lambda.
+    The plain loop trains class after class from one seeded generator. Here,
+    before each class but the first, that generator draws the previous class's
+    ``epochs`` permutations and its state is copied into one generator per class,
+    so every class draws what it drew there; no whole-run schedule is built and
+    nothing is drawn after the last class. A tiny lambda makes the first steps
+    overflow (a subnormal one makes 1/lambda infinite), and the weights then turn
+    NaN or pass MAX_ABS_ENTRY; the gate's NumericalHealthError names lambda.
     """
     lam = params.regularization
     rng = np.random.default_rng(params.seed)
@@ -235,10 +235,10 @@ def _train_linear_svm(data: LabeledSet, params: SvmParams) -> LinearSvmModel:
         for lo in range(0, c, SVM_GROUP):
             classes = np.arange(lo, min(lo + SVM_GROUP, c))
             gens = []
-            for _ in classes:
-                gens.append(copy.deepcopy(rng))
-                for _ in range(params.epochs):
+            for k in classes:
+                for _ in range(params.epochs if k else 0):
                     rng.permutation(n)
+                gens.append(copy.deepcopy(rng))
             w[classes] = _lockstep(aug, data.y, classes, gens, lam, params.epochs)
     return LinearSvmModel(weights=_read_only(w[:, :d], f"SVM weights for regularization {lam}"),
                           biases=_read_only(w[:, d], f"SVM biases for regularization {lam}"))

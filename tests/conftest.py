@@ -71,11 +71,14 @@ def variants_table():
 
 
 def ladder_finals_table():
-    """{--gen value: (header names, finals in percent as printed)} from README's "What each step does" table."""
+    """[(--gen value, header names, finals in percent as printed)], row by row, from README's "What each step does" table.
+
+    A row's first cell opens with its --gen value in backticks; any text after it tells apart rows of one generator.
+    """
     header = re.search(r"^\| `--gen` \|(.*)\|$", LADDER_SECTION, flags=re.M).group(1)
     names = [cell.strip() for cell in header.split("|")]
-    rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", LADDER_SECTION, flags=re.M)
-    return {gen: (names, [cell.strip() for cell in cells.split("|")]) for gen, cells in rows}
+    rows = re.findall(r"^\| `(\w+)`[^|]*\|(.*)\|$", LADDER_SECTION, flags=re.M)
+    return [(gen, names, [cell.strip() for cell in cells.split("|")]) for gen, cells in rows]
 
 
 def pinned_stream(seed=0):

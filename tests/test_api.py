@@ -2,8 +2,10 @@
 
 import ast
 import importlib
+import inspect
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import driftalign
+import driftalign.flow_kernel as fk
 from driftalign import (
     LabeledSet,
     MiniBatch,
@@ -20,6 +23,7 @@ from driftalign import (
     TransformKernel,
     gen_rotating_drift,
     init_pipeline,
+    principal_system,
     process_batch,
     subspaces,
     variant_config,
@@ -47,7 +51,7 @@ PUBLIC_API = {
     "NumericalError", "NumericalHealthError", "ParseError", "PipelineConfig",
     "PipelineState", "PrincipalSystem", "RankDeficient", "SchemaMismatch", "SharedFactorFailure",
     "StreamSpec", "Subspace", "SvmParams", "TransformKernel", "VARIANT_FLAGS",
-    "apply_transform", "evaluate", "flow_kernel", "gen_rotating_drift", "gen_waveform",
+    "apply_transform", "evaluate", "gen_rotating_drift", "gen_waveform",
     "init_pipeline", "load_csv", "pca_subspace", "predict", "principal_system", "process_batch",
     "run_stream", "train", "update_mean", "variant_config",
 }
@@ -225,8 +229,43 @@ def test_the_gate_stores_the_float64_cast(dtype):
 
 def test_public_api_is_pinned():
     assert set(driftalign.__all__) == PUBLIC_API
-    assert len(driftalign.__all__) == len(PUBLIC_API) == 45
+    assert len(driftalign.__all__) == len(PUBLIC_API) == 44
     assert [name for name in driftalign.__all__ if getattr(driftalign, name, None) is None] == []
+
+
+def test_no_public_name_shadows_a_submodule(monkeypatch):
+    # a package attribute named like a submodule hides it: `import driftalign.m as m`
+    # would bind the attribute, and a patch through m would reach nothing
+    submodules = {module.name for module in pkgutil.iter_modules(driftalign.__path__)}
+    assert "flow_kernel" in submodules
+    assert submodules & set(driftalign.__all__) == set()
+    assert inspect.ismodule(fk)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return principal_system(*args)
+
+    monkeypatch.setattr(fk, "principal_system", counting)
+    rng = np.random.default_rng(5)
+    a, b = (Subspace(np.linalg.qr(rng.standard_normal((10, 3)))[0]) for _ in range(2))
+    fk.flow_kernel(a, b)
+    assert calls == [(a, b)]
+
+
+def test_the_package_imports_each_name_from_its_home():
+    # `from .m import X` in __init__.py names the module that defines X, not one that imports it
+    checked, strays = 0, []
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                obj = getattr(driftalign, alias.name)
+                if inspect.isclass(obj) or inspect.isfunction(obj):
+                    checked += 1
+                    if obj.__module__ != f"driftalign.{node.module}":
+                        strays.append((node.module, alias.name, obj.__module__))
+    assert checked > 30
+    assert strays == []
 
 
 def test_the_boundary_lint_reads_every_import_form():

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report schema, reproducible bytes."""
 
+import importlib
 import json
 import os
 import re
@@ -360,21 +361,27 @@ class TestDeterminism:
         assert va["running"] == vb["running"]
 
 
-def core_primitive_names():
-    """Backticked names that head each bullet of README's "Core primitives" list."""
+def core_primitives():
+    """{name: module to import it from} for the backticked names that head each bullet of README's "Core primitives".
+
+    The module is driftalign unless the bullet's head gives `from driftalign.m import name`.
+    """
     section = README.read_text().split("### Core primitives", 1)[1].split("\n## ", 1)[0]
-    names = []
+    primitives = {}
     for bullet in re.split(r"\n- ", section)[1:]:
         head = " ".join(bullet.split()).split(":", 1)[0]
-        names += re.findall(r"`(\w+)`", head)
-    return names
+        homes = {name: module for module, name in re.findall(r"`from (driftalign\.\w+) import (\w+)`", head)}
+        primitives.update((name, homes.get(name, "driftalign")) for name in re.findall(r"`(\w+)`", head))
+    return primitives
 
 
 class TestReadmePrimitives:
     def test_every_listed_primitive_is_exported(self):
-        names = core_primitive_names()
-        assert "flow_kernel" in names and "train" in names
-        missing = [n for n in names if n not in driftalign.__all__ or not hasattr(driftalign, n)]
+        primitives = core_primitives()
+        assert primitives["flow_kernel"] == "driftalign.flow_kernel" and primitives["train"] == "driftalign"
+        missing = [f"{module}.{name}" for name, module in primitives.items()
+                   if getattr(importlib.import_module(module), name, None) is None
+                   or module == "driftalign" and name not in driftalign.__all__]
         assert not missing, f"README lists names driftalign does not export: {missing}"
 
 
@@ -401,16 +408,21 @@ class TestReadmeCommands:
         assert code == expected
 
 
+LADDER_COMMANDS = [argv for argv, _ in readme_commands(LADDER_SECTION)]
+
+
 class TestReadmeLadder:
     def test_each_ablate_command_has_a_table_row(self):
-        gens = [argv[argv.index("--gen") + 1] for argv, _ in readme_commands(LADDER_SECTION)]
-        assert gens == ["rotating", "waveform21", "waveform40"]
-        assert sorted(ladder_finals_table()) == sorted(gens)
+        # the table's rows follow the commands, in order
+        gens = [argv[argv.index("--gen") + 1] for argv in LADDER_COMMANDS]
+        assert gens == ["rotating", "rotating", "waveform21", "waveform40"]
+        assert [gen for gen, _, _ in ladder_finals_table()] == gens
 
-    @pytest.mark.parametrize("argv", [argv for argv, _ in readme_commands(LADDER_SECTION)], ids=" ".join)
+    @pytest.mark.parametrize("argv", LADDER_COMMANDS, ids=" ".join)
     def test_ablate_prints_the_readme_finals(self, outputs, argv):
         code, stdout, _ = read_transcript(outputs(pinned_form(argv))[".out"])
         assert argv[0] == "ablate" and code == 0
         printed = re.findall(r"^(\w+) +knn +final accuracy (\S+)$", stdout, flags=re.M)
-        names, percents = ladder_finals_table()[argv[argv.index("--gen") + 1]]
+        gen, names, percents = ladder_finals_table()[LADDER_COMMANDS.index(argv)]
+        assert gen == argv[argv.index("--gen") + 1]
         assert printed == [(name, f"{float(p) / 100:.4f}") for name, p in zip(names, percents, strict=True)]

@@ -31,7 +31,6 @@ from driftalign import (
     TransformKernel,
     apply_transform,
     evaluate,
-    flow_kernel,
     gen_rotating_drift,
     init_pipeline,
     pca_subspace,
@@ -42,6 +41,7 @@ from driftalign import (
     variant_config,
 )
 from driftalign.cli import main
+from driftalign.flow_kernel import flow_kernel
 from driftalign.subspaces import MAX_ABS_ENTRY, _bounded_rows, _entry_fault
 from driftalign.verify import NoConvergence, exp_tangent, geodesic_suite, orthonormalize
 

@@ -21,11 +21,10 @@ from driftalign import (
     TransformKernel,
     apply_transform,
     evaluate,
-    flow_kernel,
     principal_system,
     update_mean,
 )
-from driftalign.flow_kernel import SMALL_ANGLE
+from driftalign.flow_kernel import SMALL_ANGLE, flow_kernel
 from driftalign.verify import (
     KERNEL_QUADRATURE_NODES,
     _dense_kernel,

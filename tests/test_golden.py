@@ -47,6 +47,7 @@ COMMANDS = {
     "run_rotating": "run --gen rotating --batch 50 --batch-count 60 --seed 0 --variant gfk_gmean_fb --k 3",
     "run_waveform21": "run --gen waveform21 --batch 100 --batch-count 6 --seed 0 --variant gfk_gmean_fb --k 10",
     "ablate_rotating": "ablate --gen rotating --batch 50 --batch-count 60 --seed 0",
+    "ablate_rotating_b10": "ablate --gen rotating --batch 10 --batch-count 300 --seed 0",
     "ablate_waveform21": "ablate --gen waveform21 --k 10 --batch 100 --batch-count 20 --seed 0",
     "ablate_waveform40": "ablate --gen waveform40 --k 10 --batch 100 --batch-count 20 --seed 0",
     "criterion7": "ablate --gen rotating --batch 50 --batch-count 60 --source-size 500 --seed 0",

@@ -23,11 +23,10 @@ from driftalign import (
     Subspace,
     TransformKernel,
     evaluate,
-    flow_kernel,
     pca_subspace,
     principal_system,
 )
-from driftalign.flow_kernel import SYMMETRY_TOL
+from driftalign.flow_kernel import SYMMETRY_TOL, flow_kernel
 from driftalign.subspaces import (
     COSINE_OVERSHOOT_TOL,
     RESIDUAL_COLUMN_TOL,
