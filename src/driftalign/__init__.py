@@ -35,9 +35,8 @@ from .pipeline import (
     run_stream,
     variant_config,
 )
-from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
+from .streams import DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
 from .subspaces import (
-    MeanSubspaceState,
     PrincipalSystem,
     Subspace,
     evaluate,
@@ -50,7 +49,6 @@ __all__ = [
     "AccuracyTrace",
     "BatchDiagnostics",
     "ConfigError",
-    "CsvSchema",
     "DataError",
     "DatasetBundle",
     "DimensionMismatch",
@@ -60,7 +58,6 @@ __all__ = [
     "InsufficientData",
     "KnnParams",
     "LabeledSet",
-    "MeanSubspaceState",
     "MiniBatch",
     "NonFiniteData",
     "NumericalError",

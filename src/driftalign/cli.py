@@ -19,7 +19,7 @@ from typing import Sequence
 from .classifiers import KnnParams, SvmParams
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import VARIANT_FLAGS, AccuracyTrace, PipelineConfig, run_stream
-from .streams import CsvSchema, DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
+from .streams import DatasetBundle, StreamSpec, gen_rotating_drift, gen_waveform, load_csv
 from .verify import run_all
 
 
@@ -105,17 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_bundle(args: argparse.Namespace) -> tuple[DatasetBundle, dict]:
     """The bundle the data flags name, and the report's echo of those flags."""
     if args.csv is not None:
-        schema = CsvSchema(
-            source_fraction=args.source_frac,
-            batch_size=args.batch,
-            has_header=args.skip_header,
-        )
         data = {
             "csv": args.csv,
             "source_fraction": args.source_frac,
             "skip_header": args.skip_header,
         }
-        return load_csv(args.csv, schema), data
+        return load_csv(args.csv, args.source_frac, args.batch, args.skip_header), data
     spec = StreamSpec(
         batch_size=args.batch,
         batch_count=args.batch_count,

@@ -4,8 +4,9 @@ The bare ``pca`` rung is the frozen source classifier on raw rows: it only
 predicts. A gfk rung runs per batch: (with feedback) a multiply by the
 previous kernel, PCA of the batch, (with gmean) a running-mean update, the
 flow-kernel transform, then prediction. State is a constant-size record
-(source subspace, classifier, running mean, last kernel), so memory does not
-grow with the stream, and every step sees only current and past batches.
+(source subspace, classifier, running mean and its count, last kernel), so
+memory does not grow with the stream, and every step sees only current and
+past batches.
 
 A config names one variant of the ablation ladder, and VARIANT_FLAGS maps the
 name to its (gfk, gmean, feedback) flags. With gmean the kernel's target is
@@ -32,7 +33,7 @@ from .classifiers import (
 )
 from .errors import ConfigError, DimensionMismatch, NumericalError, SchemaMismatch
 from .flow_kernel import TransformKernel, apply_transform, flow_kernel
-from .subspaces import Array, MeanSubspaceState, Subspace, _count, pca_subspace, update_mean
+from .subspaces import Array, Subspace, _count, pca_subspace, update_mean
 
 # Variant name -> (gfk, gmean, feedback), in ladder order.
 VARIANT_FLAGS: dict[str, tuple[bool, bool, bool]] = {
@@ -76,12 +77,17 @@ def variant_config(name: str, sub_dim: int, classifier: str = "knn") -> Pipeline
 
 @dataclass(frozen=True, eq=False)
 class PipelineState:
-    """Everything carried between batches; size is independent of the stream."""
+    """Everything carried between batches; size is independent of the stream.
+
+    ``mean`` averages ``mean_count`` batch subspaces: None and 0 until a
+    gmean rung's first batch.
+    """
 
     config: PipelineConfig
     source_subspace: Subspace
     model: KnnModel | LinearSvmModel
-    mean_state: MeanSubspaceState | None
+    mean: Subspace | None
+    mean_count: int
     last_kernel: TransformKernel | None
 
 
@@ -101,7 +107,8 @@ def init_pipeline(source: LabeledSet, config: PipelineConfig) -> PipelineState:
         config=config,
         source_subspace=source_subspace,
         model=model,
-        mean_state=None,
+        mean=None,
+        mean_count=0,
         last_kernel=None,
     )
 
@@ -137,19 +144,17 @@ def process_batch(
         timings[step] = time.perf_counter() - t0
 
         step, t0 = "mean", time.perf_counter()
-        mean_state = state.mean_state
+        mean, mean_count = state.mean, state.mean_count
         if gmean:
-            if mean_state is None:
-                mean_state = MeanSubspaceState(batch_subspace, 1)
-            else:
-                mean_state = update_mean(mean_state, batch_subspace)
+            mean = batch_subspace if mean is None else update_mean(mean, mean_count, batch_subspace)
+            mean_count += 1
         timings[step] = time.perf_counter() - t0
 
         step, t0 = "gfk", time.perf_counter()
         kernel = state.last_kernel
         x_adapted = x_pre
         if gfk:
-            kernel = flow_kernel(state.source_subspace, mean_state.mean if gmean else batch_subspace)
+            kernel = flow_kernel(state.source_subspace, mean if gmean else batch_subspace)
             x_adapted = apply_transform(x_pre, kernel)
         timings[step] = time.perf_counter() - t0
 
@@ -160,7 +165,7 @@ def process_batch(
         timings[step] = time.perf_counter() - t0
         return None, state, BatchDiagnostics(step_seconds=timings, error=f"{type(exc).__name__}: {exc}")
 
-    new_state = replace(state, mean_state=mean_state, last_kernel=kernel)
+    new_state = replace(state, mean=mean, mean_count=mean_count, last_kernel=kernel)
     return predictions, new_state, BatchDiagnostics(step_seconds=timings)
 
 

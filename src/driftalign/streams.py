@@ -50,25 +50,6 @@ class StreamSpec:
             object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """How to read a CSV: source split, batch size, and whether to skip a header row."""
-
-    source_fraction: float
-    batch_size: int
-    has_header: bool = False
-
-    def __post_init__(self) -> None:
-        fraction = _real("source_fraction", self.source_fraction)
-        if not 0.0 < fraction < 1.0:
-            raise ConfigError(f"source_fraction must lie in (0, 1), got {fraction}")
-        batch_size = _count("batch_size", self.batch_size, 2)
-        if not isinstance(self.has_header, bool):
-            raise ConfigError(f"has_header must be a bool, got {self.has_header!r}")
-        object.__setattr__(self, "source_fraction", fraction)
-        object.__setattr__(self, "batch_size", batch_size)
-
-
 @dataclass(frozen=True, eq=False)
 class DatasetBundle:
     """A labelled source set plus an ordered stream of batches."""
@@ -77,19 +58,27 @@ class DatasetBundle:
     stream: tuple[MiniBatch, ...]
 
 
-def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
+def load_csv(path: str | Path, source_fraction: float, batch_size: int, has_header: bool = False) -> DatasetBundle:
     """Read feature columns plus a trailing integer label column.
 
     Rows keep file order: the first ceil(source_fraction * N) rows become the
     labelled source, the rest are chunked into full batches of batch_size
-    (a trailing partial batch is dropped). Blank lines are skipped, and the
-    header, if any, is the first non-blank record. Errors name a record by
-    the file line it starts on.
+    (a trailing partial batch is dropped). Blank lines are skipped, and with
+    has_header the first non-blank record is a header. The settings are
+    checked before the file is opened: source_fraction in (0, 1), batch_size
+    an integer >= 2, has_header a bool. Errors name a record by the file
+    line it starts on.
     """
+    source_fraction = _real("source_fraction", source_fraction)
+    if not 0.0 < source_fraction < 1.0:
+        raise ConfigError(f"source_fraction must lie in (0, 1), got {source_fraction}")
+    batch_size = _count("batch_size", batch_size, 2)
+    if not isinstance(has_header, bool):
+        raise ConfigError(f"has_header must be a bool, got {has_header!r}")
     rows: list[list[float]] = []
     labels: list[int] = []
     expected = None
-    header = schema.has_header
+    header = has_header
     with open(path, newline="", encoding="utf-8") as fh:
         for r, record in _records(fh):
             if not record:
@@ -124,7 +113,7 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
     y = np.array(labels, dtype=np.int64)
     n_classes = _class_count(y)
 
-    n_source = math.ceil(schema.source_fraction * x.shape[0])
+    n_source = math.ceil(source_fraction * x.shape[0])
     source_y = y[:n_source]
     class_counts = np.bincount(source_y, minlength=n_classes)
     if class_counts.min() < 2:
@@ -134,11 +123,11 @@ def load_csv(path: str | Path, schema: CsvSchema) -> DatasetBundle:
     source = LabeledSet(x=x[:n_source], y=source_y)
 
     batches = []
-    bs = schema.batch_size
-    for start in range(n_source, x.shape[0] - bs + 1, bs):
-        batches.append(MiniBatch(x=x[start : start + bs], true_labels=y[start : start + bs]))
+    for start in range(n_source, x.shape[0] - batch_size + 1, batch_size):
+        end = start + batch_size
+        batches.append(MiniBatch(x=x[start:end], true_labels=y[start:end]))
     if not batches:
-        raise InsufficientData(f"no full batches of size {bs} after the source split")
+        raise InsufficientData(f"no full batches of size {batch_size} after the source split")
     return DatasetBundle(source=source, stream=tuple(batches))
 
 

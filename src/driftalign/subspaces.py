@@ -428,31 +428,20 @@ def evaluate(system: PrincipalSystem, t: float) -> Subspace:
     return Subspace(_flow_bases(head, tail, system.angles, np.array([t]))[:, 0, :])
 
 
-@dataclass(frozen=True, eq=False)
-class MeanSubspaceState:
-    """Current mean subspace together with how many subspaces it averages."""
+def update_mean(mean: Subspace, count: int, new: Subspace) -> Subspace:
+    """Fold one more subspace into a running mean that averages ``count`` (>= 1) subspaces.
 
-    mean: Subspace
-    count: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "count", _count("count", self.count, 1))
-
-
-def update_mean(state: MeanSubspaceState, new: Subspace) -> MeanSubspaceState:
-    """Fold one more subspace into the running mean.
-
-    A stream's mean starts as ``MeanSubspaceState(first, 1)``, the first
-    subspace itself. The updated mean sits at parameter 1/(count+1) on the
-    geodesic from the current mean to ``new``, i.e. it moves distance
-    d/(count+1) when ``new`` is at geodesic distance d, so each subspace costs
-    one decomposition and no history is kept. The rule is order-dependent
-    from the third subspace on; see :func:`driftalign.verify.karcher_mean`
-    for the order-free reference. A ``new`` of another shape than the mean
-    raises DimensionMismatch, from :func:`principal_system`.
+    A stream's mean starts as its first subspace, count 1. The updated mean
+    sits at parameter 1/(count+1) on the geodesic from ``mean`` to ``new``,
+    i.e. it moves distance d/(count+1) when ``new`` is at geodesic distance
+    d, so each subspace costs one decomposition and no history is kept. The
+    rule is order-dependent from the third subspace on; see
+    :func:`driftalign.verify.karcher_mean` for the order-free reference. A
+    ``new`` of another shape than the mean raises DimensionMismatch, from
+    :func:`principal_system`.
     """
-    new_count = state.count + 1
-    return MeanSubspaceState(mean=evaluate(principal_system(state.mean, new), 1.0 / new_count), count=new_count)
+    count = _count("count", count, 1)
+    return evaluate(principal_system(mean, new), 1.0 / (count + 1))
 
 
 def _flow_frame(system: PrincipalSystem) -> tuple[Array, Array]:

@@ -45,7 +45,6 @@ from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, _check_uni
 from .subspaces import (
     ORTHONORMALITY_TOL,
     Array,
-    MeanSubspaceState,
     Subspace,
     _angle_factors,
     _bounded_rows,
@@ -352,30 +351,31 @@ def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
         d, k = (10, 3) if idx % 2 == 0 else (16, 4)
         center = random_subspace(d, k, rng)
 
-        state = MeanSubspaceState(center, 1)
-        for _ in range(50):
-            state = update_mean(state, center)
-        worst_fixed.track(float(principal_angles(state.mean, center).max()), idx)
+        mean = center
+        for count in range(1, 51):
+            mean = update_mean(mean, count, center)
+        worst_fixed.track(float(principal_angles(mean, center).max()), idx)
 
-        state = MeanSubspaceState(center, 1)
-        for _ in range(idx % 4):
-            state = update_mean(state, random_within_ball(center, 0.3, rng))
+        mean = center
+        count = 1 + idx % 4
+        for folded in range(1, count):
+            mean = update_mean(mean, folded, random_within_ball(center, 0.3, rng))
         new = random_within_ball(center, 0.4, rng)
-        delta = geodesic_distance(state.mean, new)
-        moved = geodesic_distance(state.mean, update_mean(state, new).mean)
-        worst_step.track(abs(moved - delta / (state.count + 1)), idx)
+        delta = geodesic_distance(mean, new)
+        moved = geodesic_distance(mean, update_mean(mean, count, new))
+        worst_step.track(abs(moved - delta / (count + 1)), idx)
 
         a = random_within_ball(center, 0.4, rng)
         b = random_within_ball(center, 0.4, rng)
-        midpoint = update_mean(MeanSubspaceState(a, 1), b).mean
+        midpoint = update_mean(a, 1, b)
         worst_two.track(geodesic_distance(midpoint, karcher_mean([a, b])), idx)
 
         cloud = [random_within_ball(center, 0.3, rng) for _ in range(8)]
-        state = MeanSubspaceState(cloud[0], 1)
-        for s in cloud[1:]:
-            state = update_mean(state, s)
+        mean = cloud[0]
+        for count, s in enumerate(cloud[1:], start=1):
+            mean = update_mean(mean, count, s)
         reference = karcher_mean(cloud)
-        dev = geodesic_distance(state.mean, reference)
+        dev = geodesic_distance(mean, reference)
         diameter = max(geodesic_distance(p, q) for p, q in itertools.combinations(cloud, 2))
         deviation.track(dev, idx)
         excess.track(dev - diameter, idx)

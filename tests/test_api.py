@@ -45,9 +45,9 @@ UNBOUND_TRACER_PATCHES = {
 }
 
 PUBLIC_API = {
-    "AccuracyTrace", "BatchDiagnostics", "ConfigError", "CsvSchema", "DataError", "DatasetBundle",
+    "AccuracyTrace", "BatchDiagnostics", "ConfigError", "DataError", "DatasetBundle",
     "DimensionMismatch", "DimensionViolation", "DomainError", "DriftAlignError",
-    "InsufficientData", "KnnParams", "LabeledSet", "MeanSubspaceState", "MiniBatch", "NonFiniteData",
+    "InsufficientData", "KnnParams", "LabeledSet", "MiniBatch", "NonFiniteData",
     "NumericalError", "NumericalHealthError", "ParseError", "PipelineConfig",
     "PipelineState", "PrincipalSystem", "RankDeficient", "SchemaMismatch", "SharedFactorFailure",
     "StreamSpec", "Subspace", "SvmParams", "TransformKernel", "VARIANT_FLAGS",
@@ -229,7 +229,7 @@ def test_the_gate_stores_the_float64_cast(dtype):
 
 def test_public_api_is_pinned():
     assert set(driftalign.__all__) == PUBLIC_API
-    assert len(driftalign.__all__) == len(PUBLIC_API) == 44
+    assert len(driftalign.__all__) == len(PUBLIC_API) == 42
     assert [name for name in driftalign.__all__ if getattr(driftalign, name, None) is None] == []
 
 
@@ -363,7 +363,7 @@ def test_library_modules_hold_no_oracle():
 
 
 def test_no_module_defines_init_mean():
-    # a running mean starts as MeanSubspaceState(first, 1); no wrapper restates it
+    # a running mean starts as its first subspace, count 1; no wrapper restates it
     assert [path.name for path in SOURCES if "init_mean" in defined_names(ast.parse(path.read_text()))] == []
 
 

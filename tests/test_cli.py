@@ -81,6 +81,10 @@ BAD_INPUTS = [
                  id="svm-lambda-subnormal"),
     pytest.param(lambda tmp: ("verify", "--instances", "0"), 3,
                  "config error: instances must be >= 1, got 0", id="verify-instances"),
+    # the CSV settings are checked before the file is opened
+    pytest.param(lambda tmp: ("run", "--csv", str(tmp / "absent.csv"), "--source-frac", "1.5", "--variant", "pca",
+                              "--out", str(tmp / "x.json")), 3,
+                 "config error: source_fraction must lie in (0, 1), got 1.5", id="csv-source-frac-missing-file"),
     pytest.param(lambda tmp: csv_label_args(tmp, "nan"), 2,
                  "data error: row 6, column 5: label nan is not an integer", id="csv-label-nan"),
     pytest.param(lambda tmp: csv_label_args(tmp, "inf"), 2,

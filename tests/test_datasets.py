@@ -1,6 +1,7 @@
 """CSV ingestion and the two synthetic stream generators."""
 
 import csv
+import inspect
 import math
 import re
 
@@ -9,7 +10,6 @@ import pytest
 
 from driftalign import (
     ConfigError,
-    CsvSchema,
     DatasetBundle,
     InsufficientData,
     LabeledSet,
@@ -42,7 +42,7 @@ class TestLoadCsv:
     def test_split_and_batching(self, tmp_path):
         f = tmp_path / "data.csv"
         write_csv(f, grid_rows(100))
-        bundle = load_csv(f, CsvSchema(source_fraction=0.2, batch_size=10))
+        bundle = load_csv(f, source_fraction=0.2, batch_size=10)
         assert bundle.source.n_rows == 20
         assert len(bundle.stream) == 8
         assert all(b.n_rows == 10 for b in bundle.stream)
@@ -50,7 +50,7 @@ class TestLoadCsv:
     def test_trailing_partial_batch_is_dropped(self, tmp_path):
         f = tmp_path / "data.csv"
         write_csv(f, grid_rows(57))
-        bundle = load_csv(f, CsvSchema(source_fraction=0.2, batch_size=10))
+        bundle = load_csv(f, source_fraction=0.2, batch_size=10)
         # 12 source rows, 45 left, 4 full batches of 10
         assert bundle.source.n_rows == 12
         assert len(bundle.stream) == 4
@@ -59,7 +59,7 @@ class TestLoadCsv:
         f = tmp_path / "data.csv"
         rows = grid_rows(40)
         write_csv(f, rows)
-        bundle = load_csv(f, CsvSchema(source_fraction=0.25, batch_size=5))
+        bundle = load_csv(f, source_fraction=0.25, batch_size=5)
         first_batch_expected = np.array([r[:-1] for r in rows[10:15]])
         np.testing.assert_allclose(bundle.stream[0].x, first_batch_expected, atol=1e-12)
 
@@ -67,7 +67,7 @@ class TestLoadCsv:
         f = tmp_path / "data.csv"
         body = grid_rows(30)
         f.write_text("a,b,c,label\n" + "\n".join(",".join(map(str, r)) for r in body) + "\n")
-        bundle = load_csv(f, CsvSchema(source_fraction=0.3, batch_size=5, has_header=True))
+        bundle = load_csv(f, source_fraction=0.3, batch_size=5, has_header=True)
         assert bundle.source.n_rows == 9
 
     def test_header_is_the_first_non_blank_line(self, tmp_path):
@@ -75,7 +75,7 @@ class TestLoadCsv:
         f = tmp_path / "data.csv"
         body = grid_rows(30)
         f.write_text("\n\na,b,c,label\n" + "\n".join(",".join(map(str, r)) for r in body) + "\n")
-        bundle = load_csv(f, CsvSchema(source_fraction=0.3, batch_size=5, has_header=True))
+        bundle = load_csv(f, source_fraction=0.3, batch_size=5, has_header=True)
         assert bundle.source.n_rows == 9
         np.testing.assert_array_equal(bundle.source.x[0], body[0][:-1])
 
@@ -89,7 +89,7 @@ class TestLoadCsv:
         f = tmp_path / "data.csv"
         f.write_text('a,b,y\n1,"2\n",0\n' + record + "\n")
         with pytest.raises(ParseError) as exc:
-            load_csv(f, CsvSchema(source_fraction=0.5, batch_size=2, has_header=True))
+            load_csv(f, source_fraction=0.5, batch_size=2, has_header=True)
         assert str(exc.value) == message
 
     def test_bad_cell_reports_one_based_row_and_column(self, tmp_path):
@@ -98,7 +98,7 @@ class TestLoadCsv:
         rows[4][1] = "oops"
         write_csv(f, rows)
         with pytest.raises(ParseError, match=r"row 5, column 2"):
-            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
+            load_csv(f, source_fraction=0.3, batch_size=2)
 
     def test_ragged_row_is_a_schema_error(self, tmp_path):
         f = tmp_path / "data.csv"
@@ -106,7 +106,7 @@ class TestLoadCsv:
         rows[6] = rows[6][:-2] + [rows[6][-1]]
         write_csv(f, rows)
         with pytest.raises(SchemaMismatch, match=r"row 7"):
-            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
+            load_csv(f, source_fraction=0.3, batch_size=2)
 
     def test_fractional_label_rejected(self, tmp_path):
         f = tmp_path / "data.csv"
@@ -114,7 +114,7 @@ class TestLoadCsv:
         rows[2][-1] = 0.5
         write_csv(f, rows)
         with pytest.raises(ParseError, match=r"row 3"):
-            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
+            load_csv(f, source_fraction=0.3, batch_size=2)
 
     def test_non_contiguous_labels_rejected(self, tmp_path):
         f = tmp_path / "data.csv"
@@ -123,13 +123,13 @@ class TestLoadCsv:
             r[-1] = r[-1] * 2  # labels 0 and 2, missing 1
         write_csv(f, rows)
         with pytest.raises(SchemaMismatch, match="contiguous"):
-            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
+            load_csv(f, source_fraction=0.3, batch_size=2)
 
     def test_label_column_alone_rejected(self, tmp_path):
         f = tmp_path / "data.csv"
         write_csv(f, [[i % 2] for i in range(10)])
         with pytest.raises(SchemaMismatch, match="row 1: need at least one feature column plus a label"):
-            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
+            load_csv(f, source_fraction=0.3, batch_size=2)
 
     @pytest.mark.parametrize("text, has_header", [("", False), ("\n\n", False), ("x1,x2,label\n", True)],
                              ids=["empty", "blank_lines", "header_only"])
@@ -137,38 +137,53 @@ class TestLoadCsv:
         f = tmp_path / "data.csv"
         f.write_text(text)
         with pytest.raises(InsufficientData, match="no data rows"):
-            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2, has_header=has_header))
+            load_csv(f, source_fraction=0.3, batch_size=2, has_header=has_header)
 
     def test_source_split_needs_two_rows_of_every_class(self, tmp_path):
         # 10% of 20 alternating rows is one row of each class
         f = tmp_path / "data.csv"
         write_csv(f, grid_rows(20))
         with pytest.raises(InsufficientData, match=r"2 rows of every class, got counts \[1, 1\]"):
-            load_csv(f, CsvSchema(source_fraction=0.1, batch_size=2))
+            load_csv(f, source_fraction=0.1, batch_size=2)
 
     def test_too_small_stream_rejected(self, tmp_path):
         f = tmp_path / "data.csv"
         write_csv(f, grid_rows(12))
         with pytest.raises(InsufficientData):
-            load_csv(f, CsvSchema(source_fraction=0.5, batch_size=50))
+            load_csv(f, source_fraction=0.5, batch_size=50)
 
-    def test_schema_fields(self):
-        # the column count comes from the first data row; there is no field to preset it
-        assert list(CsvSchema.__dataclass_fields__) == ["source_fraction", "batch_size", "has_header"]
+    def test_load_csv_parameters(self):
+        # the column count comes from the first data row; there is no parameter to preset it
+        assert list(inspect.signature(load_csv).parameters) == ["path", "source_fraction", "batch_size", "has_header"]
 
-    def test_schema_validation(self):
+    def test_schema_validation(self, tmp_path):
+        f = tmp_path / "data.csv"
+        write_csv(f, grid_rows(40))
         with pytest.raises(ConfigError):
-            CsvSchema(source_fraction=0.0, batch_size=10)
+            load_csv(f, source_fraction=0.0, batch_size=10)
         with pytest.raises(ConfigError):
-            CsvSchema(source_fraction=0.5, batch_size=1)
+            load_csv(f, source_fraction=0.5, batch_size=1)
         with pytest.raises(ConfigError, match="batch_size must be an integer, got 2.5"):
-            CsvSchema(source_fraction=0.5, batch_size=2.5)
+            load_csv(f, source_fraction=0.5, batch_size=2.5)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"source_fraction": 1.5}, "source_fraction must lie in (0, 1), got 1.5"),
+        ({"batch_size": 1}, "batch_size must be >= 2, got 1"),
+        ({"has_header": "yes"}, "has_header must be a bool, got 'yes'"),
+    ])
+    def test_settings_fail_before_a_missing_file(self, tmp_path, settings, message):
+        # the settings are checked before the file is opened, so a bad one is a
+        # ConfigError even when the file is missing
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_csv(tmp_path / "missing.csv", **{"source_fraction": 0.5, "batch_size": 5, **settings})
 
     @pytest.mark.parametrize("has_header", ["no", 0, 1, None, np.bool_(True)])
-    def test_has_header_must_be_a_bool(self, has_header):
+    def test_has_header_must_be_a_bool(self, tmp_path, has_header):
         # "no" was taken as true, and the first data row was skipped
+        f = tmp_path / "data.csv"
+        write_csv(f, grid_rows(100))
         with pytest.raises(ConfigError, match=f"has_header must be a bool, got {re.escape(repr(has_header))}"):
-            CsvSchema(source_fraction=0.2, batch_size=50, has_header=has_header)
+            load_csv(f, source_fraction=0.2, batch_size=50, has_header=has_header)
 
     @pytest.mark.parametrize(
         "label, message",
@@ -184,7 +199,7 @@ class TestLoadCsv:
         rows[2][-1] = label
         write_csv(f, rows)
         with pytest.raises(ParseError, match=f"row 3, column 4: {message}"):
-            load_csv(f, CsvSchema(source_fraction=0.3, batch_size=2))
+            load_csv(f, source_fraction=0.3, batch_size=2)
 
 
 class TestDatasetBundle:

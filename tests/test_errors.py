@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -13,13 +14,11 @@ import pytest
 import driftalign
 from driftalign import (
     ConfigError,
-    CsvSchema,
     DataError,
     DimensionMismatch,
     DriftAlignError,
     KnnParams,
     LabeledSet,
-    MeanSubspaceState,
     MiniBatch,
     NonFiniteData,
     NumericalError,
@@ -33,11 +32,13 @@ from driftalign import (
     evaluate,
     gen_rotating_drift,
     init_pipeline,
+    load_csv,
     pca_subspace,
     predict,
     principal_system,
     process_batch,
     train,
+    update_mean,
     variant_config,
 )
 from driftalign.cli import main
@@ -410,13 +411,28 @@ def test_process_batch_skips_numerical_errors_and_propagates_the_rest(cls, site,
     assert calls == [site]
 
 
+def stream_bytes(bundle):
+    arrays = [bundle.source.x, bundle.source.y]
+    for batch in bundle.stream:
+        arrays += [batch.x, batch.true_labels]
+    return b"".join(a.tobytes() for a in arrays)
+
+
+def csv_bundle(**settings):
+    """What load_csv reads, with the given settings, from a 40-row CSV of two alternating classes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text("".join(f"{i % 7}.5,{i % 3},{i % 2}\n" for i in range(40)))
+        return load_csv(path, **{"source_fraction": 0.5, "batch_size": 5, **settings})
+
+
 # Each float setting or argument, used with a given value.
 REAL_SETTINGS = {
     "flow parameter": lambda value: evaluate(
         principal_system(Subspace(np.eye(6)[:, :2]), Subspace(np.eye(6)[:, 1:3])), value
     ),
     "regularization": lambda value: SvmParams(regularization=value),
-    "source_fraction": lambda value: CsvSchema(source_fraction=value, batch_size=5),
+    "source_fraction": lambda value: csv_bundle(source_fraction=value),
     "total_rotation": lambda value: gen_rotating_drift(
         StreamSpec(batch_size=4, batch_count=1, seed=0, source_size=8), total_rotation=value
     ),
@@ -440,22 +456,15 @@ def test_float_settings_accept_only_real_numbers(name, value, message):
 def test_float_settings_are_stored_as_python_floats():
     for value in (np.float32(0.25), np.float64(0.25), np.int64(1) / 4):
         assert type(SvmParams(regularization=value).regularization) is float
-        assert type(CsvSchema(source_fraction=value, batch_size=5).source_fraction) is float
+        assert stream_bytes(csv_bundle(source_fraction=value)) == stream_bytes(csv_bundle(source_fraction=0.25))
     assert SvmParams(regularization=np.int64(2)).regularization == 2.0
-
-
-def stream_bytes(bundle):
-    arrays = [bundle.source.x, bundle.source.y]
-    for batch in bundle.stream:
-        arrays += [batch.x, batch.true_labels]
-    return b"".join(a.tobytes() for a in arrays)
 
 
 SPEC = {"batch_size": 10, "batch_count": 2, "seed": 0, "source_size": 40}
 SPEC_OBJ = StreamSpec(**SPEC)
 # Each integer setting: a valid value, and what a run keeps of the setting. A
 # constructor stores it, so a numpy integer must come back as a Python int;
-# the generator and the suite keep only their results, which must not change.
+# the functions keep only their results, which must not change.
 INTEGER_SETTINGS = {
     "PipelineConfig.sub_dim": (3, lambda value: PipelineConfig(sub_dim=value).sub_dim),
     "KnnParams.n_neighbors": (3, lambda value: KnnParams(n_neighbors=value).n_neighbors),
@@ -463,8 +472,9 @@ INTEGER_SETTINGS = {
     "SvmParams.seed": (3, lambda value: SvmParams(seed=value).seed),
     **{f"StreamSpec.{name}": (SPEC[name], lambda value, name=name: getattr(StreamSpec(**{**SPEC, name: value}), name))
        for name in SPEC},
-    "CsvSchema.batch_size": (5, lambda value: CsvSchema(source_fraction=0.5, batch_size=value).batch_size),
-    "MeanSubspaceState.count": (2, lambda value: MeanSubspaceState(Subspace(np.eye(6)[:, :2]), value).count),
+    "load_csv.batch_size": (5, lambda value: stream_bytes(csv_bundle(batch_size=value))),
+    "update_mean.count": (2, lambda value: update_mean(Subspace(np.eye(6)[:, :2]), value,
+                                                       Subspace(np.eye(6)[:, 1:3])).basis.tobytes()),
     "gen_rotating_drift.classes": (3, lambda value: stream_bytes(gen_rotating_drift(SPEC_OBJ, classes=value))),
     "gen_rotating_drift.d": (8, lambda value: stream_bytes(gen_rotating_drift(SPEC_OBJ, d=value))),
     "verify.seed": (5, lambda value: geodesic_suite(value, 1)),

@@ -13,7 +13,6 @@ from driftalign import (
     DimensionMismatch,
     DimensionViolation,
     DomainError,
-    MeanSubspaceState,
     NonFiniteData,
     NumericalHealthError,
     SchemaMismatch,
@@ -427,11 +426,10 @@ class TestApplyTransform:
         d, k = 1000, 3
         rng = np.random.default_rng(15)
         source, first, second = (random_subspace(d, k, rng) for _ in range(3))
-        state = MeanSubspaceState(first, 1)
         x = rng.standard_normal((50, d))
         tracemalloc.start()
         try:
-            mean = update_mean(state, second).mean
+            mean = update_mean(first, 1, second)
             apply_transform(x, flow_kernel(source, mean))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

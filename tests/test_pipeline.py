@@ -408,7 +408,7 @@ class TestFailureHandling:
     def test_skipping_a_numerical_failure_equals_omitting_the_batch(self, case, error, seed, position):
         name, site = case
         if site == "update_mean":
-            position = max(position, 1)  # batch 0 starts the mean: MeanSubspaceState(first, 1)
+            position = max(position, 1)  # batch 0 starts the mean as its own subspace, count 1
         bundle = tiny_bundle(seed)
         # A batch of the same law, failed by the error injected at ``site``.
         failed = tiny_bundle(seed + 1).stream[0]
@@ -463,13 +463,13 @@ class TestStateShape:
         fields = set(PipelineState.__dataclass_fields__)
         assert fields == {
             "config", "source_subspace", "model",
-            "mean_state", "last_kernel",
+            "mean", "mean_count", "last_kernel",
         }
         # the persistent matrices depend only on d and k, never on batch count
         assert state.last_kernel.frame.shape == (10, 6)
         assert state.last_kernel.weights.shape == (6, 6)
-        assert state.mean_state.mean.basis.shape == (10, 3)
-        assert state.mean_state.count == len(bundle.stream)
+        assert state.mean.basis.shape == (10, 3)
+        assert state.mean_count == len(bundle.stream)
 
     def test_step_timings_cover_the_four_steps(self):
         bundle = small_bundle(batch_count=3)

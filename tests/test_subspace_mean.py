@@ -10,12 +10,16 @@ from driftalign import (
     DimensionMismatch,
     DomainError,
     InsufficientData,
-    MeanSubspaceState,
     SchemaMismatch,
+    StreamSpec,
     evaluate,
+    gen_rotating_drift,
+    init_pipeline,
+    process_batch,
     update_mean,
+    variant_config,
 )
-from driftalign.subspaces import ORTHONORMALITY_TOL, Subspace, principal_system
+from driftalign.subspaces import ORTHONORMALITY_TOL, Subspace, pca_subspace, principal_system
 from driftalign.verify import (
     NoConvergence,
     exp_tangent,
@@ -52,47 +56,44 @@ def tangent_at(base, length, rng):
 
 class TestRunningMean:
     def test_init_is_the_subspace_itself(self):
-        rng = np.random.default_rng(0)
-        s = random_subspace(10, 3, rng)
-        state = MeanSubspaceState(s, 1)
-        assert state.count == 1
-        assert np.array_equal(state.mean.basis, s.basis)
+        # a gmean rung's mean is its first batch subspace, count 1
+        bundle = gen_rotating_drift(StreamSpec(batch_size=20, batch_count=1, seed=0, source_size=40), d=10)
+        state = init_pipeline(bundle.source, variant_config("gfk_gmean", sub_dim=3))
+        assert (state.mean, state.mean_count) == (None, 0)
+        _, state, _ = process_batch(state, bundle.stream[0])
+        assert state.mean_count == 1
+        assert np.array_equal(state.mean.basis, pca_subspace(bundle.stream[0].x, 3).basis)
 
     def test_fixed_point_under_repeated_self_updates(self):
         rng = np.random.default_rng(1)
         s = random_subspace(12, 4, rng)
-        state = MeanSubspaceState(s, 1)
-        for _ in range(50):
-            state = update_mean(state, s)
-        assert state.count == 51
-        assert principal_angles(state.mean, s).max() < 1e-13
+        mean = s
+        for count in range(1, 51):
+            mean = update_mean(mean, count, s)
+        assert principal_angles(mean, s).max() < 1e-13
 
     def test_two_subspace_mean_is_the_midpoint(self):
         rng = np.random.default_rng(2)
         a = random_subspace(11, 3, rng)
         b = random_subspace(11, 3, rng)
-        state = update_mean(MeanSubspaceState(a, 1), b)
         midpoint = evaluate(principal_system(a, b), 0.5)
-        assert principal_angles(state.mean, midpoint).max() < 1e-13
+        assert principal_angles(update_mean(a, 1, b), midpoint).max() < 1e-13
 
     def test_step_size_follows_one_over_count(self):
         # third update moves exactly a quarter of the way: 1/(3+1)
         rng = np.random.default_rng(3)
         center = random_subspace(10, 2, rng)
-        state = MeanSubspaceState(center, 1)
-        state = update_mean(state, center)
-        state = update_mean(state, center)
+        mean = update_mean(update_mean(center, 1, center), 2, center)
         target = perturbed(center, 0.2, rng)
-        moved = update_mean(state, target)
-        full = geodesic_distance(state.mean, target)
-        step = geodesic_distance(state.mean, moved.mean)
+        full = geodesic_distance(mean, target)
+        step = geodesic_distance(mean, update_mean(mean, 3, target))
         assert abs(step - full / 4.0) < 1e-14
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(4)
-        state = MeanSubspaceState(random_subspace(10, 3, rng), 1)
+        mean = random_subspace(10, 3, rng)
         with pytest.raises(DimensionMismatch):
-            update_mean(state, random_subspace(12, 3, rng))
+            update_mean(mean, 1, random_subspace(12, 3, rng))
 
     @pytest.mark.parametrize("count, message", [(2.7, "count must be an integer"), (True, "count must be an integer"),
                                                 (0, "count must be >= 1")])
@@ -100,7 +101,7 @@ class TestRunningMean:
         # 2.7 used to be stored as 2
         mean = random_subspace(10, 3, np.random.default_rng(5))
         with pytest.raises(ConfigError, match=message):
-            MeanSubspaceState(mean=mean, count=count)
+            update_mean(mean, count, mean)
 
 
 class TestTangentMaps:
@@ -267,13 +268,13 @@ class TestKarcherMean:
         rng = np.random.default_rng(11)
         center = random_subspace(12, 3, rng)
         pts = [perturbed(center, 0.05, rng) for _ in range(8)]
-        state = MeanSubspaceState(pts[0], 1)
-        for p in pts[1:]:
-            state = update_mean(state, p)
+        mean = pts[0]
+        for count, p in enumerate(pts[1:], start=1):
+            mean = update_mean(mean, count, p)
         reference = karcher_mean(pts)
         diameter = max(
             geodesic_distance(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]
         )
-        deviation = geodesic_distance(state.mean, reference)
+        deviation = geodesic_distance(mean, reference)
         assert np.isfinite(deviation)
         assert deviation < diameter
