@@ -193,6 +193,33 @@ class TestOracleAgreement:
         assert not check.passed
         assert check.detail == "worst nan vs tolerance 1e-08 at instance seed (0, 0)"
 
+    @pytest.mark.parametrize("script, detail", [
+        ([(0.0,) * 5, (0.0, 2e-8, 0.0, 0.0, 0.0), (1e-8,) * 5, (0.0, 0.0, 0.0, 2e-8, 0.0), (0.0,) * 5],
+         "worst 2.000e-08 vs tolerance 1e-08 at instance seed (0, 1)"),
+        ([(0.0,) * 5, (0.5,) * 5, (0.0,) * 5, (0.0, math.nan, 0.0, 0.0, 0.0), (1.0,) * 5],
+         "worst nan vs tolerance 1e-08 at instance seed (0, 3)"),
+        ([(0.5,) * 5, (0.0,) * 5, (0.0, 0.0, 0.0, 0.0, math.nan), (1.0,) * 5, (0.0,) * 5],
+         "worst nan vs tolerance 1e-08 at instance seed (0, 2)"),
+        ([(0.0,) * 5] * 5, "worst 0.000e+00 vs tolerance 1e-08"),
+    ], ids=["tie-keeps-first", "nan-sticks", "nan-at-last-point", "all-zero"])
+    def test_the_worst_instance_rule(self, monkeypatch, script, detail):
+        # five flow points per instance: the largest deviation or the first NaN
+        # is the worst, nothing replaces a NaN, and a tie keeps the first instance
+        values = iter(value for instance in script for value in instance)
+        monkeypatch.setattr(verify_module, "_gram_deviation", lambda basis: next(values))
+        check = geodesic_suite(0, 5)[0]
+        assert check.name == "geodesic_orthonormal_along_flow"
+        assert check.detail == detail
+        assert check.passed is (detail == "worst 0.000e+00 vs tolerance 1e-08")
+        assert next(values, None) is None
+
+    def test_a_nan_distance_fails_the_karcher_bound(self, monkeypatch):
+        monkeypatch.setattr(verify_module, "geodesic_distance", lambda a, b: math.nan)
+        check = mean_suite(0, 2)[3]
+        assert check.name == "mean_deviation_vs_karcher"
+        assert not check.passed
+        assert check.detail == "max deviation nan (must stay below cloud diameter)"
+
     def test_injected_cross_sign_fault_is_caught_by_the_suite(self):
         checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}
         assert not checks["kernel_matches_quadrature"].passed
