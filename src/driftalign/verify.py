@@ -14,9 +14,15 @@ suites compare, are built here and nowhere in the library modules; the
 package does not import this module, so ``import driftalign`` loads none of
 it.
 
-Each suite draws deterministic random instances, measures the worst deviation
-per property, and reports one PropertyCheck per property. Failures name the
-instance seed so any single case can be replayed in isolation. Angles are
+Each suite is a measure of one instance, returning its properties'
+deviations, and a table of (property, tolerance). One loop, ``_instances``,
+checks the seed and the instance count and runs the measure on every
+instance, with a generator seeded by the instance key (seed, offset + index);
+the offsets are 0, 1000 and 2000 for the geodesic, mean and kernel suites.
+Each property reports the worst deviation over its instances: the largest,
+or the first NaN, which no later value replaces; a tie keeps the first
+instance. A failure names its worst instance's key, so
+``np.random.default_rng(key)`` replays that case in isolation. Angles are
 measured with ``principal_angles``, the first half of ``principal_system``
 (``subspaces._angle_factors``): arcsin of the sines where sin^2 <= 1/2 and
 arccos of the cosines elsewhere, so it is accurate to rounding at 0 and at
@@ -28,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -257,38 +263,43 @@ class PropertyCheck:
     detail: str
 
 
-class _Worst:
-    """Tracks the largest observed deviation and where it happened."""
+def _instances(seed: int, instances: int, offset: int, measure: Callable[[int, np.random.Generator], tuple]) -> list:
+    """``measure(idx, rng)`` of every instance, its generator seeded with the key (seed, offset + idx).
 
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.index = -1
-
-    def track(self, value: float, index: int) -> None:
-        # A NaN deviation is recorded, so that _check fails on it, and then
-        # kept: no later value replaces a NaN worst.
-        if not value <= self.value and not math.isnan(self.value):
-            self.value = float(value)
-            self.index = index
-
-
-def _check(name: str, worst: _Worst, tol: float, seed: int) -> PropertyCheck:
-    passed = worst.value <= tol
-    detail = f"worst {worst.value:.3e} vs tolerance {tol:.0e}"
-    if not passed:
-        detail += f" at instance seed ({seed}, {worst.index})"
-    return PropertyCheck(name=name, passed=passed, detail=detail)
-
-
-def _check_settings(seed: int, instances: int) -> None:
-    """ConfigError unless seed is an integer >= 0 and instances an integer >= 1."""
+    ConfigError unless seed is an integer >= 0 and instances an integer >= 1.
+    """
     _count("seed", seed, 0)
     # Zero instances would report every property as passed without checking it.
     _count("instances", instances, 1)
+    return [measure(idx, np.random.default_rng((seed, offset + idx))) for idx in range(instances)]
 
 
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, index))
+def _worst(deviations: Iterable[float]) -> tuple[float, int]:
+    """The worst deviation and its index: 0.0 and -1 until a larger value or a NaN replaces it.
+
+    A NaN is recorded, so that the check fails on it, and then kept: no later
+    value replaces a NaN worst. A tie keeps the first index.
+    """
+    value, index = 0.0, -1
+    for idx, deviation in enumerate(deviations):
+        if not deviation <= value and not math.isnan(value):
+            value, index = float(deviation), idx
+    return value, index
+
+
+def _checks(seed: int, offset: int, table: Sequence[tuple[str, float]], rows: Sequence[tuple]) -> list[PropertyCheck]:
+    """One PropertyCheck per (name, tolerance) of ``table``, from that column of the instances' deviations.
+
+    A failure names the key its worst instance was drawn from, which replays it.
+    """
+    checks = []
+    for (name, tol), column in zip(table, zip(*rows)):
+        value, index = _worst(column)
+        detail = f"worst {value:.3e} vs tolerance {tol:.0e}"
+        if not value <= tol:
+            detail += f" at instance seed ({seed}, {offset + index})"
+        checks.append(PropertyCheck(name=name, passed=value <= tol, detail=detail))
+    return checks
 
 
 def random_within_ball(center: Subspace, radius: float, rng: np.random.Generator) -> Subspace:
@@ -302,27 +313,21 @@ def random_within_ball(center: Subspace, radius: float, rng: np.random.Generator
 
 def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
     """Orthonormality along the flow, endpoint recovery, reconstruction."""
-    _check_settings(seed, instances)
-    worst_orth = _Worst()
-    worst_end = _Worst()
-    worst_recon = _Worst()
-    ts = np.array((0.0, 0.25, 0.5, 0.75, 1.0))
-    for idx in range(instances):
+
+    def measure(idx: int, rng: np.random.Generator) -> tuple[float, float, float]:
         d, k = GEODESIC_GRID[idx % len(GEODESIC_GRID)]
-        rng = _instance_rng(seed, idx)
         a = random_subspace(d, k, rng)
         b = random_subspace(d, k, rng)
         system = principal_system(a, b)
         # Unvalidated, as in quadrature_kernel: a Subspace would raise at a Gram
         # deviation of 1e-10, before this suite's own tolerance could report it.
-        bases = _flow_bases(*_flow_frame(system), system.angles, ts)
-        for basis in bases.transpose(1, 0, 2):
-            worst_orth.track(_gram_deviation(basis), idx)
+        bases = _flow_bases(*_flow_frame(system), system.angles, np.array((0.0, 0.25, 0.5, 0.75, 1.0)))
+        ends = []
         for basis, end in ((bases[:, 0, :], a), (bases[:, -1, :], b)):
             try:  # a basis off orthonormal can overshoot a cosine: a failed property, not an error
-                worst_end.track(float(_angle_factors(basis, end.basis)[0].max()), idx)
+                ends.append(float(_angle_factors(basis, end.basis)[0].max()))
             except NumericalHealthError:
-                worst_end.track(math.nan, idx)
+                ends.append(math.nan)
         cos_part = (system.a_rot * np.cos(system.angles)) @ system.b_rot.T
         sin_part = (system.tail * np.sin(system.angles)) @ system.b_rot.T
         ab = a.basis.T @ b.basis
@@ -330,31 +335,26 @@ def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
             float(np.max(np.abs(ab - cos_part))),
             float(np.max(np.abs(b.basis - a.basis @ ab + sin_part))),
         )
-        worst_recon.track(recon, idx)
-    return [
-        _check("geodesic_orthonormal_along_flow", worst_orth, FLOW_ORTHONORMALITY_TOL, seed),
-        _check("geodesic_endpoint_recovery", worst_end, ENDPOINT_ANGLE_TOL, seed),
-        _check("shared_factor_reconstruction", worst_recon, RECONSTRUCTION_CHECK_TOL, seed),
-    ]
+        return _worst(map(_gram_deviation, bases.transpose(1, 0, 2)))[0], _worst(ends)[0], recon
+
+    return _checks(seed, 0, (
+        ("geodesic_orthonormal_along_flow", FLOW_ORTHONORMALITY_TOL),
+        ("geodesic_endpoint_recovery", ENDPOINT_ANGLE_TOL),
+        ("shared_factor_reconstruction", RECONSTRUCTION_CHECK_TOL),
+    ), _instances(seed, instances, 0, measure))
 
 
 def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
     """Fixed point, step-size law, two-point midpoint, deviation vs Karcher."""
-    _check_settings(seed, instances)
-    worst_fixed = _Worst()
-    worst_step = _Worst()
-    worst_two = _Worst()
-    deviation = _Worst()
-    excess = _Worst()
-    for idx in range(instances):
-        rng = _instance_rng(seed, 1000 + idx)
+
+    def measure(idx: int, rng: np.random.Generator) -> tuple[float, float, float, float, float]:
         d, k = (10, 3) if idx % 2 == 0 else (16, 4)
         center = random_subspace(d, k, rng)
 
         mean = center
         for count in range(1, 51):
             mean = update_mean(mean, count, center)
-        worst_fixed.track(float(principal_angles(mean, center).max()), idx)
+        fixed = float(principal_angles(mean, center).max())
 
         mean = center
         count = 1 + idx % 4
@@ -363,37 +363,36 @@ def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
         new = random_within_ball(center, 0.4, rng)
         delta = geodesic_distance(mean, new)
         moved = geodesic_distance(mean, update_mean(mean, count, new))
-        worst_step.track(abs(moved - delta / (count + 1)), idx)
+        step = abs(moved - delta / (count + 1))
 
         a = random_within_ball(center, 0.4, rng)
         b = random_within_ball(center, 0.4, rng)
         midpoint = update_mean(a, 1, b)
-        worst_two.track(geodesic_distance(midpoint, karcher_mean([a, b])), idx)
+        two = geodesic_distance(midpoint, karcher_mean([a, b]))
 
         cloud = [random_within_ball(center, 0.3, rng) for _ in range(8)]
         mean = cloud[0]
         for count, s in enumerate(cloud[1:], start=1):
             mean = update_mean(mean, count, s)
-        reference = karcher_mean(cloud)
-        dev = geodesic_distance(mean, reference)
+        dev = geodesic_distance(mean, karcher_mean(cloud))
         diameter = max(geodesic_distance(p, q) for p, q in itertools.combinations(cloud, 2))
-        deviation.track(dev, idx)
-        excess.track(dev - diameter, idx)
-    checks = [
-        _check("mean_fixed_point", worst_fixed, FIXED_POINT_TOL, seed),
-        _check("mean_step_size_law", worst_step, STEP_SIZE_TOL, seed),
-        _check("mean_two_point_midpoint", worst_two, TWO_POINT_TOL, seed),
-    ]
+        return fixed, step, two, dev, dev - diameter
+
+    rows = _instances(seed, instances, 1000, measure)
+    checks = _checks(seed, 1000, (
+        ("mean_fixed_point", FIXED_POINT_TOL),
+        ("mean_step_size_law", STEP_SIZE_TOL),
+        ("mean_two_point_midpoint", TWO_POINT_TOL),
+    ), rows)
     # The online mean is order-dependent; it is only required to stay near the
     # order-free mean, bounded by the cloud diameter. The measured value is
     # reported so regressions are visible.
-    bounded = PropertyCheck(
+    deviation, excess = (_worst(column)[0] for column in list(zip(*rows))[3:])
+    return checks + [PropertyCheck(
         name="mean_deviation_vs_karcher",
-        passed=bool(np.isfinite(deviation.value) and excess.value <= 0.0),
-        detail=f"max deviation {deviation.value:.3e} (must stay below cloud diameter)",
-    )
-    checks.append(bounded)
-    return checks
+        passed=bool(np.isfinite(deviation) and excess <= 0.0),
+        detail=f"max deviation {deviation:.3e} (must stay below cloud diameter)",
+    )]
 
 
 def flip_cross_sign(kernel: TransformKernel) -> TransformKernel:
@@ -415,40 +414,33 @@ def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -
     ``flip_cross=True`` checks :func:`flip_cross_sign` of every closed-form
     kernel instead, so the quadrature comparison must fail.
     """
-    _check_settings(seed, instances)
 
     def closed_form(source: Subspace, target: Subspace) -> TransformKernel:
         kernel = flow_kernel(source, target)
         return flip_cross_sign(kernel) if flip_cross else kernel
 
-    worst_quad = _Worst()
-    worst_sym = _Worst()
-    worst_spec = _Worst()
-    worst_zero = _Worst()
-    for idx in range(instances):
+    def measure(idx: int, rng: np.random.Generator) -> tuple[float, float, float, float]:
         d, k = KERNEL_GRID[idx % len(KERNEL_GRID)]
-        rng = _instance_rng(seed, 2000 + idx)
         source = random_subspace(d, k, rng)
         target = random_subspace(d, k, rng)
         closed = _dense_kernel(closed_form(source, target))
         numeric = quadrature_kernel(source, target)
-        worst_quad.track(float(np.max(np.abs(closed - numeric))), idx)
-        worst_sym.track(float(np.max(np.abs(closed - closed.T))), idx)
         eigs = np.linalg.eigvalsh(closed)
-        worst_spec.track(max(float(-eigs[0]), float(eigs[-1] - 1.0), 0.0), idx)
-
         rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
-        same_span = Subspace(source.basis @ rotation)
-        degenerate = closed_form(source, same_span)
-        worst_zero.track(
-            float(np.max(np.abs(_dense_kernel(degenerate) - source.basis @ source.basis.T))), idx
+        degenerate = closed_form(source, Subspace(source.basis @ rotation))
+        return (
+            float(np.max(np.abs(closed - numeric))),
+            float(np.max(np.abs(closed - closed.T))),
+            max(float(-eigs[0]), float(eigs[-1] - 1.0), 0.0),
+            float(np.max(np.abs(_dense_kernel(degenerate) - source.basis @ source.basis.T))),
         )
-    return [
-        _check("kernel_matches_quadrature", worst_quad, KERNEL_QUADRATURE_TOL, seed),
-        _check("kernel_symmetry", worst_sym, SYMMETRY_TOL, seed),
-        _check("kernel_spectrum_bounds", worst_spec, SPECTRUM_TOL, seed),
-        _check("kernel_zero_angle_projector", worst_zero, ZERO_ANGLE_TOL, seed),
-    ]
+
+    return _checks(seed, 2000, (
+        ("kernel_matches_quadrature", KERNEL_QUADRATURE_TOL),
+        ("kernel_symmetry", SYMMETRY_TOL),
+        ("kernel_spectrum_bounds", SPECTRUM_TOL),
+        ("kernel_zero_angle_projector", ZERO_ANGLE_TOL),
+    ), _instances(seed, instances, 2000, measure))
 
 
 def run_all(

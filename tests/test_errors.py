@@ -341,6 +341,12 @@ def test_one_function_seeds_the_generators():
     assert {function for function, _ in rng_uses(ast.parse(streams))} == {"_draw"}
 
 
+def test_one_loop_seeds_the_verify_instances():
+    # every suite draws its instances in _instances, which names their keys (seed, offset + index)
+    verify = (Path(driftalign.__file__).parent / "verify.py").read_text()
+    assert {function for function, _ in rng_uses(ast.parse(verify))} == {"_instances"}
+
+
 def test_the_lint_reads_every_use_of_default_rng():
     source = (
         "from numpy.random import default_rng\n"

@@ -3,11 +3,13 @@
 import importlib
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import read_transcript
 from driftalign import (
     ConfigError,
     DimensionMismatch,
@@ -25,6 +27,7 @@ from driftalign import (
 )
 from driftalign.flow_kernel import SMALL_ANGLE, flow_kernel
 from driftalign.verify import (
+    KERNEL_GRID,
     KERNEL_QUADRATURE_NODES,
     _dense_kernel,
     flip_cross_sign,
@@ -223,6 +226,20 @@ class TestOracleAgreement:
     def test_injected_cross_sign_fault_is_caught_by_the_suite(self):
         checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}
         assert not checks["kernel_matches_quadrature"].passed
+
+    def test_the_failing_instance_replays_from_its_printed_key(self, outputs):
+        # the FAIL line names the key the suite seeded its worst instance with
+        _, stdout, _ = read_transcript(outputs(["verify", "--inject-fault", "gfk-cross-sign"])[".out"])
+        line = next(line for line in stdout.splitlines() if line.startswith("FAIL"))
+        worst, seed, index = re.fullmatch(
+            r"FAIL  kernel_matches_quadrature +worst (\S+) vs tolerance 1e-08 at instance seed \((\d+), (\d+)\)",
+            line).groups()
+        rng = np.random.default_rng((int(seed), int(index)))
+        d, k = KERNEL_GRID[(int(index) - 2000) % len(KERNEL_GRID)]  # the kernel suite's offset is 2000
+        source = random_subspace(d, k, rng)
+        target = random_subspace(d, k, rng)
+        closed = _dense_kernel(flip_cross_sign(flow_kernel(source, target)))
+        assert f"{np.max(np.abs(closed - quadrature_kernel(source, target))):.3e}" == worst == "5.413e-01"
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ConfigError, match="unknown fault 'gfk-sign'"):
