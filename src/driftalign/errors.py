@@ -81,5 +81,6 @@ class NumericalHealthError(NumericalError):
 
     Such as a stored basis, factor, kernel array or SVM weight array with an
     entry that is not finite or lies beyond subspaces.MAX_ABS_ENTRY (1e150),
-    a basis that is not orthonormal, or a kernel spectrum outside [0, 1].
+    a basis that is not orthonormal, or a dense kernel from driftalign.verify's
+    quadrature oracle whose spectrum leaves [0, 1].
     """

@@ -37,17 +37,17 @@ every product the package forms of rows and stored arrays is finite for
 fewer than about 6e7 features. Every value type validates what it
 stores: Subspace (orthonormal), the only basis check, which the quadrature
 oracle also applies to each node's basis, and PrincipalSystem (angles in
-[0, pi/2]; orthonormal a_rot, tail and b_rot; a d x k base, then the tail
-orthogonal to it). _angle_factors adds the two overshoot checks,
-principal_system the reconstruction check too, in one pass: a pair it cannot
-reproduce raises SharedFactorFailure. Each deviation is compared as
-``not dev < tol``, so a NaN deviation fails the check it reaches. No check
-stands in for another at a looser tolerance: the reconstruction bound (1e-8)
-does not imply orthonormality at 1e-10, and orthonormal a_rot and base do
-not make the head orthonormal at 1e-10, so the flow kernel checks its frame
-again. In flow_kernel, an orthonormal frame and symmetric weights make the
-weights' eigenvalues exactly the kernel's nonzero spectrum, so the 2k x 2k
-spectrum check covers the d x d kernel.
+[0, pi/2], by _angles, which TransformKernel shares; orthonormal a_rot, tail
+and b_rot; a d x k base, then the tail orthogonal to it). _angle_factors adds
+the two overshoot checks, principal_system the reconstruction check too, in
+one pass: a pair it cannot reproduce raises SharedFactorFailure. Each
+deviation is compared as ``not dev < tol``, so a NaN deviation fails the
+check it reaches. No check stands in for another at a looser tolerance: the
+reconstruction bound (1e-8) does not imply orthonormality at 1e-10, and
+orthonormal a_rot and base do not make the head orthonormal at 1e-10, so the
+flow kernel checks its frame again. Its weights, built from angles in
+[0, pi/2], have a spectrum in [0, 1] by construction: no eigensolver runs on
+the online path.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ def _bounded_rows(x: object, what: str, min_rows: int) -> Array:
     a row but can move up to sqrt(d) times the bound into a single entry.
     Squared lengths are compared with a relative margin of 1e-6, which covers
     their rounding (a sum of d squares, at most d * 2^-53 relative; without
-    it rows of +-MAX_ABS_ENTRY read too long from d = 29) and the kernel's
-    allowed spectrum overshoot, flow_kernel.SPECTRUM_TOL. NaN, an infinite
-    entry and a squared length past the float range fail that one scan too
-    (einsum, unlike np.vecdot, raises no overflow warning); only a failed
-    scan runs np.isfinite, to name a non-finite entry first.
+    it rows of +-MAX_ABS_ENTRY read too long from d = 29) and that of the
+    kernel product. NaN, an infinite entry and a squared length past the
+    float range fail that one scan too (einsum, unlike np.vecdot, raises no
+    overflow warning); only a failed scan runs np.isfinite, to name a
+    non-finite entry first.
     """
     a = _row_shape(x, what, min_rows)
     if a.size and not np.einsum("ij,ij->i", a, a).max() <= a.shape[1] * MAX_ABS_ENTRY**2 * (1.0 + 1e-6):
@@ -213,6 +213,16 @@ def _orthonormal(m: Array, what: str) -> None:
         raise NumericalHealthError(f"{what} is not orthonormal (max Gram deviation {dev:.3e})")
 
 
+def _angles(x: object) -> Array:
+    """Read-only copy of angles x; DimensionViolation unless of length k >= 1, DomainError outside [0, pi/2]."""
+    th = _read_only(x, "angles")
+    if th.ndim != 1 or th.shape[0] < 1:
+        raise DimensionViolation("angles must be a length-k vector, k >= 1")
+    if not (0.0 <= th.min() and th.max() <= np.pi / 2):
+        raise DomainError("principal angles must lie in [0, pi/2]")
+    return th
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal basis of a k-dimensional subspace of R^d, 1 <= k < d."""
@@ -260,13 +270,8 @@ class PrincipalSystem:
     angles: Array  # k, ascending, in [0, pi/2]
 
     def __post_init__(self) -> None:
-        th = _read_only(self.angles, "angles")
-        if th.ndim != 1 or th.shape[0] < 1:
-            raise DimensionViolation("angles must be a length-k vector, k >= 1")
-        if not (0.0 <= th.min() and th.max() <= np.pi / 2):
-            raise DomainError("principal angles must lie in [0, pi/2]")
-        object.__setattr__(self, "angles", th)
-        k = th.shape[0]
+        object.__setattr__(self, "angles", _angles(self.angles))
+        k = self.angles.shape[0]
         for name in ("a_rot", "tail", "b_rot"):
             m = _read_only(getattr(self, name), name)
             rows = m.shape[0] if name == "tail" and m.ndim == 2 else k

@@ -47,7 +47,7 @@ from .errors import (
     NumericalHealthError,
     RankDeficient,
 )
-from .flow_kernel import SPECTRUM_TOL, SYMMETRY_TOL, TransformKernel, _check_unit_spectrum, flow_kernel
+from .flow_kernel import TransformKernel, flow_kernel
 from .subspaces import (
     ORTHONORMALITY_TOL,
     Array,
@@ -80,6 +80,8 @@ FIXED_POINT_TOL = 1e-8
 STEP_SIZE_TOL = 1e-12
 TWO_POINT_TOL = 1e-12
 KERNEL_QUADRATURE_TOL = 1e-8
+SYMMETRY_TOL = 1e-12
+SPECTRUM_TOL = 1e-9
 # Gauss-Legendre points of the quadrature oracle's one rule. An n-point rule
 # is exact for polynomials of degree 2n - 1, and the integrand's trig
 # polynomials of frequency <= pi are matched to rounding at 16 points.
@@ -249,6 +251,16 @@ def quadrature_kernel(source: Subspace, target: Subspace) -> Array:
     return g
 
 
+def _check_unit_spectrum(m: Array, what: str) -> None:
+    """NumericalHealthError naming ``what`` unless m is symmetric and its eigenvalues lie in [0, 1]."""
+    asym = float(abs(m - m.T).max())
+    if not asym <= SYMMETRY_TOL:
+        raise NumericalHealthError(f"{what} asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
+    eigs = np.linalg.eigvalsh(m)
+    if eigs[0] < -SPECTRUM_TOL or eigs[-1] > 1.0 + SPECTRUM_TOL:
+        raise NumericalHealthError(f"{what} spectrum [{eigs[0]:.3e}, {eigs[-1]:.3e}] leaves [0, 1]")
+
+
 def _dense_kernel(kernel: TransformKernel) -> Array:
     """The kernel's dense d x d matrix G = frame @ weights @ frame.T."""
     return (kernel.frame @ kernel.weights) @ kernel.frame.T
@@ -386,26 +398,28 @@ def mean_suite(seed: int = 0, instances: int = 20) -> list[PropertyCheck]:
     ), rows)
     # The online mean is order-dependent; it is only required to stay near the
     # order-free mean, bounded by the cloud diameter. The measured value is
-    # reported so regressions are visible.
-    deviation, excess = (_worst(column)[0] for column in list(zip(*rows))[3:])
-    return checks + [PropertyCheck(
-        name="mean_deviation_vs_karcher",
-        passed=bool(np.isfinite(deviation) and excess <= 0.0),
-        detail=f"max deviation {deviation:.3e} (must stay below cloud diameter)",
-    )]
+    # reported so regressions are visible, and a failure names the instance
+    # of the first NaN or the largest excess.
+    deviation = _worst(row[3] for row in rows)[0]
+    excess, index = _worst(row[4] for row in rows)
+    passed = bool(np.isfinite(deviation) and excess <= 0.0)
+    detail = f"max deviation {deviation:.3e} (must stay below cloud diameter)"
+    if not passed:
+        detail += f" at instance seed ({seed}, {1000 + index})"
+    return checks + [PropertyCheck(name="mean_deviation_vs_karcher", passed=passed, detail=detail)]
 
 
-def flip_cross_sign(kernel: TransformKernel) -> TransformKernel:
-    """``kernel`` with its odd cross term's sign flipped: the fault the suite must catch.
+def flip_cross_sign(kernel: TransformKernel) -> Array:
+    """The dense G of ``kernel`` with its odd cross term's sign flipped: the fault the suite must catch.
 
     Negating the two off-diagonal blocks of the weights is exact, and it keeps
-    each 2 x 2 block's spectrum, so the result is still a valid kernel.
+    each 2 x 2 block's spectrum, so the result is still a valid kernel matrix.
     """
-    k = kernel.weights.shape[0] // 2
+    k = kernel.angles.shape[0]
     weights = kernel.weights.copy()
     weights[:k, k:] *= -1.0
     weights[k:, :k] *= -1.0
-    return TransformKernel(frame=kernel.frame, weights=weights)
+    return (kernel.frame @ weights) @ kernel.frame.T
 
 
 def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -> list[PropertyCheck]:
@@ -415,24 +429,22 @@ def kernel_suite(seed: int = 0, instances: int = 50, flip_cross: bool = False) -
     kernel instead, so the quadrature comparison must fail.
     """
 
-    def closed_form(source: Subspace, target: Subspace) -> TransformKernel:
-        kernel = flow_kernel(source, target)
-        return flip_cross_sign(kernel) if flip_cross else kernel
+    dense = flip_cross_sign if flip_cross else _dense_kernel
 
     def measure(idx: int, rng: np.random.Generator) -> tuple[float, float, float, float]:
         d, k = KERNEL_GRID[idx % len(KERNEL_GRID)]
         source = random_subspace(d, k, rng)
         target = random_subspace(d, k, rng)
-        closed = _dense_kernel(closed_form(source, target))
+        closed = dense(flow_kernel(source, target))
         numeric = quadrature_kernel(source, target)
         eigs = np.linalg.eigvalsh(closed)
         rotation = np.linalg.qr(rng.standard_normal((k, k)))[0]
-        degenerate = closed_form(source, Subspace(source.basis @ rotation))
+        degenerate = dense(flow_kernel(source, Subspace(source.basis @ rotation)))
         return (
             float(np.max(np.abs(closed - numeric))),
             float(np.max(np.abs(closed - closed.T))),
             max(float(-eigs[0]), float(eigs[-1] - 1.0), 0.0),
-            float(np.max(np.abs(_dense_kernel(degenerate) - source.basis @ source.basis.T))),
+            float(np.max(np.abs(degenerate - source.basis @ source.basis.T))),
         )
 
     return _checks(seed, 2000, (

@@ -361,6 +361,37 @@ def test_the_lint_reads_every_use_of_default_rng():
     assert [(f, node.lineno) for f, node in rng_uses(ast.parse(source))] == [("f", 3), ("rows", 6), (None, 8)]
 
 
+def eigensolver_uses(tree):
+    """(innermost enclosing function or None, node) for each use of eigh, eigvalsh, eig or eigvals, called or passed on."""
+    names = {"eigh", "eigvalsh", "eig", "eigvals"}
+    return enclosed(tree, lambda node: (isinstance(node, ast.Name) and node.id in names)
+                    or (isinstance(node, ast.Attribute) and node.attr in names))
+
+
+def test_only_verify_runs_an_eigensolver():
+    # the kernel's spectrum is its angles, so the online path needs no
+    # eigensolver; the quadrature oracle and the kernel suite in verify do
+    found = {path.name for path in SOURCES if any(eigensolver_uses(ast.parse(path.read_text())))}
+    assert found == {"verify.py"}
+
+
+def test_the_lint_reads_every_use_of_an_eigensolver():
+    source = (
+        "from numpy.linalg import eigh\n"
+        "def f(m):\n"
+        "    return np.linalg.eigvalsh(m)\n"
+        "def g(m):\n"
+        "    def values():\n"
+        "        return eig(m)[0]\n"
+        "    return values\n"
+        "solve = np.linalg.eigvals\n"
+        "spectrum = eigh\n"
+        "norm = np.linalg.eigenvalue_norm\n"
+    )
+    assert [(f, node.lineno) for f, node in eigensolver_uses(ast.parse(source))] == [
+        ("f", 3), ("values", 6), (None, 8), (None, 9)]
+
+
 def test_only_the_pegasos_loop_mutes_floating_point_errors():
     # the gates bound every stored array, so no product needs its overflow
     # muted; Pegasos training can overflow before the gate sees its weights
@@ -539,8 +570,8 @@ ARRAY_TAKERS = {
     "Subspace": (lambda a: Subspace(a), DriftAlignError),
     **{f"PrincipalSystem.{name}": (lambda a, name=name: dataclasses.replace(SYSTEM, **{name: a}), DriftAlignError)
        for name in ("a_rot", "tail", "b_rot", "angles")},
-    "TransformKernel.frame": (lambda a: TransformKernel(frame=a, weights=KERNEL.weights), DriftAlignError),
-    "TransformKernel.weights": (lambda a: TransformKernel(frame=KERNEL.frame, weights=a), DriftAlignError),
+    "TransformKernel.frame": (lambda a: TransformKernel(frame=a, angles=KERNEL.angles), DriftAlignError),
+    "TransformKernel.angles": (lambda a: TransformKernel(frame=KERNEL.frame, angles=a), DriftAlignError),
     "LabeledSet.x": (lambda a: LabeledSet(x=a, y=[0, 1]), DriftAlignError),
     "LabeledSet.y": (lambda a: LabeledSet(x=np.eye(2), y=a), DriftAlignError),
     "MiniBatch.x": (lambda a: MiniBatch(x=a), DriftAlignError),
@@ -575,7 +606,7 @@ FINITE_ARRAYS = {
     **{f"PrincipalSystem.{name}": (getattr(SYSTEM, name), name, NumericalHealthError)
        for name in ("a_rot", "tail", "b_rot", "angles")},
     "TransformKernel.frame": (KERNEL.frame, "frame", NumericalHealthError),
-    "TransformKernel.weights": (KERNEL.weights, "weights", NumericalHealthError),
+    "TransformKernel.angles": (KERNEL.angles, "angles", NumericalHealthError),
     "LabeledSet.x": (np.eye(2), "x", NonFiniteData),
     "MiniBatch.x": (np.ones((2, 2)), "batch", NonFiniteData),
     "pca_subspace": (np.eye(6), "data matrix", NonFiniteData),
@@ -710,20 +741,6 @@ def test_the_one_entry_scan_names_its_fault(entry, fault):
     a = np.ones((4, 3))
     a[2, 1] = entry
     assert _entry_fault(a) == fault
-
-
-def test_huge_opposite_kernel_weights_fail_the_symmetry_check_without_a_warning():
-    # finite weights of opposite sign near the float limit overflowed m - m.T,
-    # and numpy's "overflow encountered in subtract" escaped before the error;
-    # the stored-array bound now stops them before m - m.T is formed
-    w = KERNEL.weights.copy()
-    w[0, 1], w[1, 0] = 1.7e308, -1.7e308
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NumericalHealthError) as exc:
-            TransformKernel(frame=KERNEL.frame, weights=w)
-    assert str(exc.value) == "weights has entries beyond +-1e+150"
-    assert caught == []
 
 
 def test_svm_weights_beyond_the_bound_fail_at_train():

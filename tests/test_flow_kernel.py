@@ -1,5 +1,6 @@
 """Closed-form transform kernel against its quadrature oracle."""
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -221,7 +222,31 @@ class TestOracleAgreement:
         check = mean_suite(0, 2)[3]
         assert check.name == "mean_deviation_vs_karcher"
         assert not check.passed
-        assert check.detail == "max deviation nan (must stay below cloud diameter)"
+        assert check.detail == "max deviation nan (must stay below cloud diameter) at instance seed (0, 1000)"
+
+    @pytest.mark.parametrize("far", [False, True], ids=["nan", "excess"])
+    def test_only_a_later_instance_failing_the_karcher_bound_is_named(self, monkeypatch, far):
+        # instance 0 is at d=10 and instance 1 at d=16; only instance 1 fails,
+        # with a NaN distance or an order-free mean far outside its cloud
+        distance, karcher = verify_module.geodesic_distance, verify_module.karcher_mean
+
+        def nan_at_16(a, b):
+            return math.nan if a.ambient_dim == 16 else distance(a, b)
+
+        def far_at_16(subspaces):
+            mean = karcher(subspaces)
+            if mean.ambient_dim == 16 and len(subspaces) == 8:
+                return Subspace(np.eye(16)[:, 12:])
+            return mean
+
+        if far:
+            monkeypatch.setattr(verify_module, "karcher_mean", far_at_16)
+        else:
+            monkeypatch.setattr(verify_module, "geodesic_distance", nan_at_16)
+        check = mean_suite(0, 2)[3]
+        assert check.name == "mean_deviation_vs_karcher"
+        assert not check.passed
+        assert check.detail.endswith("(must stay below cloud diameter) at instance seed (0, 1001)")
 
     def test_injected_cross_sign_fault_is_caught_by_the_suite(self):
         checks = {c.name: c for c in run_all(0, 1, inject_fault="gfk-cross-sign")}
@@ -238,7 +263,7 @@ class TestOracleAgreement:
         d, k = KERNEL_GRID[(int(index) - 2000) % len(KERNEL_GRID)]  # the kernel suite's offset is 2000
         source = random_subspace(d, k, rng)
         target = random_subspace(d, k, rng)
-        closed = _dense_kernel(flip_cross_sign(flow_kernel(source, target)))
+        closed = flip_cross_sign(flow_kernel(source, target))
         assert f"{np.max(np.abs(closed - quadrature_kernel(source, target))):.3e}" == worst == "5.413e-01"
 
     def test_unknown_fault_rejected(self):
@@ -298,22 +323,24 @@ class TestOracleAgreement:
     def test_wrong_cross_sign_breaks_agreement(self):
         # the same check the fault-injection path relies on
         source, target = kernel_pair(10, 3, 7)
-        wrong = _dense_kernel(flip_cross_sign(flow_kernel(source, target)))
+        wrong = flip_cross_sign(flow_kernel(source, target))
         numeric = quadrature_kernel(source, target)
         assert np.abs(wrong - numeric).max() > 1e-8
 
     def test_flipped_kernel_carries_the_positive_cross_integral(self):
-        # the faulted weights are the closed form with the odd term's sign flipped, exactly
+        # the faulted dense G is the closed form with the odd term's sign flipped, exactly
         source, target = kernel_pair(10, 3, 8)
         kernel = flow_kernel(source, target)
-        wrong = flip_cross_sign(kernel)
         th = principal_system(source, target).angles
         k = th.shape[0]
-        assert np.array_equal(wrong.weights[:k, k:], np.diag((1.0 - np.cos(2.0 * th)) / (4.0 * th)))
-        assert np.array_equal(wrong.weights[k:, :k], wrong.weights[:k, k:])
-        assert np.array_equal(wrong.weights[:k, :k], kernel.weights[:k, :k])
-        assert np.array_equal(wrong.weights[k:, k:], kernel.weights[k:, k:])
-        assert np.array_equal(wrong.frame, kernel.frame)
+        flipped = reference_weights(th)
+        flipped[:k, k:] = flipped[k:, :k] = np.diag((1.0 - np.cos(2.0 * th)) / (4.0 * th))
+        wrong = flip_cross_sign(kernel)
+        assert np.array_equal(wrong, (kernel.frame @ flipped) @ kernel.frame.T)
+        # a symmetric matrix with its spectrum in [0, 1], so only the oracle can tell
+        assert np.abs(wrong - wrong.T).max() < 1e-12
+        eigs = np.linalg.eigvalsh(wrong)
+        assert -1e-9 < eigs[0] and eigs[-1] < 1.0 + 1e-9
 
 
 class TestFlowEvaluation:
@@ -387,40 +414,43 @@ class TestKernelProperties:
         assert np.abs(g1 - g2).max() < 1e-9
 
     FRAME = np.eye(6)[:, :4]
-    WEIGHTS = np.diag([1.0, 0.7, 0.3, 0.0])
+    ANGLES = np.array([0.0, 0.7])
 
     def test_valid_factors_are_accepted(self):
-        kernel = TransformKernel(frame=self.FRAME, weights=self.WEIGHTS)
+        kernel = TransformKernel(frame=self.FRAME, angles=self.ANGLES)
         assert kernel.ambient_dim == 6
+        assert kernel.weights.tobytes() == reference_weights(self.ANGLES).tobytes()
+
+    def test_the_weights_are_derived_not_passed(self):
+        # the kernel is built from its frame and angles alone
+        assert [f.name for f in dataclasses.fields(TransformKernel) if f.init] == ["frame", "angles"]
+        with pytest.raises(TypeError):
+            TransformKernel(frame=self.FRAME, angles=self.ANGLES, weights=np.eye(4))
 
     def test_rejects_non_orthonormal_frame(self):
         with pytest.raises(NumericalHealthError, match="frame is not orthonormal"):
-            TransformKernel(frame=1.001 * self.FRAME, weights=self.WEIGHTS)
+            TransformKernel(frame=1.001 * self.FRAME, angles=self.ANGLES)
 
-    def test_type_rejects_asymmetric_matrix(self):
-        w = self.WEIGHTS.copy()
-        w[0, 1] = 0.1
-        with pytest.raises(NumericalHealthError, match="asymmetry"):
-            TransformKernel(frame=self.FRAME, weights=w)
-
-    @pytest.mark.parametrize("extreme", [-1e-6, 1.0 + 1e-6], ids=["below_zero", "above_one"])
-    def test_rejects_weight_spectrum_outside_the_unit_interval(self, extreme):
-        w = self.WEIGHTS.copy()
-        w[3, 3] = extreme
-        with pytest.raises(NumericalHealthError, match=r"leaves \[0, 1\]"):
-            TransformKernel(frame=self.FRAME, weights=w)
+    @pytest.mark.parametrize("extreme", [-1e-6, np.pi / 2 + 1e-6], ids=["below_zero", "above_right_angle"])
+    def test_rejects_angles_outside_zero_to_right_angle(self, extreme):
+        # the one angle gate: no kernel with a spectrum outside [0, 1] can be built
+        angles = self.ANGLES.copy()
+        angles[1] = extreme
+        with pytest.raises(DomainError) as exc:
+            TransformKernel(frame=self.FRAME, angles=angles)
+        assert str(exc.value) == "principal angles must lie in [0, pi/2]"
 
     @pytest.mark.parametrize(
-        "frame_cols, weights", [(4, np.eye(3)), (0, np.zeros((0, 0)))], ids=["mismatched", "empty"]
+        "frame_cols, angles", [(4, np.zeros(3)), (0, np.zeros(0))], ids=["mismatched", "no_angles"]
     )
-    def test_rejects_mismatched_factor_shapes(self, frame_cols, weights):
+    def test_rejects_mismatched_factor_shapes(self, frame_cols, angles):
         # the empty pair used to escape as numpy's zero-size reduction ValueError
         with pytest.raises(DimensionViolation):
-            TransformKernel(frame=self.FRAME[:, :frame_cols], weights=weights)
+            TransformKernel(frame=self.FRAME[:, :frame_cols], angles=angles)
 
-    @pytest.mark.parametrize("name", ["frame", "weights"])
+    @pytest.mark.parametrize("name", ["frame", "angles"])
     def test_non_real_factor_rejected(self, name, non_real):
-        factors = {"frame": self.FRAME, "weights": self.WEIGHTS}
+        factors = {"frame": self.FRAME, "angles": self.ANGLES}
         factors[name] = non_real(factors[name])
         with pytest.raises(SchemaMismatch, match=f"^{name} must be real"):
             TransformKernel(**factors)
@@ -428,10 +458,34 @@ class TestKernelProperties:
     def test_kernel_matrix_is_read_only(self):
         source, target = kernel_pair(8, 2, 10)
         kernel = flow_kernel(source, target)
-        assert kernel.frame.shape == (8, 4) and kernel.weights.shape == (4, 4)
-        for m in (kernel.frame, kernel.weights):
+        assert kernel.frame.shape == (8, 4) and kernel.angles.shape == (2,) and kernel.weights.shape == (4, 4)
+        for m in (kernel.frame, kernel.angles, kernel.weights):
             with pytest.raises(ValueError):
-                m[0, 0] = 2.0
+                m[0] = 2.0
+
+
+def closed_form_spectrum(angles):
+    """The eigenvalues (1 +- sin(theta)/theta) / 2 of W, ascending; 1 and 0 below SMALL_ANGLE."""
+    small = angles < SMALL_ANGLE
+    half = np.where(small, 0.5, np.sin(angles) / (2.0 * np.where(small, 1.0, angles)))
+    return np.sort(np.concatenate((0.5 + half, 0.5 - half)))
+
+
+class TestSpectrumIdentity:
+    """The kernel's spectrum is its angles: each gives W one 2 x 2 block with eigenvalues (1 +- sin(theta)/theta)/2."""
+
+    EDGES = np.array([0.0, SMALL_ANGLE / 2, np.nextafter(SMALL_ANGLE, 0.0), SMALL_ANGLE, 2 * SMALL_ANGLE,
+                      1e-4, 1.0, np.pi / 2])
+
+    def test_the_weights_spectrum_is_the_closed_form_within_the_unit_interval(self):
+        # the edges together and one by one, then 500 random sets with k <= 20
+        rng = np.random.default_rng(23)
+        randoms = (rng.uniform(0.0, np.pi / 2, rng.integers(1, 21)) for _ in range(500))
+        for angles in (self.EDGES, *self.EDGES[:, None], *randoms):
+            kernel = TransformKernel(frame=np.eye(2 * angles.shape[0]), angles=angles)
+            eigs = np.linalg.eigvalsh(kernel.weights)
+            assert np.abs(eigs - closed_form_spectrum(angles)).max() <= 1e-14
+            assert -1e-15 <= eigs[0] and eigs[-1] <= 1.0 + 1e-15
 
 
 class TestApplyTransform:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftalign import (
+    VARIANT_FLAGS,
     ConfigError,
     DimensionMismatch,
     DimensionViolation,
@@ -20,13 +21,18 @@ from driftalign import (
     RankDeficient,
     SchemaMismatch,
     SharedFactorFailure,
+    StreamSpec,
     Subspace,
     TransformKernel,
     evaluate,
+    gen_rotating_drift,
+    init_pipeline,
     pca_subspace,
     principal_system,
+    process_batch,
+    variant_config,
 )
-from driftalign.flow_kernel import SYMMETRY_TOL, flow_kernel
+from driftalign.flow_kernel import flow_kernel
 from driftalign.subspaces import (
     COSINE_OVERSHOOT_TOL,
     RESIDUAL_COLUMN_TOL,
@@ -34,7 +40,15 @@ from driftalign.subspaces import (
     _orthonormal_extension,
     _rank,
 )
-from driftalign.verify import geodesic_distance, orthonormalize, principal_angles, random_subspace
+from driftalign.verify import (
+    SPECTRUM_TOL,
+    SYMMETRY_TOL,
+    _check_unit_spectrum,
+    geodesic_distance,
+    orthonormalize,
+    principal_angles,
+    random_subspace,
+)
 
 
 def planar_pair(d, phi):
@@ -397,25 +411,31 @@ class TestChecksStillFire:
         kernel = flow_kernel(*random_pairs(10, 3, 1, seed=33)[0])
         frame = kernel.frame * 1.0001
         with pytest.raises(NumericalHealthError) as exc:
-            TransformKernel(frame=frame, weights=kernel.weights)
+            TransformKernel(frame=frame, angles=kernel.angles)
         assert str(exc.value) == gram_message("kernel frame", frame)
 
-    def test_asymmetric_kernel_weights(self):
-        kernel = flow_kernel(*random_pairs(10, 3, 1, seed=34)[0])
-        weights = kernel.weights.copy()
-        weights[0, 4] += 1e-9
-        with pytest.raises(NumericalHealthError) as exc:
-            TransformKernel(frame=kernel.frame, weights=weights)
-        asym = float(np.max(np.abs(weights - weights.T)))
-        assert str(exc.value) == f"kernel weights asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}"
-
-    def test_nan_kernel_weights_rejected(self):
-        # NaN weights used to pass both the asymmetry and the spectrum comparison
+    def test_nan_kernel_angle_rejected(self):
+        # NaN weights used to pass both the asymmetry and the spectrum comparison;
+        # the weights are now built from the angles, which the stored-array gate takes
         kernel = flow_kernel(*random_pairs(10, 3, 1, seed=35)[0])
-        weights = kernel.weights.copy()
-        weights[1, 1] = np.nan
-        with pytest.raises(NumericalHealthError, match="^weights has non-finite entries$"):
-            TransformKernel(frame=kernel.frame, weights=weights)
+        angles = kernel.angles.copy()
+        angles[1] = np.nan
+        with pytest.raises(NumericalHealthError, match="^angles has non-finite entries$"):
+            TransformKernel(frame=kernel.frame, angles=angles)
+
+    def test_the_quadrature_kernel_check_fires(self):
+        # the dense oracle's asymmetry and spectrum check lives in driftalign.verify
+        g = np.diag([1.0, 0.5, 0.0])
+        _check_unit_spectrum(g, "quadrature kernel")
+        asymmetric = g.copy()
+        asymmetric[0, 1] = 1e-9
+        with pytest.raises(NumericalHealthError) as exc:
+            _check_unit_spectrum(asymmetric, "quadrature kernel")
+        assert str(exc.value) == f"quadrature kernel asymmetry 1.000e-09 exceeds {SYMMETRY_TOL:.0e}"
+        for extreme in (-2 * SPECTRUM_TOL, 1.0 + 2 * SPECTRUM_TOL):
+            g[2, 2] = extreme
+            with pytest.raises(NumericalHealthError, match=r"^quadrature kernel spectrum .* leaves \[0, 1\]$"):
+                _check_unit_spectrum(g, "quadrature kernel")
 
     def test_bad_pair_fails_on_the_first_pass(self, monkeypatch):
         # a B off the unit sphere by 1e-6 cannot be reproduced; no second attempt is made
@@ -458,11 +478,22 @@ class TestFactorisationCount:
         assert calls == {"svd": 1, "qr": 0, "eigvalsh": 0}
 
     @pytest.mark.parametrize("d,k", [(10, 3), (40, 10)])
-    def test_flow_kernel_adds_one_eigvalsh(self, monkeypatch, d, k):
+    def test_flow_kernel_makes_no_eigvalsh(self, monkeypatch, d, k):
+        # the kernel's spectrum is its angles, so none is checked by an eigensolver
         a, b = random_pairs(d, k, 1, seed=38)[0]
         calls = count_calls(monkeypatch, "svd", "qr", "eigvalsh")
         flow_kernel(a, b)
-        assert calls == {"svd": 1, "qr": 1, "eigvalsh": 1}
+        assert calls == {"svd": 1, "qr": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("variant", list(VARIANT_FLAGS))
+    def test_process_batch_makes_no_eigvalsh_on_any_rung(self, monkeypatch, variant):
+        # the second batch runs every flagged step: feedback, mean update, kernel
+        bundle = gen_rotating_drift(StreamSpec(batch_size=30, batch_count=2, seed=0, source_size=120))
+        _, state, _ = process_batch(init_pipeline(bundle.source, variant_config(variant, sub_dim=3)), bundle.stream[0])
+        calls = count_calls(monkeypatch, "eigvalsh")
+        predictions, _, _ = process_batch(state, bundle.stream[1])
+        assert predictions is not None
+        assert calls == {"eigvalsh": 0}
 
 
 class TestPrincipalAngles:
