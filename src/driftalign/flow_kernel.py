@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionViolation
-from .subspaces import Array, Subspace, _angles, _bounded_rows, _flow_frame, _orthonormal, _read_only, principal_system
+from .subspaces import Array, Subspace, _angles, _bounded_rows, _orthonormal, _read_only, principal_system
 
 # Angles below this use the analytic limits of the integral weights.
 SMALL_ANGLE = 1e-8
@@ -84,7 +84,7 @@ def _integral_weights(angles: Array) -> Array:
 def flow_kernel(source: Subspace, target: Subspace) -> TransformKernel:
     """Closed-form kernel for the flow from ``source`` to ``target``."""
     system = principal_system(source, target)
-    return TransformKernel(frame=np.concatenate(_flow_frame(system), axis=1), angles=system.angles)
+    return TransformKernel(frame=np.concatenate((system.head, system.tail), axis=1), angles=system.angles)
 
 
 def apply_transform(x: object, kernel: TransformKernel) -> Array:

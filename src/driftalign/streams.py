@@ -230,10 +230,12 @@ def gen_rotating_drift(
     def rows(rng: np.random.Generator, labels: Array, n: int) -> Array:
         x = means[labels] + rng.standard_normal((labels.shape[0], d)) * stds
         if n:
-            # columns 0 and 2 times the plane rotation's 2 x 2 block; every other column is unchanged
+            # columns 0 and 2 times the plane rotation's 2 x 2 block, elementwise so that no BLAS
+            # kernel's rounding reaches the bytes; both are formed before either is written
             angle = (n / spec.batch_count) * total_rotation
             c, s = math.cos(angle), math.sin(angle)
-            x[:, [0, 2]] = x[:, [0, 2]] @ np.array([[c, s], [-s, c]])
+            x0, x2 = x[:, 0], x[:, 2]
+            x[:, 0], x[:, 2] = x0 * c - x2 * s, x0 * s + x2 * c
         return x
 
     return _draw(spec, classes, rows)

@@ -11,7 +11,9 @@ of A^T B and of the residual B - A A^T B sharing one right factor. It yields
 the k directions orthogonal to A that the pair opens into, which is all that
 geodesics between subspaces and the flow kernel built on them need; no basis
 of A's full d x (d - k) complement is ever formed. The returned
-PrincipalSystem carries A as its base, so it is the geodesic from A to B.
+PrincipalSystem carries A as its base and derives its head, the principal
+vectors A a_rot, so it is the geodesic head cos(t angles) - tail sin(t angles)
+from A to B, and [head, tail] is the flow kernel's frame.
 Its first half, _angle_factors, gives the principal angles alone; the online
 path reads angles from its systems, and only driftalign.verify measures them
 for a bare pair (``principal_angles``, ``geodesic_distance``).
@@ -53,7 +55,7 @@ the online path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -259,8 +261,9 @@ class PrincipalSystem:
 
     so the columns of A @ a_rot and B @ b_rot are the principal vectors and
     the d x k orthonormal ``tail``, orthogonal to A, holds the directions the
-    pair opens into. The geodesic, parameterized on [0, 1], is
-    A a_rot cos(t angles) - tail sin(t angles); see :func:`evaluate`.
+    pair opens into. The read-only ``head`` = A @ a_rot is derived, not
+    passed. The geodesic, parameterized on [0, 1], is
+    head cos(t angles) - tail sin(t angles); see :func:`evaluate`.
     """
 
     base: Subspace
@@ -268,6 +271,7 @@ class PrincipalSystem:
     tail: Array    # d x k
     b_rot: Array   # k x k
     angles: Array  # k, ascending, in [0, pi/2]
+    head: Array = field(init=False)  # d x k
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "angles", _angles(self.angles))
@@ -285,6 +289,9 @@ class PrincipalSystem:
         cross = float(abs(self.tail.T @ base).max())
         if not cross < ORTHONORMALITY_TOL:
             raise NumericalHealthError(f"tail is not orthogonal to base (max {cross:.3e})")
+        head = base @ self.a_rot
+        head.setflags(write=False)
+        object.__setattr__(self, "head", head)
 
 
 def _check_half_dim(d: int, k: int) -> None:
@@ -358,10 +365,31 @@ def _angle_factors(a: Array, b: Array) -> tuple[Array, ...]:
     return angles, sines, cosines, u, v, ab, residual, aligned
 
 
-def _shared_factors(base: Subspace, other: Subspace) -> PrincipalSystem:
-    a = base.basis
-    k = a.shape[1]
-    angles, sines, cosines, u, v, ab, residual, aligned = _angle_factors(a, other.basis)
+def principal_system(a: Subspace, b: Subspace) -> PrincipalSystem:
+    """Paired decomposition of (A^T B, B - A A^T B) with one shared right factor.
+
+    Args:
+        a: base subspace, d x k with k < d/2.
+        b: other subspace, same shape as ``a``.
+
+    Returns:
+        The geodesic from ``a`` to ``b``: base ``a``, the aligned rotations,
+        the opening directions and the principal angles, with its ``head``,
+        the principal vectors a @ a_rot, derived from them. Angles ascend;
+        columns of ``tail`` whose sine is not numerically resolvable are an
+        arbitrary orthonormal extension.
+
+    Raises:
+        SharedFactorFailure: the factors do not reproduce A^T B and the
+            residual within RECONSTRUCTION_TOL. There is no second attempt:
+            bases that Subspace accepted are orthonormal to within
+            ORTHONORMALITY_TOL, so re-orthonormalizing them would move both
+            products by far less than RECONSTRUCTION_TOL.
+    """
+    _check_pair(a, b)
+    _check_half_dim(*a.basis.shape)
+    k = a.sub_dim
+    angles, sines, cosines, u, v, ab, residual, aligned = _angle_factors(a.basis, b.basis)
     # In-source directions: A^T B V normalized where resolvable, extended
     # elsewhere. The n resolved columns have the n largest cosines, and
     # larger-cosine columns carry less relative noise; they are orthogonalized
@@ -379,11 +407,11 @@ def _shared_factors(base: Subspace, other: Subspace) -> PrincipalSystem:
     # ascend, so the unresolved columns come first (there are some exactly
     # when the first sine is unresolved) and are filled by an orthonormal
     # extension of [A, resolved tail].
-    tail = -(u - a @ (a.T @ u))
+    tail = -(u - a.basis @ (a.basis.T @ u))
     if sines[0] <= RESIDUAL_COLUMN_TOL:
         unresolved = int(np.count_nonzero(sines <= RESIDUAL_COLUMN_TOL))
-        tail[:, :unresolved] = _orthonormal_extension(np.hstack([a, tail[:, unresolved:]]), unresolved)
-    system = PrincipalSystem(base=base, a_rot=a_rot, tail=tail, b_rot=v, angles=angles)
+        tail[:, :unresolved] = _orthonormal_extension(np.hstack([a.basis, tail[:, unresolved:]]), unresolved)
+    system = PrincipalSystem(base=a, a_rot=a_rot, tail=tail, b_rot=v, angles=angles)
     # Both products must be reproduced. A^T B and the residual are the arrays
     # formed above, so each side is compared with what the factors were cut from.
     cos_part = (system.a_rot * np.cos(system.angles)) @ system.b_rot.T
@@ -392,31 +420,6 @@ def _shared_factors(base: Subspace, other: Subspace) -> PrincipalSystem:
     if not res <= RECONSTRUCTION_TOL:
         raise SharedFactorFailure(f"reconstruction residual {res:.3e} exceeds {RECONSTRUCTION_TOL:.0e}")
     return system
-
-
-def principal_system(a: Subspace, b: Subspace) -> PrincipalSystem:
-    """Paired decomposition of (A^T B, B - A A^T B) with one shared right factor.
-
-    Args:
-        a: base subspace, d x k with k < d/2.
-        b: other subspace, same shape as ``a``.
-
-    Returns:
-        The geodesic from ``a`` to ``b``: base ``a``, the aligned rotations,
-        the opening directions and the principal angles. Angles ascend;
-        columns of ``tail`` whose sine is not numerically resolvable are an
-        arbitrary orthonormal extension.
-
-    Raises:
-        SharedFactorFailure: the factors do not reproduce A^T B and the
-            residual within RECONSTRUCTION_TOL. There is no second attempt:
-            bases that Subspace accepted are orthonormal to within
-            ORTHONORMALITY_TOL, so re-orthonormalizing them would move both
-            products by far less than RECONSTRUCTION_TOL.
-    """
-    _check_pair(a, b)
-    _check_half_dim(*a.basis.shape)
-    return _shared_factors(a, b)
 
 
 def evaluate(system: PrincipalSystem, t: float) -> Subspace:
@@ -429,8 +432,7 @@ def evaluate(system: PrincipalSystem, t: float) -> Subspace:
     t = _real("flow parameter", t)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"flow parameter must lie in [0, 1], got {t}")
-    head, tail = _flow_frame(system)
-    return Subspace(_flow_bases(head, tail, system.angles, np.array([t]))[:, 0, :])
+    return Subspace(_flow_bases(system.head, system.tail, system.angles, np.array([t]))[:, 0, :])
 
 
 def update_mean(mean: Subspace, count: int, new: Subspace) -> Subspace:
@@ -447,11 +449,6 @@ def update_mean(mean: Subspace, count: int, new: Subspace) -> Subspace:
     """
     count = _count("count", count, 1)
     return evaluate(principal_system(mean, new), 1.0 / (count + 1))
-
-
-def _flow_frame(system: PrincipalSystem) -> tuple[Array, Array]:
-    """Principal vectors at the base (head) and the directions they open into (tail)."""
-    return system.base.basis @ system.a_rot, system.tail
 
 
 def _flow_bases(head: Array, tail: Array, angles: Array, ts: Array) -> Array:

@@ -58,7 +58,6 @@ from .subspaces import (
     _check_pair,
     _count,
     _flow_bases,
-    _flow_frame,
     _gram_deviation,
     _rank,
     _signed_qr,
@@ -241,11 +240,10 @@ def quadrature_kernel(source: Subspace, target: Subspace) -> Array:
     x, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
     root_weights = np.abs(v[0]) / np.linalg.norm(v[0])
     system = principal_system(source, target)
-    head, tail = _flow_frame(system)
-    bases = _flow_bases(head, tail, system.angles, 0.5 * (x + 1.0))
+    bases = _flow_bases(system.head, system.tail, system.angles, 0.5 * (x + 1.0))
     for j in range(KERNEL_QUADRATURE_NODES):
         Subspace(bases[:, j, :])
-    scaled = (bases * root_weights[:, None]).reshape(head.shape[0], -1)
+    scaled = (bases * root_weights[:, None]).reshape(bases.shape[0], -1)
     g = scaled @ scaled.T
     _check_unit_spectrum(g, "quadrature kernel")
     return g
@@ -333,7 +331,7 @@ def geodesic_suite(seed: int = 0, instances: int = 200) -> list[PropertyCheck]:
         system = principal_system(a, b)
         # Unvalidated, as in quadrature_kernel: a Subspace would raise at a Gram
         # deviation of 1e-10, before this suite's own tolerance could report it.
-        bases = _flow_bases(*_flow_frame(system), system.angles, np.array((0.0, 0.25, 0.5, 0.75, 1.0)))
+        bases = _flow_bases(system.head, system.tail, system.angles, np.array((0.0, 0.25, 0.5, 0.75, 1.0)))
         ends = []
         for basis, end in ((bases[:, 0, :], a), (bases[:, -1, :], b)):
             try:  # a basis off orthonormal can overshoot a cosine: a failed property, not an error

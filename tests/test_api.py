@@ -128,7 +128,8 @@ def test_tracer_patches_reach_the_package():
 
 def test_the_tracer_sees_every_principal_system_the_online_path_builds(monkeypatch):
     # a principal_system call through a binding the tracer does not patch is
-    # missing from subspaces.principal_system.calls; _shared_factors counts them all
+    # missing from subspaces.principal_system.calls; principal_system is the one
+    # constructor of a PrincipalSystem, so counting constructions counts them all
     counts = {"traced": 0, "built": 0}
 
     def counting(key, fn):
@@ -142,7 +143,7 @@ def test_the_tracer_sees_every_principal_system_the_online_path_builds(monkeypat
         module = tracer_binding(module_name, attr) if attr == "principal_system" else None
         if module is not None:
             monkeypatch.setattr(module, attr, counting("traced", getattr(module, attr)))
-    monkeypatch.setattr(subspaces, "_shared_factors", counting("built", subspaces._shared_factors))
+    monkeypatch.setattr(subspaces, "PrincipalSystem", counting("built", subspaces.PrincipalSystem))
     spec = StreamSpec(batch_size=50, batch_count=60, seed=0, source_size=500)
     bundle = gen_rotating_drift(spec, classes=2, d=10, total_rotation=math.pi / 3)
     state = init_pipeline(bundle.source, variant_config("gfk_gmean_fb", sub_dim=3))

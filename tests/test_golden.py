@@ -8,14 +8,20 @@ mismatch prints a unified diff. The predicted labels of every batch of every
 ladder rung on the reference drift stream are pinned by one sha256, since the
 reports hold accuracies, and a label flip that keeps the counts moves no
 accuracy. The bytes both generators draw are pinned by another sha256. The
-files were recorded with numpy's float64 on x86; a change that moves any
-byte says which and why, and ``PYTHONPATH=src python tests/test_golden.py``
-rewrites them. One ablate command also runs in two subprocesses, under one
-and two OpenBLAS threads, and both reports must equal its golden file.
+files were recorded with numpy's float64 on x86, under the OpenBLAS core and
+numpy SIMD targets that kernels.txt names; a failing diff names both when
+this run's differ. A change that moves any byte says which and why, and
+``PYTHONPATH=src python tests/test_golden.py`` rewrites them. One ablate
+command also runs in two subprocesses, under one and two OpenBLAS threads,
+and both reports must equal its golden file. The stream and label digests
+and one ablate report are checked again under other x86 kernels: OpenBLAS's
+Haswell (AVX2) and Prescott (SSE3) cores, and numpy without its AVX-512 loops.
 """
 
+import ctypes
 import difflib
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -25,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 from conftest import README, pinned_form, readme_commands, run_command, settings
 import driftalign
@@ -99,15 +106,40 @@ def stream_digest():
     return digest.hexdigest() + "\n"
 
 
-def golden_diff(name, got):
-    """'' if got equals the golden file's bytes, else a unified diff from the file to got."""
+def kernels():
+    """'openblas CORE, numpy TARGETS': the OpenBLAS core and numpy's enabled SIMD dispatch targets in this process.
+
+    The rounding digits of the golden bytes depend on both. The core is read
+    from the OpenBLAS that numpy's wheel bundles, and is 'unknown' where no
+    bundled library has the scipy_openblas_get_corename64_ symbol.
+    """
+    core = "unknown"
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    features = _multiarray_umath.__cpu_features__
+    targets = " ".join(t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t))
+    return f"openblas {core}, numpy {targets}\n"
+
+
+def golden_diff(name, got, run_kernels=None):
+    """'' if got equals the golden file's bytes, else a unified diff from the file to got.
+
+    When the kernels the golden files were recorded under differ from
+    ``run_kernels`` (this process's by default), a failing diff ends with a
+    line naming both.
+    """
     path = GOLDEN / name
     expected = path.read_bytes()
     if got == expected:
         return ""
     lines = difflib.unified_diff(expected.decode().splitlines(keepends=True), got.decode().splitlines(keepends=True),
                                  fromfile=f"tests/golden/{name}", tofile="this run")
-    return "".join(lines) or f"{name}: bytes differ\n"
+    diff = "".join(lines) or f"{name}: bytes differ\n"
+    recorded, run = (GOLDEN / "kernels.txt").read_text().strip(), (run_kernels or kernels()).strip()
+    return diff if recorded == run else f"{diff}recorded under {recorded}; this run under {run}\n"
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -153,6 +185,55 @@ def test_ablate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert stdouts[0] == stdouts[1]
 
 
+# Each setting picks another kernel of the same OpenBLAS build, or turns off
+# numpy's AVX-512 loops as a host without them would.
+KERNEL_SETTINGS = {
+    "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "openblas_prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy_no_avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+}
+# Prints {golden name: this process's bytes, as text} and the kernels it ran under.
+KERNEL_PROBE = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from conftest import run_command
+from test_golden import COMMANDS, kernels, ladder_label_digest, stream_digest
+with tempfile.TemporaryDirectory() as workdir:
+    ablate = run_command(COMMANDS["ablate_rotating"], workdir)
+got = {"streams.sha256": stream_digest(), "ladder_labels.sha256": ladder_label_digest(),
+       **{"ablate_rotating" + suffix: data.decode() for suffix, data in ablate.items()}}
+print(json.dumps({"kernels": kernels(), "got": got}))
+"""
+
+
+@pytest.mark.parametrize("setting", KERNEL_SETTINGS)
+def test_pins_do_not_depend_on_the_x86_kernels(setting):
+    # the generated streams, the ladder's labels and the ablate bytes must not
+    # read the rounding of one BLAS or SIMD kernel
+    env = {**os.environ, **KERNEL_SETTINGS[setting],
+           "PYTHONPATH": str(Path(driftalign.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", KERNEL_PROBE, str(Path(__file__).parent)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    assert sorted(probe["got"]) == ["ablate_rotating.json", "ablate_rotating.out", "ladder_labels.sha256",
+                                    "streams.sha256"]
+    diff = "".join(golden_diff(name, got.encode(), probe["kernels"]) for name, got in sorted(probe["got"].items()))
+    if diff:
+        pytest.fail(f"{setting}\n{diff}", pytrace=False)
+
+
+def test_a_failing_diff_names_the_kernels(monkeypatch):
+    recorded = (GOLDEN / "kernels.txt").read_text()
+    assert recorded.startswith("openblas ") and ", numpy " in recorded
+    monkeypatch.setattr(sys.modules[__name__], "kernels", lambda: "openblas Prescott, numpy X86_V3\n")
+    assert golden_diff("streams.sha256", stream_digest().encode()) == ""
+    diff = golden_diff("streams.sha256", b"0" * 64 + b"\n")
+    assert diff.startswith("--- tests/golden/streams.sha256\n")
+    assert diff.splitlines()[-1] == f"recorded under {recorded.strip()}; this run under openblas Prescott, numpy X86_V3"
+    assert golden_diff("streams.sha256", b"0" * 64 + b"\n", recorded) == diff.rsplit("recorded under", 1)[0]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
@@ -161,4 +242,5 @@ if __name__ == "__main__":
                 (GOLDEN / (name + suffix)).write_bytes(data)
     (GOLDEN / "ladder_labels.sha256").write_text(ladder_label_digest())
     (GOLDEN / "streams.sha256").write_text(stream_digest())
+    (GOLDEN / "kernels.txt").write_text(kernels())
     print(f"wrote {len(list(GOLDEN.iterdir()))} files to {GOLDEN}", file=sys.stderr)

@@ -231,7 +231,7 @@ class TestKarcherMean:
         rng = np.random.default_rng(14)
         center = random_subspace(10, 3, rng)
         cloud = [exp_tangent(center, tangent_at(center, 0.3, rng)) for _ in range(8)]
-        calls = {"principal_system": 0, "_shared_factors": 0, "log_tangent": 0, "exp_tangent": 0}
+        calls = {"principal_system": 0, "PrincipalSystem": 0, "log_tangent": 0, "exp_tangent": 0}
 
         def counted(name, original):
             def wrapper(*args):
@@ -242,12 +242,12 @@ class TestKarcherMean:
         # verify's quadrature and geodesic suite call principal_system; karcher_mean must not
         monkeypatch.setattr(verify_module, "principal_system", counted("principal_system", principal_system),
                             raising=False)
-        monkeypatch.setattr(subspaces_module, "_shared_factors",
-                            counted("_shared_factors", subspaces_module._shared_factors))
+        monkeypatch.setattr(subspaces_module, "PrincipalSystem",
+                            counted("PrincipalSystem", subspaces_module.PrincipalSystem))
         for name in ("log_tangent", "exp_tangent"):
             monkeypatch.setattr(verify_module, name, counted(name, getattr(verify_module, name)))
         karcher_mean(cloud)
-        assert calls["principal_system"] == calls["_shared_factors"] == 0
+        assert calls["principal_system"] == calls["PrincipalSystem"] == 0
         iterations, rest = divmod(calls["log_tangent"], 8)
         assert rest == 0 and iterations > 1
         assert calls["exp_tangent"] == iterations - 1

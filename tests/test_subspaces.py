@@ -211,6 +211,17 @@ class TestThinSystem:
         assert np.abs(ab - cos_part).max() < 1e-8
         assert np.abs(b.basis - a.basis @ ab + sin_part).max() < 1e-8
 
+    @pytest.mark.parametrize("a,b", system_pairs())
+    def test_the_head_is_derived_not_passed(self, a, b):
+        # the principal vectors at the base, the geodesic's and the kernel frame's first half
+        sys = principal_system(a, b)
+        assert sys.head.tobytes() == (a.basis @ sys.a_rot).tobytes() and sys.head.shape == a.basis.shape
+        assert not sys.head.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.head = sys.tail
+        assert [f.name for f in dataclasses.fields(PrincipalSystem) if f.init] == [
+            "base", "a_rot", "tail", "b_rot", "angles"]
+
     def test_identical_pair_resolves_no_tail_column(self):
         # so every tail column of that fixture comes from the orthonormal extension
         a, b = system_pairs()[2].values
